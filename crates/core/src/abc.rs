@@ -8,47 +8,22 @@
 //! same manager (and the same rule programs) drive both the threaded
 //! skeleton runtime and the discrete-event simulator.
 
+use bskel_monitor::snapshot::{BeanKind, BEAN_TABLE};
 use bskel_monitor::{SensorSnapshot, Time};
 use bskel_rules::analysis::{BeanSchema, BeanType};
 use std::fmt;
 
-/// The bean/parameter schema every standard ABC publishes: the nine
-/// snapshot beans of [`bskel_monitor::snapshot::beans`], the hierarchy
-/// flags a parent manager injects (`bskel_rules::stdlib::hier_beans`),
-/// and the contract-derived parameter names the standard rule libraries
-/// reference. This is what `rulelint` checks rule programs against; ABCs
-/// publishing extra beans override [`Abc::bean_schema`] and extend it.
+/// The bean/parameter schema every standard ABC publishes: every row of
+/// [`BEAN_TABLE`], the hierarchy flags a parent manager injects
+/// (`bskel_rules::stdlib::hier_beans`), and the contract-derived
+/// parameter names the standard rule libraries reference. This is what
+/// `rulelint` checks rule programs against; ABCs publishing extra beans
+/// override [`Abc::bean_schema`] and extend it.
 pub fn standard_schema() -> BeanSchema {
-    use bskel_monitor::snapshot::beans;
     use bskel_rules::stdlib::{hier_beans, params};
-    BeanSchema::new()
-        .bean(beans::ARRIVAL_RATE, BeanType::Rate)
-        .bean(beans::DEPARTURE_RATE, BeanType::Rate)
-        .bean(beans::NUM_WORKERS, BeanType::Count)
-        .bean(beans::QUEUE_VARIANCE, BeanType::Rate)
-        .bean(beans::QUEUED_TASKS, BeanType::Count)
-        .bean(beans::SERVICE_TIME, BeanType::Seconds)
-        .bean(beans::END_OF_STREAM, BeanType::Flag)
-        .bean(beans::IDLE_FOR, BeanType::Seconds)
-        .bean(beans::RECONFIGURING, BeanType::Flag)
-        .bean(beans::WORKERS_LOST, BeanType::Count)
-        .bean(beans::FT_MIN_WORKERS, BeanType::Count)
-        .bean(beans::REMOTE_WORKERS, BeanType::Count)
-        .bean(beans::NET_RTT_MS, BeanType::Rate)
-        .bean(beans::CIRCUIT_OPEN_COUNT, BeanType::Count)
-        .bean(beans::RECONNECT_BACKOFF_MS, BeanType::Rate)
-        .bean(beans::TASKS_RETRIED, BeanType::Count)
-        .bean(beans::SPECULATIVE_WINS, BeanType::Count)
-        .bean(beans::REACTOR_LOOP_LAG_US, BeanType::Rate)
-        .bean(beans::NET_SEND_QUEUE_DEPTH, BeanType::Count)
-        .bean(beans::TASKS_SHED, BeanType::Count)
-        .bean(beans::TENANT_QUEUE_DEPTH, BeanType::Count)
-        .bean(beans::TENANT_SHARE, BeanType::Rate)
-        .bean(beans::TENANT_THROUGHPUT, BeanType::Rate)
-        .bean(beans::RETRY_BUDGET_TOKENS, BeanType::Rate)
-        .bean(beans::HEDGES_LAUNCHED, BeanType::Count)
-        .bean(beans::HEDGE_WINS, BeanType::Count)
-        .bean(beans::AIMD_CEILING, BeanType::Rate)
+    BEAN_TABLE
+        .iter()
+        .fold(BeanSchema::new(), |s, d| s.bean(d.name, bean_type(d.kind)))
         .bean(hier_beans::VIOL_NOT_ENOUGH, BeanType::Flag)
         .bean(hier_beans::VIOL_TOO_MUCH, BeanType::Flag)
         .bean(hier_beans::END_STREAM, BeanType::Flag)
@@ -66,6 +41,16 @@ pub fn standard_schema() -> BeanSchema {
         .param(params::TENANT_MIN_SHARE)
         .param(params::TENANT_MAX_SHARE)
         .param(params::TENANT_QUEUE_LIMIT)
+}
+
+/// The rule-analysis domain of a bean kind.
+pub fn bean_type(kind: BeanKind) -> BeanType {
+    match kind {
+        BeanKind::Flag => BeanType::Flag,
+        BeanKind::Count => BeanType::Count,
+        BeanKind::Rate => BeanType::Rate,
+        BeanKind::Seconds => BeanType::Seconds,
+    }
 }
 
 /// Typed actuator operations a manager can order.

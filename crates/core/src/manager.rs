@@ -700,7 +700,9 @@ impl AutonomicManager {
                 Ok(ActuationOutcome::Applied) => "applied".to_owned(),
                 Ok(ActuationOutcome::NoOp) => "noop".to_owned(),
                 Ok(ActuationOutcome::Refused { reason }) => format!("refused:{reason}"),
-                Err(e) => format!("error:{e}"),
+                // The message alone: `AbcError`'s `Display` adds a prefix
+                // that replay would otherwise double.
+                Err(e) => format!("error:{}", e.0),
             };
             journal.actuation_by(
                 now,

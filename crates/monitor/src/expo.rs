@@ -11,7 +11,7 @@
 //! exactly once, correctly typed") and by the `bskel-top` dashboard
 //! when tailing a live endpoint.
 
-use crate::snapshot::{beans, SensorSnapshot};
+use crate::snapshot::{SensorSnapshot, BEAN_TABLE};
 use std::fmt::Write as _;
 
 /// One labelled time-series to scrape: a manager's latest snapshot plus
@@ -57,31 +57,8 @@ pub fn metric_name(bean: &str) -> String {
     out
 }
 
-/// HELP text for the standard beans; extras get a generic line.
-fn bean_help(bean: &str) -> &'static str {
-    match bean {
-        beans::ARRIVAL_RATE => "Task arrival rate into the skeleton (tasks/s).",
-        beans::DEPARTURE_RATE => "Task departure (completion) rate (tasks/s).",
-        beans::NUM_WORKERS => "Current worker count.",
-        beans::QUEUE_VARIANCE => "Variance of per-worker queue lengths.",
-        beans::QUEUED_TASKS => "Tasks queued awaiting a worker.",
-        beans::SERVICE_TIME => "Mean per-task service time (s).",
-        beans::END_OF_STREAM => "1 when the input stream has ended.",
-        beans::IDLE_FOR => "Seconds since the last task arrival.",
-        beans::RECONFIGURING => "1 while a reconfiguration blackout is in effect.",
-        beans::WORKERS_LOST => "Cumulative workers lost to faults.",
-        beans::FT_MIN_WORKERS => "Fault-tolerance concern's worker floor.",
-        beans::REMOTE_WORKERS => "Workers provided by remote pool slots.",
-        beans::NET_RTT_MS => "Smoothed heartbeat round-trip time (ms).",
-        beans::CIRCUIT_OPEN_COUNT => "Endpoints with an open circuit breaker.",
-        beans::RECONNECT_BACKOFF_MS => "Current reconnect backoff (ms).",
-        beans::TASKS_RETRIED => "Cumulative tasks replayed after worker loss.",
-        beans::SPECULATIVE_WINS => "Speculative duplicates that beat the original.",
-        beans::REACTOR_LOOP_LAG_US => "Reactor event-loop lag (µs).",
-        beans::NET_SEND_QUEUE_DEPTH => "Bytes queued in reactor send buffers.",
-        _ => "Sensor bean exported by a behavioural-skeleton manager.",
-    }
-}
+/// HELP text for extra beans; standard beans carry their table row's.
+const EXTRA_HELP: &str = "Sensor bean exported by a behavioural-skeleton manager.";
 
 /// Formats a sample value the Prometheus way (`+Inf`/`-Inf`/`NaN`).
 fn format_value(v: f64) -> String {
@@ -172,10 +149,11 @@ impl Exposer {
     pub fn series(&mut self, s: &ScrapeSeries) {
         let tenant = s.tenant.clone();
         let manager = s.manager.clone();
-        for (bean, value) in s.snapshot.to_beans() {
+        // `to_beans` lists the table's rows first, in order, then extras.
+        for (i, (bean, value)) in s.snapshot.to_beans().into_iter().enumerate() {
             self.gauge(
                 &metric_name(&bean),
-                bean_help(&bean),
+                BEAN_TABLE.get(i).map_or(EXTRA_HELP, |d| d.help),
                 &[("tenant", &tenant), ("manager", &manager)],
                 value,
             );
@@ -424,6 +402,23 @@ mod tests {
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].label("kind"), Some("addWorker"));
         assert_eq!(ev[0].value, 3.0);
+    }
+
+    #[test]
+    fn every_table_bean_gets_its_row_help() {
+        let series = ScrapeSeries {
+            tenant: "default".into(),
+            manager: "AM_F".into(),
+            snapshot: SensorSnapshot::empty(0.0).with_extra("nodeLoad", 0.5),
+            event_counts: Vec::new(),
+        };
+        let text = render(&[series]);
+        for def in BEAN_TABLE {
+            assert_ne!(def.help, EXTRA_HELP, "{}", def.name);
+            let line = format!("# HELP {} {}\n", metric_name(def.name), def.help);
+            assert!(text.contains(&line), "missing {line:?}");
+        }
+        assert!(text.contains(&format!("# HELP bskel_node_load {EXTRA_HELP}\n")));
     }
 
     #[test]

@@ -109,36 +109,14 @@ impl Abc for ScriptedAbc {
 /// skipped; anything else (e.g. the simulator-only `speedGainRatio`)
 /// rides along as an extra bean.
 pub fn snapshot_from_beans(at: Time, beans: &BTreeMap<String, f64>) -> SensorSnapshot {
-    use bskel_monitor::snapshot::beans as b;
     let mut s = SensorSnapshot::empty(at);
     for (name, &v) in beans {
-        match name.as_str() {
-            b::ARRIVAL_RATE => s.arrival_rate = v,
-            b::DEPARTURE_RATE => s.departure_rate = v,
-            b::NUM_WORKERS => s.num_workers = v.max(0.0).round() as u32,
-            b::QUEUE_VARIANCE => s.queue_variance = v,
-            b::QUEUED_TASKS => s.queued_tasks = v.max(0.0).round() as u64,
-            b::SERVICE_TIME => s.service_time = v,
-            b::END_OF_STREAM => s.end_of_stream = v != 0.0,
-            b::IDLE_FOR => s.idle_for = v,
-            b::RECONFIGURING => s.reconfiguring = v != 0.0,
-            b::WORKERS_LOST => s.workers_lost = v.max(0.0).round() as u64,
-            b::FT_MIN_WORKERS => s.ft_min_workers = v.max(0.0).round() as u32,
-            b::REMOTE_WORKERS => s.remote_workers = v.max(0.0).round() as u32,
-            b::NET_RTT_MS => s.net_rtt_ms = v,
-            b::CIRCUIT_OPEN_COUNT => s.circuit_open_count = v.max(0.0).round() as u32,
-            b::RECONNECT_BACKOFF_MS => s.reconnect_backoff_ms = v,
-            b::TASKS_RETRIED => s.tasks_retried = v.max(0.0).round() as u64,
-            b::SPECULATIVE_WINS => s.speculative_wins = v.max(0.0).round() as u64,
-            b::REACTOR_LOOP_LAG_US => s.reactor_loop_lag_us = v,
-            b::NET_SEND_QUEUE_DEPTH => s.net_send_queue_depth = v.max(0.0).round() as u64,
-            b::RETRY_BUDGET_TOKENS => s.retry_budget_tokens = v,
-            b::HEDGES_LAUNCHED => s.hedges_launched = v.max(0.0).round() as u64,
-            b::HEDGE_WINS => s.hedge_wins = v.max(0.0).round() as u64,
-            b::AIMD_CEILING => s.aimd_ceiling = v,
-            hier_beans::VIOL_NOT_ENOUGH | hier_beans::VIOL_TOO_MUCH | hier_beans::END_STREAM => {}
-            hidden if hidden.starts_with("__") => {}
-            extra => s.extra.push((extra.to_string(), v)),
+        let not_a_sensor = matches!(
+            name.as_str(),
+            hier_beans::VIOL_NOT_ENOUGH | hier_beans::VIOL_TOO_MUCH | hier_beans::END_STREAM
+        ) || name.starts_with("__");
+        if !not_a_sensor && !s.set_bean(name, v) {
+            s.extra.push((name.clone(), v));
         }
     }
     s
@@ -731,6 +709,39 @@ mod tests {
         );
         assert_eq!(report.snapshots, 8);
         assert!(report.events > 0, "recording must have produced events");
+        assert!(report.identical(), "{:#?}", report.mismatches);
+    }
+
+    #[test]
+    fn failed_actuation_journal_replays_identically() {
+        use bskel_monitor::Journal;
+        let journal = Journal::shared();
+        let mut s = SensorSnapshot::empty(0.0);
+        s.arrival_rate = 1.0;
+        s.departure_rate = 0.2; // below the floor: the manager actuates
+        s.num_workers = 2;
+        let mut cfg = ManagerConfig::farm("AM_ERR");
+        cfg.rule_check = RuleCheck::Off;
+        let log = EventLog::new();
+        log.attach_journal(Arc::clone(&journal));
+        let abc = ScriptedAbc::new(vec![s]).with_outcomes(vec![Err(AbcError("boom".into()))]);
+        let mut m =
+            AutonomicManager::new(cfg.clone(), Box::new(abc), log).with_rules(stdlib::farm_rules());
+        m.contract_slot().post(Contract::throughput_range(0.4, 0.8));
+        m.control_cycle(0.0);
+        let records = journal.entries();
+        assert!(records.iter().any(|r| matches!(
+            &r.entry,
+            bskel_monitor::JournalEntry::Manager { kind, .. } if kind.starts_with("abcError:")
+        )));
+        let report = replay_journal(
+            &records,
+            vec![JournalReplayProgram {
+                cfg,
+                rules: stdlib::farm_rules(),
+                contract: Some(Contract::throughput_range(0.4, 0.8)),
+            }],
+        );
         assert!(report.identical(), "{:#?}", report.mismatches);
     }
 
