@@ -13,6 +13,7 @@
 use bskel_bench::{ascii_series, table};
 use bskel_core::contract::Contract;
 use bskel_core::events::EventKind;
+use bskel_rules::op;
 use bskel_sim::FarmScenario;
 
 fn main() {
@@ -53,7 +54,7 @@ fn main() {
     let migrations = migrate
         .events
         .iter()
-        .filter(|e| matches!(&e.kind, EventKind::Other(s) if s == "MIGRATE_SLOWEST"))
+        .filter(|e| matches!(&e.kind, EventKind::Other(s) if s == op::MIGRATE_SLOWEST))
         .count();
 
     println!(

@@ -53,47 +53,9 @@ pub fn bean_type(kind: BeanKind) -> BeanType {
     }
 }
 
-/// Typed actuator operations a manager can order.
-///
-/// These are the `ManagerOperation`s of the paper's prototype, mapped from
-/// the symbolic names fired by rules (see `bskel_rules::op`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ManagerOp {
-    /// Recruit resources and add `n` workers to a functional-replication
-    /// skeleton (paper: `ADD_EXECUTOR`; Fig. 4 adds two at a time).
-    AddWorkers(u32),
-    /// Remove `n` workers (paper: `REMOVE_EXECUTOR`).
-    RemoveWorkers(u32),
-    /// Redistribute queued tasks evenly across workers
-    /// (paper: `BALANCE_LOAD`).
-    BalanceLoad,
-    /// Set a producer's emission rate to an absolute value (tasks/s).
-    SetRate(f64),
-    /// Scale a producer's emission rate by a factor (incRate/decRate).
-    ScaleRate(f64),
-    /// Require communications with the named node to use the secure
-    /// protocol (security-concern actuator, paper §3.2).
-    SecureChannel {
-        /// Node identifier, substrate-specific.
-        node: String,
-    },
-    /// A substrate-specific operation, passed through uninterpreted.
-    Custom(String),
-}
-
-impl fmt::Display for ManagerOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ManagerOp::AddWorkers(n) => write!(f, "addWorkers({n})"),
-            ManagerOp::RemoveWorkers(n) => write!(f, "removeWorkers({n})"),
-            ManagerOp::BalanceLoad => write!(f, "balanceLoad"),
-            ManagerOp::SetRate(r) => write!(f, "setRate({r})"),
-            ManagerOp::ScaleRate(x) => write!(f, "scaleRate({x})"),
-            ManagerOp::SecureChannel { node } => write!(f, "secureChannel({node})"),
-            ManagerOp::Custom(s) => write!(f, "custom({s})"),
-        }
-    }
-}
+/// Typed actuator operations, declared in the operation table
+/// (`bskel_rules::op`).
+pub use bskel_rules::ManagerOp;
 
 /// What happened to an ordered actuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,6 +74,22 @@ pub enum ActuationOutcome {
         /// Human-readable reason.
         reason: String,
     },
+}
+
+impl ActuationOutcome {
+    /// `Applied` when the substrate acted, `NoOp` when it had nothing to do.
+    pub fn applied_if(acted: bool) -> Self {
+        if acted {
+            Self::Applied
+        } else {
+            Self::NoOp
+        }
+    }
+
+    /// `Applied`, or `Refused` with the substrate's reason.
+    pub fn from_result<T>(result: Result<T, String>) -> Self {
+        result.map_or_else(|reason| Self::Refused { reason }, |_| Self::Applied)
+    }
 }
 
 /// ABC errors: the substrate is broken (as opposed to merely refusing).
@@ -193,16 +171,6 @@ mod tests {
         assert_eq!(
             abc.actuate(&ManagerOp::AddWorkers(2), 0.0),
             Ok(ActuationOutcome::NoOp)
-        );
-    }
-
-    #[test]
-    fn manager_op_display() {
-        assert_eq!(ManagerOp::AddWorkers(2).to_string(), "addWorkers(2)");
-        assert_eq!(ManagerOp::BalanceLoad.to_string(), "balanceLoad");
-        assert_eq!(
-            ManagerOp::SecureChannel { node: "n3".into() }.to_string(),
-            "secureChannel(n3)"
         );
     }
 

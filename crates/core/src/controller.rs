@@ -31,7 +31,7 @@
 
 use bskel_monitor::snapshot::beans;
 use bskel_monitor::SensorSnapshot;
-use bskel_rules::stdlib::{self, params, viol};
+use bskel_rules::stdlib::{params, viol};
 use bskel_rules::{op, OpCall, ParamTable, RuleEngine, RuleSet, WorkingMemory};
 
 /// Which control law a manager runs (wired through `ManagerConfig` and
@@ -384,10 +384,10 @@ impl Controller for BudgetedRuleController {
 
         if self.tokens < 1.0 && !self.paused {
             self.paused = true;
-            ops.push(OpCall::new(stdlib::PAUSE_REDISPATCH_OP));
+            ops.push(OpCall::new(op::PAUSE_REDISPATCH));
         } else if self.tokens >= 1.0 && self.paused {
             self.paused = false;
-            ops.push(OpCall::new(stdlib::RESUME_REDISPATCH_OP));
+            ops.push(OpCall::new(op::RESUME_REDISPATCH));
         }
         Ok(ops)
     }
@@ -400,6 +400,7 @@ impl Controller for BudgetedRuleController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bskel_rules::stdlib;
 
     fn snap_at(at: f64) -> SensorSnapshot {
         SensorSnapshot::empty(at)
@@ -492,7 +493,7 @@ mod tests {
         snap.tasks_retried = 50;
         let ops = c.decide(&snap, &wm, &params).unwrap();
         assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].operation, stdlib::PAUSE_REDISPATCH_OP);
+        assert_eq!(ops[0].operation, op::PAUSE_REDISPATCH);
         // Still exhausted: no duplicate PAUSE.
         let mut snap = snap_at(2.0);
         snap.tasks_retried = 55;
@@ -503,7 +504,7 @@ mod tests {
         snap.departure_rate = 2.0;
         let ops = c.decide(&snap, &wm, &params).unwrap();
         assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].operation, stdlib::RESUME_REDISPATCH_OP);
+        assert_eq!(ops[0].operation, op::RESUME_REDISPATCH);
     }
 
     #[test]

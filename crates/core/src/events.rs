@@ -46,8 +46,6 @@ pub enum EventKind {
     EnterActive,
     /// The manager entered passive mode.
     EnterPassive,
-    /// A channel to a node was secured (security concern actuation).
-    Secured,
     /// Workers were lost to failures since the previous control cycle
     /// (fault-tolerance concern; detail carries the delta).
     WorkerLost,
@@ -80,7 +78,6 @@ impl EventKind {
             EventKind::NewContract => "newContract",
             EventKind::EnterActive => "enterActive",
             EventKind::EnterPassive => "enterPassive",
-            EventKind::Secured => "secured",
             EventKind::WorkerLost => "workerLost",
             EventKind::GrowShare => "growShare",
             EventKind::ShrinkShare => "shrinkShare",

@@ -35,7 +35,7 @@ use crate::controller::{build_controller, Controller, ControllerKind};
 use crate::events::{EventKind, EventLog};
 use bskel_monitor::{SensorSnapshot, Time};
 use bskel_rules::stdlib::{self, hier_beans, viol};
-use bskel_rules::{op, Analyzer, OpCall, RuleSet, WorkingMemory};
+use bskel_rules::{op, Analyzer, OpArgs, OpCall, RuleSet, WorkingMemory};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -866,127 +866,59 @@ impl AutonomicManager {
         let mut acted = false;
         let mut violated = false;
         let mut refused = false;
+        let args = self.op_args();
         for call in &ops {
-            match call.operation.as_str() {
-                op::RAISE_VIOLATION => {
-                    violated = true;
-                    let kind = match call.data.as_deref() {
-                        Some(viol::NOT_ENOUGH_TASKS) => {
-                            self.emit(now, EventKind::NotEnough, None);
-                            ViolationKind::NotEnoughTasks
-                        }
-                        Some(viol::TOO_MUCH_TASKS) => {
-                            self.emit(now, EventKind::TooMuch, None);
-                            ViolationKind::TooMuchTasks
-                        }
-                        other => {
-                            ViolationKind::Unsatisfiable(other.unwrap_or("unspecified").to_owned())
-                        }
-                    };
-                    self.raise(now, kind);
+            if call.operation == op::RAISE_VIOLATION {
+                violated = true;
+                let kind = match call.data.as_deref() {
+                    Some(viol::NOT_ENOUGH_TASKS) => {
+                        self.emit(now, EventKind::NotEnough, None);
+                        ViolationKind::NotEnoughTasks
+                    }
+                    Some(viol::TOO_MUCH_TASKS) => {
+                        self.emit(now, EventKind::TooMuch, None);
+                        ViolationKind::TooMuchTasks
+                    }
+                    other => {
+                        ViolationKind::Unsatisfiable(other.unwrap_or("unspecified").to_owned())
+                    }
+                };
+                self.raise(now, kind);
+                continue;
+            }
+            let op_ = ManagerOp::from_rule(&call.operation, &args);
+            match &op_ {
+                // The pipeline drives its source with rate contracts, not
+                // through its own ABC.
+                ManagerOp::IncRate(f) | ManagerOp::DecRate(f)
+                    if self.cfg.kind == ManagerKind::Pipeline =>
+                {
+                    self.source_rate *= *f;
+                    let c = Contract::output_rate(self.source_rate);
+                    for child in self.children.iter().filter(|c| c.is_source) {
+                        child.slot.post(c.clone());
+                    }
+                    acted = true;
+                    let (kind, _) = applied_event(&op_, &call.operation);
+                    self.emit(now, kind, Some(format!("{:.3}", self.source_rate)));
                 }
-                op::ADD_EXECUTOR => {
-                    let op_ = ManagerOp::AddWorkers(self.cfg.add_batch);
-                    match self.actuate(&op_, now) {
-                        Ok(ActuationOutcome::Applied) => {
-                            acted = true;
-                            self.emit(
-                                now,
-                                EventKind::AddWorker,
-                                Some(self.cfg.add_batch.to_string()),
-                            );
-                        }
-                        Ok(ActuationOutcome::NoOp) => {}
-                        Ok(ActuationOutcome::Refused { reason }) => {
+                _ => match self.actuate(&op_, now) {
+                    Ok(ActuationOutcome::Applied) => {
+                        acted = true;
+                        let (kind, detail) = applied_event(&op_, &call.operation);
+                        self.emit(now, kind, detail);
+                    }
+                    Ok(ActuationOutcome::NoOp) => {}
+                    // A refused recruitment leaves no local plan: escalate.
+                    Ok(ActuationOutcome::Refused { reason }) => {
+                        if let ManagerOp::AddWorkers(_) = op_ {
                             violated = true;
                             refused = true;
                             self.raise(now, ViolationKind::Unsatisfiable(reason));
                         }
-                        Err(e) => {
-                            self.emit(now, EventKind::Other(format!("abcError:{e}")), None);
-                        }
                     }
-                }
-                op::REMOVE_EXECUTOR => {
-                    let op_ = ManagerOp::RemoveWorkers(self.cfg.remove_batch);
-                    if let Ok(ActuationOutcome::Applied) = self.actuate(&op_, now) {
-                        acted = true;
-                        self.emit(
-                            now,
-                            EventKind::RemoveWorker,
-                            Some(self.cfg.remove_batch.to_string()),
-                        );
-                    }
-                }
-                op::BALANCE_LOAD => {
-                    if let Ok(ActuationOutcome::Applied) =
-                        self.actuate(&ManagerOp::BalanceLoad, now)
-                    {
-                        acted = true;
-                        self.emit(now, EventKind::Rebalance, None);
-                    }
-                }
-                op::INC_RATE => match self.cfg.kind {
-                    ManagerKind::Pipeline => {
-                        self.source_rate *= self.cfg.rate_inc_factor;
-                        let c = Contract::output_rate(self.source_rate);
-                        for child in self.children.iter().filter(|c| c.is_source) {
-                            child.slot.post(c.clone());
-                        }
-                        acted = true;
-                        self.emit(
-                            now,
-                            EventKind::IncRate,
-                            Some(format!("{:.3}", self.source_rate)),
-                        );
-                    }
-                    _ => {
-                        let op_ = ManagerOp::ScaleRate(self.cfg.rate_inc_factor);
-                        if let Ok(ActuationOutcome::Applied) = self.actuate(&op_, now) {
-                            acted = true;
-                            self.emit(now, EventKind::IncRate, None);
-                        }
-                    }
+                    Err(e) => self.emit(now, EventKind::Other(format!("abcError:{e}")), None),
                 },
-                op::DEC_RATE => match self.cfg.kind {
-                    ManagerKind::Pipeline => {
-                        self.source_rate *= self.cfg.rate_dec_factor;
-                        let c = Contract::output_rate(self.source_rate);
-                        for child in self.children.iter().filter(|c| c.is_source) {
-                            child.slot.post(c.clone());
-                        }
-                        acted = true;
-                        self.emit(
-                            now,
-                            EventKind::DecRate,
-                            Some(format!("{:.3}", self.source_rate)),
-                        );
-                    }
-                    _ => {
-                        let op_ = ManagerOp::ScaleRate(self.cfg.rate_dec_factor);
-                        if let Ok(ActuationOutcome::Applied) = self.actuate(&op_, now) {
-                            acted = true;
-                            self.emit(now, EventKind::DecRate, None);
-                        }
-                    }
-                },
-                other => {
-                    // Unknown symbolic operations pass through as custom
-                    // actuations (substrate extensions). The tenancy share
-                    // operations get typed events so tenant traces filter
-                    // like the paper's event lines.
-                    let op_ = ManagerOp::Custom(other.to_owned());
-                    if let Ok(ActuationOutcome::Applied) = self.actuate(&op_, now) {
-                        acted = true;
-                        let kind = match other {
-                            stdlib::GROW_SHARE_OP => EventKind::GrowShare,
-                            stdlib::SHRINK_SHARE_OP => EventKind::ShrinkShare,
-                            stdlib::SHED_LOAD_OP => EventKind::ShedLoad,
-                            _ => EventKind::Other(other.to_owned()),
-                        };
-                        self.emit(now, kind, None);
-                    }
-                }
             }
         }
 
@@ -1017,6 +949,16 @@ impl AutonomicManager {
         ops
     }
 
+    /// The configured payloads of the parametrised operations.
+    fn op_args(&self) -> OpArgs {
+        OpArgs {
+            add_batch: self.cfg.add_batch,
+            remove_batch: self.cfg.remove_batch,
+            rate_inc_factor: self.cfg.rate_inc_factor,
+            rate_dec_factor: self.cfg.rate_dec_factor,
+        }
+    }
+
     fn raise(&self, now: Time, kind: ViolationKind) {
         self.emit(now, EventKind::RaiseViol, Some(format!("{kind:?}")));
         if let Some(parent) = &self.parent {
@@ -1026,6 +968,22 @@ impl AutonomicManager {
                 at: now,
             });
         }
+    }
+}
+
+/// The event an applied operation emits: the paper's event lines for the
+/// operations that have one, the rule name for the rest.
+fn applied_event(op: &ManagerOp, rule_name: &str) -> (EventKind, Option<String>) {
+    match op {
+        ManagerOp::AddWorkers(n) => (EventKind::AddWorker, Some(n.to_string())),
+        ManagerOp::RemoveWorkers(n) => (EventKind::RemoveWorker, Some(n.to_string())),
+        ManagerOp::BalanceLoad => (EventKind::Rebalance, None),
+        ManagerOp::IncRate(_) => (EventKind::IncRate, None),
+        ManagerOp::DecRate(_) => (EventKind::DecRate, None),
+        ManagerOp::GrowShare => (EventKind::GrowShare, None),
+        ManagerOp::ShrinkShare => (EventKind::ShrinkShare, None),
+        ManagerOp::ShedLoad => (EventKind::ShedLoad, None),
+        _ => (EventKind::Other(rule_name.to_owned()), None),
     }
 }
 
@@ -1539,7 +1497,7 @@ mod tests {
         let recorded = acts.lock().unwrap();
         assert!(recorded
             .iter()
-            .any(|o| matches!(o, ManagerOp::ScaleRate(f) if *f > 1.0)));
+            .any(|o| matches!(o, ManagerOp::IncRate(f) if *f > 1.0)));
     }
 
     #[test]

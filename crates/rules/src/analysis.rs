@@ -164,74 +164,22 @@ impl EffectTable {
         Self::default()
     }
 
-    /// Effects of the standard operation vocabulary (`crate::op`) on the
+    /// Effects of every operation in [`crate::op::OP_TABLE`] on the
     /// standard ABC beans (`bskel_monitor::snapshot::beans`).
     pub fn standard() -> Self {
-        use crate::op;
-        Self::new()
-            .actuator(op::ADD_EXECUTOR, "parDegree", Dir::Up)
-            .actuator(op::REMOVE_EXECUTOR, "parDegree", Dir::Down)
-            .actuator(op::INC_RATE, "outputRate", Dir::Up)
-            .actuator(op::DEC_RATE, "outputRate", Dir::Down)
-            .bean_effect(op::ADD_EXECUTOR, "numWorkers", Dir::Up)
-            .bean_effect(op::ADD_EXECUTOR, "remoteWorkers", Dir::Up)
-            .bean_effect(op::ADD_EXECUTOR, "departureRate", Dir::Up)
-            .bean_effect(op::ADD_EXECUTOR, "queuedTasks", Dir::Down)
-            // Recruiting a slot probes quarantined endpoints: a successful
-            // probe closes the circuit and resets its reconnect backoff.
-            .bean_effect(op::ADD_EXECUTOR, "circuitOpenCount", Dir::Down)
-            .bean_effect(op::ADD_EXECUTOR, "reconnectBackoffMs", Dir::Down)
-            // More slots drain the send queues faster but give the single
-            // reactor more connections to service per tick.
-            .bean_effect(op::ADD_EXECUTOR, "netSendQueueDepth", Dir::Down)
-            .bean_effect(op::ADD_EXECUTOR, "reactorLoopLagUs", Dir::Up)
-            .bean_effect(op::REMOVE_EXECUTOR, "numWorkers", Dir::Down)
-            .bean_effect(op::REMOVE_EXECUTOR, "remoteWorkers", Dir::Down)
-            .bean_effect(op::REMOVE_EXECUTOR, "departureRate", Dir::Down)
-            .bean_effect(op::REMOVE_EXECUTOR, "queuedTasks", Dir::Up)
-            .bean_effect(op::REMOVE_EXECUTOR, "netSendQueueDepth", Dir::Up)
-            .bean_effect(op::REMOVE_EXECUTOR, "reactorLoopLagUs", Dir::Down)
-            .bean_effect(op::BALANCE_LOAD, "queueVariance", Dir::Down)
-            .bean_effect(op::INC_RATE, "departureRate", Dir::Up)
-            .bean_effect(op::INC_RATE, "arrivalRate", Dir::Up)
-            .bean_effect(op::DEC_RATE, "departureRate", Dir::Down)
-            .bean_effect(op::DEC_RATE, "arrivalRate", Dir::Down)
-            .bean_effect(crate::stdlib::MIGRATE_SLOWEST_OP, "departureRate", Dir::Up)
-            .bean_effect(
-                crate::stdlib::MIGRATE_SLOWEST_OP,
-                "speedGainRatio",
-                Dir::Down,
-            )
-            .actuator(crate::stdlib::KILL_WORKER_OP, "parDegree", Dir::Down)
-            .bean_effect(crate::stdlib::KILL_WORKER_OP, "numWorkers", Dir::Down)
-            .bean_effect(crate::stdlib::KILL_WORKER_OP, "workersLost", Dir::Up)
-            // Tenancy: share moves redistribute pool capacity between DRR
-            // queues — the firing tenant's delivered throughput and backlog
-            // follow its weight. Growing the shared pool lifts every
-            // tenant's delivered throughput.
-            .actuator(crate::stdlib::GROW_SHARE_OP, "tenantShare", Dir::Up)
-            .actuator(crate::stdlib::SHRINK_SHARE_OP, "tenantShare", Dir::Down)
-            .bean_effect(crate::stdlib::GROW_SHARE_OP, "tenantShare", Dir::Up)
-            .bean_effect(crate::stdlib::GROW_SHARE_OP, "tenantThroughput", Dir::Up)
-            .bean_effect(crate::stdlib::GROW_SHARE_OP, "tenantQueueDepth", Dir::Down)
-            .bean_effect(crate::stdlib::SHRINK_SHARE_OP, "tenantShare", Dir::Down)
-            .bean_effect(
-                crate::stdlib::SHRINK_SHARE_OP,
-                "tenantThroughput",
-                Dir::Down,
-            )
-            .bean_effect(crate::stdlib::SHRINK_SHARE_OP, "tenantQueueDepth", Dir::Up)
-            .bean_effect(crate::stdlib::SHED_LOAD_OP, "tenantQueueDepth", Dir::Down)
-            .bean_effect(crate::stdlib::SHED_LOAD_OP, "tasksShed", Dir::Up)
-            .bean_effect(op::ADD_EXECUTOR, "tenantThroughput", Dir::Up)
-            .bean_effect(op::REMOVE_EXECUTOR, "tenantThroughput", Dir::Down)
-            // Escalation is pure signalling: it moves no bean and no
-            // actuator resource, by design rather than by omission.
-            .inert(op::RAISE_VIOLATION)
-            // Budget transitions are advisory (the plant-side token bucket
-            // is authoritative); they journal a window, not an effect.
-            .inert(crate::stdlib::PAUSE_REDISPATCH_OP)
-            .inert(crate::stdlib::RESUME_REDISPATCH_OP)
+        let mut table = Self::new();
+        for d in crate::op::OP_TABLE {
+            if let Some((resource, dir)) = d.actuator {
+                table = table.actuator(d.name, resource, dir);
+            }
+            for &(bean, dir) in d.effects {
+                table = table.bean_effect(d.name, bean, dir);
+            }
+            if d.inert {
+                table = table.inert(d.name);
+            }
+        }
+        table
     }
 
     /// Annotates an operation with a monotone effect on a sensed bean.

@@ -19,11 +19,16 @@
 //!   `.rules` files — the Fig. 5 farm rules are included verbatim
 //!   (modulo syntax) in [`stdlib`];
 //! * [`stdlib`] — the rule libraries used by the experiments: farm manager
-//!   rules (Fig. 5), producer rules, and pipeline-manager rules.
+//!   rules (Fig. 5), producer rules, and pipeline-manager rules;
+//! * [`op`] — the operation table: every operation a rule can fire, its
+//!   typed [`ManagerOp`], journal form and semantic effects, declared once;
+//! * [`analysis`] and [`mc`] — `rulelint` and `rulemc`, which check
+//!   programs against the bean schema and the operation table.
 //!
 //! The engine is deliberately substrate-free: actions are symbolic
-//! operation invocations (`fire(ADD_EXECUTOR)`); binding them to actuators
-//! is the manager's job (`bskel-core`).
+//! operation invocations (`fire(ADD_EXECUTOR)`). The manager
+//! (`bskel-core`) turns each into its typed [`ManagerOp`] and orders it
+//! through the ABC.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -32,6 +37,7 @@ pub mod analysis;
 pub mod ast;
 pub mod engine;
 pub mod mc;
+pub mod op;
 pub mod parser;
 pub mod stdlib;
 pub mod wm;
@@ -43,25 +49,6 @@ pub use mc::{
     throughput_violation, Counterexample, EnvMove, McError, McReport, ModelChecker, Spec,
     TraceStep, Verdict,
 };
+pub use op::{ManagerOp, OpArgs};
 pub use parser::{parse_rules, parse_rules_spanned, ParseError, SourceMap};
 pub use wm::{ParamTable, WorkingMemory};
-
-/// Canonical operation names fired by the standard rule libraries.
-///
-/// These mirror the `ManagerOperation` enumeration of the paper's GCM
-/// prototype (Fig. 5): the manager maps them onto typed
-/// `bskel_core::abc::ManagerOp` values.
-pub mod op {
-    /// Report a contract violation to the parent manager (or the user).
-    pub const RAISE_VIOLATION: &str = "RAISE_VIOLATION";
-    /// Add worker(s) to a functional-replication skeleton.
-    pub const ADD_EXECUTOR: &str = "ADD_EXECUTOR";
-    /// Remove worker(s) from a functional-replication skeleton.
-    pub const REMOVE_EXECUTOR: &str = "REMOVE_EXECUTOR";
-    /// Redistribute queued tasks evenly across workers.
-    pub const BALANCE_LOAD: &str = "BALANCE_LOAD";
-    /// Increase a producer stage's output rate (pipeline manager action).
-    pub const INC_RATE: &str = "INC_RATE";
-    /// Decrease a producer stage's output rate (pipeline manager action).
-    pub const DEC_RATE: &str = "DEC_RATE";
-}

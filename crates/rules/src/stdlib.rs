@@ -151,39 +151,6 @@ pub fn migrate_rules() -> RuleSet {
     parse_rules(MIGRATE_RULES_TEXT).expect("embedded migrate.rules must parse")
 }
 
-/// Operation name fired by the migration program (handled by substrates
-/// that support live migration, e.g. the simulator's farm).
-pub const MIGRATE_SLOWEST_OP: &str = "MIGRATE_SLOWEST";
-
-/// Fault-injection operation name: kill one worker abruptly (no graceful
-/// drain). Handled by substrates that support it — the threaded farm's
-/// `kill_workers` actuator — and used by tests, chaos rules and bench
-/// harnesses to exercise the FT rule program.
-pub const KILL_WORKER_OP: &str = "KILL_WORKER";
-
-/// Share actuation: raise the firing tenant's DRR weight (bounded by
-/// `TENANT_MAX_SHARE`). Handled by the tenancy front-end's per-tenant ABC.
-pub const GROW_SHARE_OP: &str = "GROW_SHARE";
-
-/// Share actuation: lower the firing tenant's DRR weight (bounded by
-/// `TENANT_MIN_SHARE`).
-pub const SHRINK_SHARE_OP: &str = "SHRINK_SHARE";
-
-/// Admission actuation: drop queued tasks from the firing tenant (per its
-/// shed policy) until its queue is back inside the admission bound.
-pub const SHED_LOAD_OP: &str = "SHED_LOAD";
-
-/// Advisory actuation fired by budget-aware controllers when the retry
-/// budget is exhausted: substrates that gate re-dispatch locally treat it
-/// as a no-op (the plant-side token bucket is authoritative); it exists
-/// so the transition is journaled and replayable.
-pub const PAUSE_REDISPATCH_OP: &str = "PAUSE_REDISPATCH";
-
-/// Advisory actuation fired when the retry budget refills past one token
-/// after a [`PAUSE_REDISPATCH_OP`]; paired transitions bracket the window
-/// in which speculation/hedging was suppressed.
-pub const RESUME_REDISPATCH_OP: &str = "RESUME_REDISPATCH";
-
 /// The multi-tenant arbitration rule program (share grow/shrink, load
 /// shedding, pool growth on aggregate pressure, escalation at the share
 /// ceiling).

@@ -73,38 +73,24 @@ impl Abc for SimAbc {
 
     fn actuate(&mut self, op: &ManagerOp, _now: Time) -> Result<ActuationOutcome, AbcError> {
         let mut st = self.state.lock().expect("sim state lock");
-        match (self.role, op) {
-            (SimRole::Farm, ManagerOp::AddWorkers(n)) => match st.add_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            (SimRole::Farm, ManagerOp::RemoveWorkers(n)) => match st.remove_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            (SimRole::Farm, ManagerOp::BalanceLoad) => Ok(if st.rebalance() {
-                ActuationOutcome::Applied
-            } else {
-                ActuationOutcome::NoOp
-            }),
-            (SimRole::Producer, ManagerOp::SetRate(r)) => {
-                st.set_rate(*r);
-                Ok(ActuationOutcome::Applied)
+        Ok(match (self.role, op) {
+            (SimRole::Farm, ManagerOp::AddWorkers(n)) => {
+                ActuationOutcome::from_result(st.add_workers(*n))
             }
-            (SimRole::Producer, ManagerOp::ScaleRate(f)) => {
+            (SimRole::Farm, ManagerOp::RemoveWorkers(n)) => {
+                ActuationOutcome::from_result(st.remove_workers(*n))
+            }
+            (SimRole::Farm, ManagerOp::BalanceLoad) => ActuationOutcome::applied_if(st.rebalance()),
+            (SimRole::Farm, ManagerOp::MigrateSlowest) => {
+                ActuationOutcome::applied_if(st.migrate_slowest())
+            }
+            (SimRole::Producer, ManagerOp::IncRate(f) | ManagerOp::DecRate(f)) => {
                 st.scale_rate(*f);
-                Ok(ActuationOutcome::Applied)
-            }
-            (SimRole::Farm, ManagerOp::Custom(name)) if name == "MIGRATE_SLOWEST" => {
-                Ok(if st.migrate_slowest() {
-                    ActuationOutcome::Applied
-                } else {
-                    ActuationOutcome::NoOp
-                })
+                ActuationOutcome::Applied
             }
             // Anything else is not this role's to perform.
-            _ => Ok(ActuationOutcome::NoOp),
-        }
+            _ => ActuationOutcome::NoOp,
+        })
     }
 }
 
@@ -174,7 +160,7 @@ mod tests {
     fn producer_abc_rate_ops() {
         let state = shared_state();
         let mut abc = SimAbc::new(Arc::clone(&state), SimRole::Producer);
-        abc.actuate(&ManagerOp::ScaleRate(3.0), 0.0).unwrap();
+        abc.actuate(&ManagerOp::IncRate(3.0), 0.0).unwrap();
         assert_eq!(state.lock().unwrap().producer.rate, 3.0);
         // Producer snapshots expose the configured rate as arrival.
         assert_eq!(abc.sense(0.0).arrival_rate, 3.0);

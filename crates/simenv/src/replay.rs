@@ -33,6 +33,9 @@ use bskel_rules::{Condition, OpCall, ParamTable, RuleSet, WorkingMemory};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
+/// What a [`ScriptedAbc`] was ordered to do, and when.
+type ActuationLog = Arc<Mutex<Vec<(Time, ManagerOp)>>>;
+
 /// An ABC that replays a fixed script of sensor snapshots.
 ///
 /// Every [`Abc::sense`] pops the next snapshot (sticking on the last one
@@ -46,7 +49,7 @@ pub struct ScriptedAbc {
     script: VecDeque<SensorSnapshot>,
     last: SensorSnapshot,
     schema: BeanSchema,
-    actuations: Arc<Mutex<Vec<(Time, ManagerOp)>>>,
+    actuations: ActuationLog,
     outcomes: VecDeque<Result<ActuationOutcome, AbcError>>,
 }
 
@@ -334,13 +337,15 @@ pub struct ReplayedEvent {
     pub detail: Option<String>,
 }
 
-/// A position where the replayed event stream diverged from the
-/// recorded one (`None` = one side ran out of events).
+/// A position where the replayed event stream, or the replayed sequence
+/// of ordered operations, diverged from the recorded one (`None` = one
+/// side ran out).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalReplayMismatch {
     /// Which manager diverged.
     pub manager: String,
-    /// Index into that manager's event sequence.
+    /// Index into that manager's event sequence, or into its ordered
+    /// operations when the mismatched entries are `actuation`s.
     pub index: usize,
     /// The recorded event.
     pub expected: Option<ReplayedEvent>,
@@ -375,6 +380,16 @@ fn replayable_kind(kind: &str) -> bool {
     !(kind.starts_with("rulelint") || kind.starts_with("rulemc"))
 }
 
+/// An ordered operation in replay-comparison form: kind `actuation`, the
+/// operation's journal form as detail.
+fn ordered_op(at: Time, op: String) -> ReplayedEvent {
+    ReplayedEvent {
+        at,
+        kind: "actuation".to_owned(),
+        detail: Some(op),
+    }
+}
+
 /// Decodes a journaled actuation outcome (`applied`, `noop`,
 /// `refused:<reason>`, `error:<message>`) back into the plant response
 /// the recording manager observed. Unknown tags (a newer recorder)
@@ -399,9 +414,10 @@ fn parse_outcome(s: &str) -> Result<ActuationOutcome, AbcError> {
 /// For each program, the journal's `Snapshot` entries with that
 /// manager's name become the sensor script (replayed at their recorded
 /// times, interleaved across managers in global time order), its
-/// `Actuation` entries script the plant's responses, and its `Manager`
-/// entries are the expected output. Farm/substrate entries and notes
-/// are context, not compared.
+/// `Actuation` entries script the plant's responses and name the
+/// operations the replay must order, and its `Manager` entries are the
+/// expected events. Farm/substrate entries and notes are context, not
+/// compared.
 pub fn replay_journal(
     records: &[bskel_monitor::JournalRecord],
     programs: Vec<JournalReplayProgram>,
@@ -412,6 +428,7 @@ pub fn replay_journal(
     let mut managers: Vec<AutonomicManager> = Vec::new();
     let mut scripts: Vec<Vec<(Time, SensorSnapshot)>> = Vec::new();
     let mut expected: Vec<Vec<ReplayedEvent>> = Vec::new();
+    let mut ordered: Vec<(Vec<ReplayedEvent>, ActuationLog)> = Vec::new();
     for p in programs.iter() {
         let name = p.cfg.name.clone();
         let script: Vec<(Time, SensorSnapshot)> = records
@@ -442,19 +459,26 @@ pub fn replay_journal(
                 })
                 .collect(),
         );
-        let outcomes: Vec<Result<ActuationOutcome, AbcError>> = records
+        let (ops, outcomes): (Vec<ReplayedEvent>, Vec<_>) = records
             .iter()
             .filter_map(|r| match &r.entry {
                 JournalEntry::Actuation {
-                    manager, outcome, ..
-                } if *manager == name => Some(parse_outcome(outcome)),
+                    at,
+                    manager,
+                    op,
+                    outcome,
+                    ..
+                } if *manager == name => {
+                    Some((ordered_op(*at, op.clone()), parse_outcome(outcome)))
+                }
                 _ => None,
             })
-            .collect();
+            .unzip();
         let mut cfg = p.cfg.clone();
         cfg.rule_check = RuleCheck::Off;
         let abc = ScriptedAbc::new(script.iter().map(|(_, s)| s.clone()).collect())
             .with_outcomes(outcomes);
+        ordered.push((ops, abc.actuation_log()));
         let m = AutonomicManager::new(cfg, Box::new(abc), log.clone()).with_rules(p.rules.clone());
         if let Some(c) = &p.contract {
             m.contract_slot().post(c.clone());
@@ -479,7 +503,7 @@ pub fn replay_journal(
 
     let mut mismatches = Vec::new();
     let mut events = 0usize;
-    for (p, want) in programs.iter().zip(&expected) {
+    for ((p, want), (want_ops, acted)) in programs.iter().zip(&expected).zip(&ordered) {
         let name = &p.cfg.name;
         events += want.len();
         let got: Vec<ReplayedEvent> = log
@@ -492,14 +516,22 @@ pub fn replay_journal(
                 detail: e.detail,
             })
             .collect();
-        for i in 0..want.len().max(got.len()) {
-            if want.get(i) != got.get(i) {
-                mismatches.push(JournalReplayMismatch {
-                    manager: name.clone(),
-                    index: i,
-                    expected: want.get(i).cloned(),
-                    got: got.get(i).cloned(),
-                });
+        let got_ops: Vec<ReplayedEvent> = acted
+            .lock()
+            .expect("actuation log lock")
+            .iter()
+            .map(|(at, op)| ordered_op(*at, op.to_string()))
+            .collect();
+        for (want, got) in [(want, got), (want_ops, got_ops)] {
+            for i in 0..want.len().max(got.len()) {
+                if want.get(i) != got.get(i) {
+                    mismatches.push(JournalReplayMismatch {
+                        manager: name.clone(),
+                        index: i,
+                        expected: want.get(i).cloned(),
+                        got: got.get(i).cloned(),
+                    });
+                }
             }
         }
     }
@@ -514,6 +546,7 @@ pub fn replay_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bskel_core::ControllerKind;
     use bskel_rules::mc::{throughput_violation, ModelChecker, Spec};
     use bskel_rules::stdlib;
     use bskel_rules::{Cmp, Expr};
@@ -743,6 +776,82 @@ mod tests {
             }],
         );
         assert!(report.identical(), "{:#?}", report.mismatches);
+    }
+
+    #[test]
+    fn failed_balance_is_logged_as_an_abc_error_and_replays_identically() {
+        use bskel_core::events::EventKind;
+        use bskel_monitor::Journal;
+        let journal = Journal::shared();
+        let mut s = SensorSnapshot::empty(0.0);
+        s.arrival_rate = 1.0;
+        s.departure_rate = 0.2; // below the floor: grow, then rebalance
+        s.num_workers = 2;
+        let mut cfg = ManagerConfig::farm("AM_BAL");
+        cfg.rule_check = RuleCheck::Off;
+        let log = EventLog::new();
+        log.attach_journal(Arc::clone(&journal));
+        let abc = ScriptedAbc::new(vec![s]).with_outcomes(vec![
+            Ok(ActuationOutcome::Applied),
+            Err(AbcError("boom".into())),
+        ]);
+        let acted = abc.actuation_log();
+        let mut m = AutonomicManager::new(cfg.clone(), Box::new(abc), log.clone())
+            .with_rules(stdlib::farm_rules());
+        m.contract_slot().post(Contract::throughput_range(0.4, 0.8));
+        m.control_cycle(0.0);
+        assert_eq!(acted.lock().unwrap()[1].1, ManagerOp::BalanceLoad);
+        let errors = log.of_kind(&EventKind::Other("abcError:ABC error: boom".into()));
+        assert_eq!(errors.len(), 1, "{:?}", log.snapshot());
+        let report = replay_journal(
+            &journal.entries(),
+            vec![JournalReplayProgram {
+                cfg,
+                rules: stdlib::farm_rules(),
+                contract: Some(Contract::throughput_range(0.4, 0.8)),
+            }],
+        );
+        assert!(report.identical(), "{:#?}", report.mismatches);
+    }
+
+    #[test]
+    fn replay_reports_an_ordered_op_the_journal_does_not_hold() {
+        let fixture = include_str!("../../../tests/fixtures/journal_pre_table.jsonl");
+        let replay = |text: &str| {
+            let programs = [
+                ("AM_RULES", ControllerKind::Rules),
+                ("AM_AIMD", ControllerKind::Aimd),
+            ]
+            .map(|(name, controller)| {
+                let mut cfg = ManagerConfig::farm(name);
+                cfg.rule_check = RuleCheck::Off;
+                cfg.controller = controller;
+                JournalReplayProgram {
+                    cfg,
+                    rules: stdlib::farm_rules(),
+                    contract: Some(Contract::throughput_range(0.4, 0.8)),
+                }
+            });
+            let records = bskel_monitor::journal::parse_jsonl(text).unwrap();
+            replay_journal(&records, programs.into())
+        };
+        let report = replay(fixture);
+        assert!(report.identical(), "{:#?}", report.mismatches);
+
+        let edited = fixture.replacen(r#""op":"balanceLoad""#, r#""op":"removeWorkers(1)""#, 1);
+        assert_ne!(edited, fixture);
+        let report = replay(&edited);
+        assert_eq!(report.mismatches.len(), 1, "{:#?}", report.mismatches);
+        let m = &report.mismatches[0];
+        assert_eq!(m.manager, "AM_RULES");
+        assert_eq!(
+            m.expected.as_ref().unwrap().detail.as_deref(),
+            Some("removeWorkers(1)")
+        );
+        assert_eq!(
+            m.got.as_ref().unwrap().detail.as_deref(),
+            Some("balanceLoad")
+        );
     }
 
     #[test]

@@ -45,34 +45,22 @@ impl Abc for FarmAbc {
     }
 
     fn actuate(&mut self, op: &ManagerOp, _now: Time) -> Result<ActuationOutcome, AbcError> {
-        match op {
-            ManagerOp::AddWorkers(n) => match self.ctl.add_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            ManagerOp::RemoveWorkers(n) => match self.ctl.remove_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            ManagerOp::BalanceLoad => Ok(if self.ctl.rebalance() {
-                ActuationOutcome::Applied
-            } else {
-                ActuationOutcome::NoOp
-            }),
+        Ok(match op {
+            ManagerOp::AddWorkers(n) => ActuationOutcome::from_result(self.ctl.add_workers(*n)),
+            ManagerOp::RemoveWorkers(n) => {
+                ActuationOutcome::from_result(self.ctl.remove_workers(*n))
+            }
+            ManagerOp::BalanceLoad => ActuationOutcome::applied_if(self.ctl.rebalance()),
             // Fault injection (tests, bench harnesses, chaos rules).
-            // The name matches `bskel_rules::stdlib::KILL_WORKER_OP`.
-            ManagerOp::Custom(name) if name == "KILL_WORKER" => match self.ctl.kill_workers(1) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            // Rate and security operations are not a farm's to perform.
-            _ => Ok(ActuationOutcome::NoOp),
-        }
+            ManagerOp::KillWorker => ActuationOutcome::from_result(self.ctl.kill_workers(1)),
+            // Rate operations are not a farm's to perform.
+            _ => ActuationOutcome::NoOp,
+        })
     }
 }
 
 /// ABC of a paced source stage: departure-rate sensing plus the rate knob
-/// actuators (`SetRate` / `ScaleRate`, i.e. incRate/decRate).
+/// actuators (`IncRate` / `DecRate`).
 pub struct SourceAbc {
     knob: Arc<RateKnob>,
     metrics: Arc<StageMetrics>,
@@ -101,11 +89,7 @@ impl Abc for SourceAbc {
 
     fn actuate(&mut self, op: &ManagerOp, _now: Time) -> Result<ActuationOutcome, AbcError> {
         match op {
-            ManagerOp::SetRate(r) => {
-                self.knob.set(*r);
-                Ok(ActuationOutcome::Applied)
-            }
-            ManagerOp::ScaleRate(f) => {
+            ManagerOp::IncRate(f) | ManagerOp::DecRate(f) => {
                 self.knob.scale(*f);
                 Ok(ActuationOutcome::Applied)
             }
@@ -135,17 +119,13 @@ impl Abc for MapAbc {
     }
 
     fn actuate(&mut self, op: &ManagerOp, _now: Time) -> Result<ActuationOutcome, AbcError> {
-        match op {
-            ManagerOp::AddWorkers(n) => match self.ctl.add_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            ManagerOp::RemoveWorkers(n) => match self.ctl.remove_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            _ => Ok(ActuationOutcome::NoOp),
-        }
+        Ok(match op {
+            ManagerOp::AddWorkers(n) => ActuationOutcome::from_result(self.ctl.add_workers(*n)),
+            ManagerOp::RemoveWorkers(n) => {
+                ActuationOutcome::from_result(self.ctl.remove_workers(*n))
+            }
+            _ => ActuationOutcome::NoOp,
+        })
     }
 }
 
@@ -216,7 +196,7 @@ mod tests {
 
         // Rate ops are not a farm concern.
         assert_eq!(
-            abc.actuate(&ManagerOp::SetRate(1.0), 0.0).unwrap(),
+            abc.actuate(&ManagerOp::IncRate(1.25), 0.0).unwrap(),
             ActuationOutcome::NoOp
         );
 
@@ -234,10 +214,9 @@ mod tests {
         assert_eq!(snap.bean("ftMinWorkers"), Some(3.0));
         assert_eq!(snap.bean("workersLost"), Some(0.0));
 
-        // The KILL_WORKER custom op is the fault-injection actuator.
+        // KILL_WORKER is the fault-injection actuator.
         assert_eq!(
-            abc.actuate(&ManagerOp::Custom("KILL_WORKER".into()), 0.0)
-                .unwrap(),
+            abc.actuate(&ManagerOp::KillWorker, 0.0).unwrap(),
             ActuationOutcome::Applied
         );
         let snap = abc.sense(0.0);
@@ -261,9 +240,9 @@ mod tests {
         let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
         let metrics = StageMetrics::new(clock, 2.0);
         let mut abc = SourceAbc::new(Arc::clone(&knob), metrics);
-        abc.actuate(&ManagerOp::ScaleRate(2.0), 0.0).unwrap();
+        abc.actuate(&ManagerOp::IncRate(2.0), 0.0).unwrap();
         assert_eq!(abc.current_rate(), 2.0);
-        abc.actuate(&ManagerOp::SetRate(0.5), 0.0).unwrap();
+        abc.actuate(&ManagerOp::DecRate(0.25), 0.0).unwrap();
         assert_eq!(knob.get(), 0.5);
         // Sensing exposes the knob as arrival pressure.
         assert_eq!(abc.sense(0.0).arrival_rate, 0.5);

@@ -47,7 +47,7 @@ impl RateKnob {
         self.bits.store(sanitize(rate).to_bits(), Ordering::Release);
     }
 
-    /// Multiplies the rate by `factor` (the `ScaleRate` actuator).
+    /// Multiplies the rate by `factor` (the `IncRate`/`DecRate` actuators).
     pub fn scale(&self, factor: f64) -> f64 {
         // A CAS loop keeps concurrent scalings composable.
         loop {

@@ -22,7 +22,7 @@ use bskel_core::{
     ManagerOp,
 };
 use bskel_monitor::{SensorSnapshot, Time};
-use bskel_rules::stdlib::{self, params};
+use bskel_rules::stdlib::params;
 use std::sync::Arc;
 
 /// Growth factor applied to a tenant's weight per `GROW_SHARE` firing.
@@ -49,28 +49,14 @@ impl<In: Send + 'static, Out: Send + 'static> Abc for TenantAbc<In, Out> {
     }
 
     fn actuate(&mut self, op: &ManagerOp, _now: Time) -> Result<ActuationOutcome, AbcError> {
-        match op {
-            ManagerOp::Custom(name) if name == stdlib::GROW_SHARE_OP => {
-                Ok(match self.shared.scale_weight(self.index, GROW_FACTOR) {
-                    Some(_) => ActuationOutcome::Applied,
-                    None => ActuationOutcome::NoOp,
-                })
-            }
-            ManagerOp::Custom(name) if name == stdlib::SHRINK_SHARE_OP => {
-                Ok(match self.shared.scale_weight(self.index, SHRINK_FACTOR) {
-                    Some(_) => ActuationOutcome::Applied,
-                    None => ActuationOutcome::NoOp,
-                })
-            }
-            ManagerOp::Custom(name) if name == stdlib::SHED_LOAD_OP => {
-                Ok(match self.shared.shed_to_half(self.index) {
-                    0 => ActuationOutcome::NoOp,
-                    _ => ActuationOutcome::Applied,
-                })
-            }
+        let shared = &self.shared;
+        Ok(ActuationOutcome::applied_if(match op {
+            ManagerOp::GrowShare => shared.scale_weight(self.index, GROW_FACTOR).is_some(),
+            ManagerOp::ShrinkShare => shared.scale_weight(self.index, SHRINK_FACTOR).is_some(),
+            ManagerOp::ShedLoad => shared.shed_to_half(self.index) > 0,
             // Pool sizing is the arbiter's job, not a tenant's.
-            _ => Ok(ActuationOutcome::NoOp),
-        }
+            _ => false,
+        }))
     }
 }
 
@@ -92,24 +78,17 @@ impl<In: Send + 'static, Out: Send + 'static> Abc for ArbiterAbc<In, Out> {
     }
 
     fn actuate(&mut self, op: &ManagerOp, _now: Time) -> Result<ActuationOutcome, AbcError> {
-        match op {
-            ManagerOp::AddWorkers(n) => match self.shared.control.add_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            ManagerOp::RemoveWorkers(n) => match self.shared.control.remove_workers(*n) {
-                Ok(_) => Ok(ActuationOutcome::Applied),
-                Err(reason) => Ok(ActuationOutcome::Refused { reason }),
-            },
-            ManagerOp::BalanceLoad => Ok(if self.shared.control.rebalance() {
-                ActuationOutcome::Applied
-            } else {
-                ActuationOutcome::NoOp
-            }),
+        let control = &self.shared.control;
+        Ok(match op {
+            ManagerOp::AddWorkers(n) => ActuationOutcome::from_result(control.add_workers(*n)),
+            ManagerOp::RemoveWorkers(n) => {
+                ActuationOutcome::from_result(control.remove_workers(*n))
+            }
+            ManagerOp::BalanceLoad => ActuationOutcome::applied_if(control.rebalance()),
             // Share ops are pinned dormant by the arbiter's parameters;
             // anything else is not the pool's to perform.
-            _ => Ok(ActuationOutcome::NoOp),
-        }
+            _ => ActuationOutcome::NoOp,
+        })
     }
 }
 
