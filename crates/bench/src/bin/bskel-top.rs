@@ -19,6 +19,7 @@
 use bskel_monitor::journal::parse_jsonl;
 use bskel_monitor::{JournalEntry, JournalRecord};
 use bskel_net::parse_exposition;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -27,7 +28,7 @@ use std::time::Duration;
 const RECENT_EVENTS: usize = 12;
 
 /// Latest snapshot per source: time + borrowed bean list.
-type LatestSnapshots<'a> = BTreeMap<&'a str, (f64, &'a Vec<(String, f64)>)>;
+type LatestSnapshots<'a> = BTreeMap<&'a str, (f64, &'a [(Cow<'static, str>, f64)])>;
 /// `(tenant, manager)` → `(name, extra-labels, value)` series rows.
 type SeriesGroups = BTreeMap<(String, String), Vec<(String, String, f64)>>;
 

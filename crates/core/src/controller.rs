@@ -29,7 +29,6 @@
 //!   plant (the reactor pool), never here — a controller that merely
 //!   *advises* cannot be bypassed by a stale snapshot.
 
-use bskel_monitor::snapshot::beans;
 use bskel_monitor::SensorSnapshot;
 use bskel_rules::stdlib::{params, viol};
 use bskel_rules::{op, OpCall, ParamTable, RuleEngine, RuleSet, WorkingMemory};
@@ -123,12 +122,10 @@ pub trait Controller: Send {
         params: &ParamTable,
     ) -> Result<Vec<OpCall>, String>;
 
-    /// Controller-internal state published as beans (merged into the
-    /// journaled snapshot *before* working memory is built, so replay
-    /// and rule programs both see it).
-    fn state_beans(&self) -> Vec<(&'static str, f64)> {
-        Vec::new()
-    }
+    /// Writes controller-internal state into the sensed snapshot, before
+    /// it is journaled and working memory is built, so replay and rule
+    /// programs both see it.
+    fn publish(&self, _snap: &mut SensorSnapshot) {}
 }
 
 /// Constructs the controller for a kind, over the given rule program
@@ -293,8 +290,8 @@ impl Controller for AimdController {
         Ok(ops)
     }
 
-    fn state_beans(&self) -> Vec<(&'static str, f64)> {
-        vec![(beans::AIMD_CEILING, self.ceiling)]
+    fn publish(&self, snap: &mut SensorSnapshot) {
+        snap.aimd_ceiling = self.ceiling;
     }
 }
 
@@ -392,8 +389,12 @@ impl Controller for BudgetedRuleController {
         Ok(ops)
     }
 
-    fn state_beans(&self) -> Vec<(&'static str, f64)> {
-        vec![(beans::RETRY_BUDGET_TOKENS, self.tokens)]
+    /// Plant-published tokens stay authoritative: the mirror fills in
+    /// `retryBudgetTokens` only when the plant published none.
+    fn publish(&self, snap: &mut SensorSnapshot) {
+        if snap.retry_budget_tokens == 0.0 {
+            snap.retry_budget_tokens = self.tokens;
+        }
     }
 }
 
@@ -516,6 +517,12 @@ mod tests {
         snap.retry_budget_tokens = 7.5;
         c.decide(&snap, &wm, &params).unwrap();
         assert!((c.tokens() - 7.5).abs() < 1e-9);
-        assert_eq!(c.state_beans(), vec![(beans::RETRY_BUDGET_TOKENS, 7.5)]);
+        let mut unpublished = snap_at(2.0);
+        c.publish(&mut unpublished);
+        assert_eq!(unpublished.retry_budget_tokens, 7.5);
+        let mut plant = snap_at(2.0);
+        plant.retry_budget_tokens = 3.0;
+        c.publish(&mut plant);
+        assert_eq!(plant.retry_budget_tokens, 3.0, "the plant's tokens win");
     }
 }

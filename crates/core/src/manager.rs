@@ -327,6 +327,8 @@ pub struct AutonomicManager {
     end_stream_reported: bool,
     needs_initial_setup: bool,
     last_snapshot: Option<SensorSnapshot>,
+    /// Refilled every cycle rather than rebuilt.
+    wm: WorkingMemory,
 }
 
 impl AutonomicManager {
@@ -379,6 +381,7 @@ impl AutonomicManager {
             end_stream_reported: false,
             needs_initial_setup: false,
             last_snapshot: None,
+            wm: WorkingMemory::new(),
         };
         m.params = m.derive_params(&Contract::BestEffort);
         m.lint_rules(None, 0.0)?;
@@ -728,18 +731,8 @@ impl AutonomicManager {
         let mut snap = self.abc.sense(now);
         // Controller-internal state (AIMD ceiling, budget-mirror tokens)
         // rides the snapshot so both the journal and the working memory
-        // see it; plant-published budget tokens stay authoritative.
-        for (name, v) in self.controller.state_beans() {
-            match name {
-                bskel_monitor::snapshot::beans::AIMD_CEILING => snap.aimd_ceiling = v,
-                bskel_monitor::snapshot::beans::RETRY_BUDGET_TOKENS => {
-                    if snap.retry_budget_tokens == 0.0 {
-                        snap.retry_budget_tokens = v;
-                    }
-                }
-                _ => snap.extra.push((name.to_owned(), v)),
-            }
-        }
+        // see it.
+        self.controller.publish(&mut snap);
         // Ops plane: every sensed snapshot is journaled (when a journal
         // is attached to the log), making the control loop's full input
         // durable and the run replayable offline.
@@ -847,12 +840,14 @@ impl AutonomicManager {
         }
 
         // Working memory: sensors + hierarchy beans.
-        let mut wm = WorkingMemory::from_beans(snap.to_beans());
-        wm.insert_flag(hier_beans::VIOL_NOT_ENOUGH, viol_not_enough);
-        wm.insert_flag(hier_beans::VIOL_TOO_MUCH, viol_too_much);
-        wm.insert_flag(hier_beans::END_STREAM, self.end_stream_seen);
+        let flag = |set: bool| if set { 1.0 } else { 0.0 };
+        self.wm.refill(snap.beans().chain([
+            (hier_beans::VIOL_NOT_ENOUGH, flag(viol_not_enough)),
+            (hier_beans::VIOL_TOO_MUCH, flag(viol_too_much)),
+            (hier_beans::END_STREAM, flag(self.end_stream_seen)),
+        ]));
 
-        let ops = match self.controller.decide(&snap, &wm, &self.params) {
+        let ops = match self.controller.decide(&snap, &self.wm, &self.params) {
             Ok(ops) => ops,
             Err(e) => {
                 // A broken rule program is a policy bug: surface it loudly

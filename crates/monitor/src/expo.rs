@@ -35,6 +35,12 @@ pub struct ScrapeSeries {
 /// are folded to `_` so extra beans with exotic names stay legal.
 pub fn metric_name(bean: &str) -> String {
     let mut out = String::with_capacity(bean.len() + 12);
+    push_metric_name(&mut out, bean);
+    out
+}
+
+/// Appends [`metric_name`]`(bean)` to `out`.
+fn push_metric_name(out: &mut String, bean: &str) {
     out.push_str("bskel_");
     let mut prev_lower = false;
     for c in bean.chars() {
@@ -54,29 +60,33 @@ pub fn metric_name(bean: &str) -> String {
             prev_lower = false;
         }
     }
-    out
 }
 
 /// HELP text for extra beans; standard beans carry their table row's.
 const EXTRA_HELP: &str = "Sensor bean exported by a behavioural-skeleton manager.";
 
-/// Formats a sample value the Prometheus way (`+Inf`/`-Inf`/`NaN`).
-fn format_value(v: f64) -> String {
+/// Ends a sample line: a space, the value the Prometheus way
+/// (`+Inf`/`-Inf`/`NaN`), a newline.
+fn end_line(out: &mut String, v: f64) {
+    out.push(' ');
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else if v.is_nan() {
-        "NaN".to_owned()
+        out.push_str("NaN");
     } else if v > 0.0 {
-        "+Inf".to_owned()
+        out.push_str("+Inf");
     } else {
-        "-Inf".to_owned()
+        out.push_str("-Inf");
     }
+    out.push('\n');
 }
 
-/// Escapes a label value per the exposition format (`\\`, `\"`, `\n`).
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
+/// Appends `key="value"`, escaping the value per the exposition format
+/// (`\\`, `\"`, `\n`).
+fn push_label(out: &mut String, key: &str, value: &str) {
+    out.push_str(key);
+    out.push_str("=\"");
+    for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
@@ -84,14 +94,19 @@ fn escape_label(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 /// A rendered-metric accumulator that writes each `# HELP`/`# TYPE`
-/// header once and groups all samples of a metric under it.
+/// header once and groups all samples of a metric under it. Each sample
+/// is rendered into its family's text as it is added, so a sample
+/// allocates nothing beyond the growth of that text.
 #[derive(Debug, Default)]
 pub struct Exposer {
     families: Vec<MetricFamily>,
+    /// Family index of each [`BEAN_TABLE`] row, in row order, once a
+    /// series has added it.
+    rows: Vec<usize>,
 }
 
 #[derive(Debug)]
@@ -99,7 +114,16 @@ struct MetricFamily {
     name: String,
     help: String,
     kind: &'static str,
-    samples: Vec<(Vec<(String, String)>, f64)>,
+    /// The rendered sample lines.
+    samples: String,
+}
+
+impl MetricFamily {
+    /// Starts a sample line; the caller appends labels and the value.
+    fn line(&mut self) -> &mut String {
+        self.samples.push_str(&self.name);
+        &mut self.samples
+    }
 }
 
 impl Exposer {
@@ -108,63 +132,105 @@ impl Exposer {
         Self::default()
     }
 
-    fn family(&mut self, name: &str, help: &str, kind: &'static str) -> &mut MetricFamily {
+    /// Index of the family called `name`, added if new.
+    fn family(&mut self, name: &str, help: &str, kind: &'static str) -> usize {
         if let Some(i) = self.families.iter().position(|f| f.name == name) {
-            &mut self.families[i]
-        } else {
-            self.families.push(MetricFamily {
-                name: name.to_owned(),
-                help: help.to_owned(),
-                kind,
-                samples: Vec::new(),
-            });
-            self.families.last_mut().expect("just pushed")
+            return i;
         }
+        self.families.push(MetricFamily {
+            name: name.to_owned(),
+            help: help.to_owned(),
+            kind,
+            samples: String::new(),
+        });
+        self.families.len() - 1
+    }
+
+    /// Index of the family of bean-table row `row`. Every series adds
+    /// all rows in order, so a row not yet mapped is the next one.
+    fn row_family(&mut self, row: usize) -> usize {
+        if let Some(&f) = self.rows.get(row) {
+            return f;
+        }
+        debug_assert_eq!(self.rows.len(), row);
+        let def = &BEAN_TABLE[row];
+        let f = self.family(&metric_name(def.name), def.help, "gauge");
+        self.rows.push(f);
+        f
+    }
+
+    fn sample(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &'static str,
+        labels: &[(&str, &str)],
+        value: f64,
+    ) {
+        let f = self.family(name, help, kind);
+        let out = self.families[f].line();
+        if !labels.is_empty() {
+            out.push('{');
+            for (i, (k, v)) in labels.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_label(out, k, v);
+            }
+            out.push('}');
+        }
+        end_line(out, value);
     }
 
     /// Adds a gauge sample.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.family(name, help, "gauge").samples.push((
-            labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-            value,
-        ));
+        self.sample(name, help, "gauge", labels, value);
     }
 
     /// Adds a counter sample.
     pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.family(name, help, "counter").samples.push((
-            labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-            value,
-        ));
+        self.sample(name, help, "counter", labels, value);
     }
 
     /// Adds one scrape series: every bean as a gauge plus the event
     /// counters.
     pub fn series(&mut self, s: &ScrapeSeries) {
-        let tenant = s.tenant.clone();
-        let manager = s.manager.clone();
-        // `to_beans` lists the table's rows first, in order, then extras.
-        for (i, (bean, value)) in s.snapshot.to_beans().into_iter().enumerate() {
-            self.gauge(
-                &metric_name(&bean),
-                BEAN_TABLE.get(i).map_or(EXTRA_HELP, |d| d.help),
-                &[("tenant", &tenant), ("manager", &manager)],
-                value,
-            );
+        let mut labels = String::new();
+        push_label(&mut labels, "tenant", &s.tenant);
+        labels.push(',');
+        push_label(&mut labels, "manager", &s.manager);
+        let mut extra_name = String::new();
+        // `beans` lists the table's rows first, in order, then extras.
+        for (i, (bean, value)) in s.snapshot.beans().enumerate() {
+            let f = if i < BEAN_TABLE.len() {
+                self.row_family(i)
+            } else {
+                extra_name.clear();
+                push_metric_name(&mut extra_name, bean);
+                self.family(&extra_name, EXTRA_HELP, "gauge")
+            };
+            let out = self.families[f].line();
+            out.push('{');
+            out.push_str(&labels);
+            out.push('}');
+            end_line(out, value);
         }
+        if s.event_counts.is_empty() {
+            return;
+        }
+        let f = self.family(
+            "bskel_events_total",
+            "Cumulative manager event lines by kind.",
+            "counter",
+        );
         for (kind, count) in &s.event_counts {
-            self.counter(
-                "bskel_events_total",
-                "Cumulative manager event lines by kind.",
-                &[("tenant", &tenant), ("manager", &manager), ("kind", kind)],
-                *count as f64,
-            );
+            let out = self.families[f].line();
+            out.push('{');
+            out.push_str(&labels);
+            out.push(',');
+            push_label(out, "kind", kind);
+            out.push('}');
+            end_line(out, *count as f64);
         }
     }
 
@@ -174,20 +240,7 @@ impl Exposer {
         for f in &self.families {
             let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
             let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
-            for (labels, value) in &f.samples {
-                out.push_str(&f.name);
-                if !labels.is_empty() {
-                    out.push('{');
-                    for (i, (k, v)) in labels.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-                    }
-                    out.push('}');
-                }
-                let _ = writeln!(out, " {}", format_value(*value));
-            }
+            out.push_str(&f.samples);
         }
         out
     }
@@ -301,14 +354,15 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
         return Err(format!("bad metric name {name:?}"));
     }
     let mut labels = Vec::new();
-    let rest = if line.as_bytes()[name_end] == b'{' {
-        let close = line[name_end..].find('}').ok_or("unterminated label set")? + name_end;
-        let body = &line[name_end + 1..close];
-        let mut pos = 0usize;
-        let b = body.as_bytes();
-        while pos < b.len() {
-            let eq = body[pos..].find('=').ok_or("label missing '='")? + pos;
-            let key = body[pos..eq].trim().to_owned();
+    let b = line.as_bytes();
+    let mut pos = name_end;
+    if b[pos] == b'{' {
+        // Label values may hold `}` and `,`: the set ends at the first
+        // `}` outside a quoted value.
+        pos += 1;
+        while b.get(pos) != Some(&b'}') {
+            let eq = line[pos..].find('=').ok_or("label missing '='")? + pos;
+            let key = line[pos..eq].trim().to_owned();
             if b.get(eq + 1) != Some(&b'"') {
                 return Err("label value not quoted".into());
             }
@@ -328,7 +382,7 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
                         j += 2;
                     }
                     Some(_) => {
-                        let c = body[j..].chars().next().ok_or("bad utf-8")?;
+                        let c = line[j..].chars().next().ok_or("bad utf-8")?;
                         v.push(c);
                         j += c.len_utf8();
                     }
@@ -336,15 +390,15 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
             }
             labels.push((key, v));
             pos = j + 1;
-            if b.get(pos) == Some(&b',') {
-                pos += 1;
+            match b.get(pos) {
+                Some(b',') => pos += 1,
+                Some(b'}') => {}
+                _ => return Err("unterminated label set".into()),
             }
         }
-        &line[close + 1..]
-    } else {
-        &line[name_end..]
-    };
-    let mut parts = rest.split_whitespace();
+        pos += 1;
+    }
+    let mut parts = line[pos..].split_whitespace();
     let raw = parts.next().ok_or("no value on sample line")?;
     let value = match raw {
         "+Inf" => f64::INFINITY,

@@ -21,6 +21,7 @@
 use crate::clock::Time;
 use crate::snapshot::SensorSnapshot;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,8 +62,10 @@ pub enum JournalEntry {
         at: Time,
         /// The manager (or substrate) the snapshot was sensed for.
         source: String,
-        /// `(bean, value)` pairs in `SensorSnapshot::to_beans` order.
-        beans: Vec<(String, f64)>,
+        /// `(bean, value)` pairs in `SensorSnapshot::beans` order. A
+        /// recorded row borrows the standard beans' names; a parsed one
+        /// owns every name.
+        beans: Vec<(Cow<'static, str>, f64)>,
     },
     /// A free-form operational note (shutdown accounting, escalations).
     Note {
@@ -120,8 +123,9 @@ impl JournalEntry {
 }
 
 /// A journal entry plus its global sequence number. Sequence numbers are
-/// assigned at record time and never reused, so a reader can detect
-/// ring overwrite (a gap in `seq`) in a flushed journal.
+/// assigned under the ring lock and never reused, so they increase along
+/// the ring and a reader can detect ring overwrite (a gap in `seq`) in a
+/// flushed journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
     /// Global record sequence number (0-based, monotonic).
@@ -170,8 +174,9 @@ impl Journal {
 
     /// Records one entry, dropping the oldest when the ring is full.
     pub fn record(&self, entry: JournalEntry) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock();
+        // Taken under the lock, so ring order is `seq` order.
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -506,7 +511,7 @@ fn parse_record(line: &str) -> Result<JournalRecord, String> {
                         };
                         let value = json_f64(value)
                             .ok_or_else(|| "bean value is not a number".to_owned())?;
-                        beans.push((name.clone(), value));
+                        beans.push((Cow::Owned(name.clone()), value));
                     }
                     beans
                 }
@@ -750,6 +755,25 @@ mod tests {
         let entries = j.entries();
         assert_eq!(entries.first().unwrap().seq, 2, "oldest two dropped");
         assert_eq!(entries.last().unwrap().seq, 4);
+    }
+
+    #[test]
+    fn concurrent_recorders_keep_seq_in_ring_order() {
+        let j = Journal::new(1 << 16);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let j = &j;
+                s.spawn(move || {
+                    for i in 0..5_000 {
+                        j.note(f64::from(i), "s", if t % 2 == 0 { "even" } else { "odd" });
+                    }
+                });
+            }
+        });
+        let entries = j.entries();
+        assert_eq!(entries.len(), 40_000);
+        let inversions = entries.windows(2).filter(|w| w[0].seq >= w[1].seq).count();
+        assert_eq!(inversions, 0, "seq must increase along the ring");
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!
 //! The standard beans are declared once, in the `bean_table!` below: each
 //! row generates the [`beans`] name constant, the snapshot field, its
-//! default, its position in [`SensorSnapshot::to_beans`], its
+//! default, its position in [`SensorSnapshot::beans`] and
+//! [`SensorSnapshot::to_beans`], its
 //! [`SensorSnapshot::bean`]/[`SensorSnapshot::set_bean`] arm and its
 //! [`BEAN_TABLE`] entry, from which the rule schema, journal replay and the
 //! `/metrics` HELP text are derived. Adding a bean is one row here.
 
 use crate::clock::Time;
+use std::borrow::Cow;
 
 /// What a bean's value means: the domain rule analysis gives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +108,7 @@ macro_rules! bean_table {
             )*
         }
 
-        /// Every standard bean, in [`SensorSnapshot::to_beans`] order.
+        /// Every standard bean, in [`SensorSnapshot::beans`] order.
         pub const BEAN_TABLE: &[BeanDef] = &[
             $(BeanDef { name: $name, kind: BeanKind::$kind, help: $help },)*
         ];
@@ -137,13 +139,22 @@ macro_rules! bean_table {
                 }
             }
 
-            /// Flattens the snapshot to `(bean name, value)` pairs for a
-            /// rule engine's working memory: the standard beans in table
-            /// order, then the extras. Booleans encode as 0.0/1.0.
-            pub fn to_beans(&self) -> Vec<(String, f64)> {
+            /// The snapshot's `(bean name, value)` pairs, without
+            /// allocating: the standard beans in table order, then the
+            /// extras. Booleans encode as 0.0/1.0.
+            pub fn beans(&self) -> impl Iterator<Item = (&str, f64)> + Clone + '_ {
+                [$(($name, self.$field.to_bean()),)*]
+                    .into_iter()
+                    .chain(self.extra.iter().map(|(n, v)| (n.as_str(), *v)))
+            }
+
+            /// [`SensorSnapshot::beans`] as an owned row, e.g. for the
+            /// journal: table rows borrow their `'static` name, extras
+            /// own a copy of theirs.
+            pub fn to_beans(&self) -> Vec<(Cow<'static, str>, f64)> {
                 let mut out = Vec::with_capacity(BEAN_TABLE.len() + self.extra.len());
-                $(out.push(($name.to_owned(), self.$field.to_bean()));)*
-                out.extend(self.extra.iter().cloned());
+                $(out.push((Cow::Borrowed($name), self.$field.to_bean()));)*
+                out.extend(self.extra.iter().map(|(n, v)| (Cow::Owned(n.clone()), *v)));
                 out
             }
 
@@ -294,6 +305,18 @@ mod tests {
                 "bean {} missing or duplicated",
                 def.name
             );
+        }
+    }
+
+    #[test]
+    fn beans_match_to_beans_and_only_extras_own_their_names() {
+        let mut s = SensorSnapshot::empty(0.0).with_extra("nodeLoad", 0.75);
+        s.num_workers = 3;
+        let owned = s.to_beans();
+        assert!(s.beans().eq(owned.iter().map(|(n, v)| (n.as_ref(), *v))));
+        for (i, (name, _)) in owned.iter().enumerate() {
+            let borrowed = matches!(name, Cow::Borrowed(_));
+            assert_eq!(borrowed, i < BEAN_TABLE.len(), "{name}");
         }
     }
 

@@ -57,6 +57,8 @@ pub struct RuleEngine {
     rules: RuleSet,
     /// Names of edge-triggered rules whose condition held last cycle.
     active_edges: BTreeSet<String>,
+    /// Each rule's condition this cycle, kept to reuse its buffer.
+    truth: Vec<bool>,
     cycles: u64,
     firings: u64,
 }
@@ -67,6 +69,7 @@ impl RuleEngine {
         Self {
             rules,
             active_edges: BTreeSet::new(),
+            truth: Vec::new(),
             cycles: 0,
             firings: 0,
         }
@@ -110,7 +113,7 @@ impl RuleEngine {
 
         // Evaluate all conditions first so edge bookkeeping sees a
         // consistent snapshot even if a later rule errors.
-        let mut truth = Vec::with_capacity(self.rules.len());
+        self.truth.clear();
         for rule in self.rules.rules() {
             let held = rule
                 .when
@@ -119,11 +122,11 @@ impl RuleEngine {
                     rule: rule.name.clone(),
                     source,
                 })?;
-            truth.push(held);
+            self.truth.push(held);
         }
 
         let mut fireable: Vec<&Rule> = Vec::new();
-        for (rule, &held) in self.rules.rules().iter().zip(&truth) {
+        for (rule, &held) in self.rules.rules().iter().zip(&self.truth) {
             if held {
                 let suppressed = rule.edge_triggered && self.active_edges.contains(&rule.name);
                 if !suppressed {
@@ -147,11 +150,14 @@ impl RuleEngine {
             .collect();
         self.firings += firings.len() as u64;
 
-        // Update edge state from this cycle's truth values.
-        for (rule, &held) in self.rules.rules().iter().zip(&truth) {
+        // Update edge state from this cycle's truth values; a name is
+        // copied in only on a rising edge.
+        for (rule, &held) in self.rules.rules().iter().zip(&self.truth) {
             if rule.edge_triggered {
                 if held {
-                    self.active_edges.insert(rule.name.clone());
+                    if !self.active_edges.contains(&rule.name) {
+                        self.active_edges.insert(rule.name.clone());
+                    }
                 } else {
                     self.active_edges.remove(&rule.name);
                 }

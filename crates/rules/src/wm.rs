@@ -13,9 +13,13 @@ use std::fmt;
 ///
 /// Booleans are encoded 0.0 / 1.0; [`WorkingMemory::is_set`] applies the
 /// conventional "non-zero is true" reading.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkingMemory {
-    beans: BTreeMap<String, f64>,
+    /// Bean name → (value, the `epoch` it was last written in).
+    beans: BTreeMap<String, (f64, bool)>,
+    /// Flipped by every [`WorkingMemory::refill`], which tells the beans
+    /// it wrote from those left over from the previous cycle.
+    epoch: bool,
 }
 
 impl WorkingMemory {
@@ -40,17 +44,41 @@ impl WorkingMemory {
 
     /// Inserts or updates a bean.
     pub fn insert(&mut self, name: impl Into<String>, value: f64) {
-        self.beans.insert(name.into(), value);
+        self.beans.insert(name.into(), (value, self.epoch));
     }
 
-    /// Inserts a boolean bean (encoded 0/1).
-    pub fn insert_flag(&mut self, name: impl Into<String>, value: bool) {
-        self.insert(name, if value { 1.0 } else { 0.0 });
+    /// Replaces the contents with `pairs`, leaving what
+    /// [`WorkingMemory::from_beans`]`(pairs)` would build: a repeated
+    /// name keeps its last value, and a bean `pairs` does not name is
+    /// gone. Allocates only for names the memory does not hold yet, so a
+    /// control loop sensing the same beans every cycle refills it for
+    /// free.
+    pub fn refill<'a>(&mut self, pairs: impl IntoIterator<Item = (&'a str, f64)>) {
+        self.epoch = !self.epoch;
+        let epoch = self.epoch;
+        let mut written = 0;
+        for (name, value) in pairs {
+            match self.beans.get_mut(name) {
+                Some(slot) => {
+                    if slot.1 != epoch {
+                        written += 1;
+                    }
+                    *slot = (value, epoch);
+                }
+                None => {
+                    self.beans.insert(name.to_owned(), (value, epoch));
+                    written += 1;
+                }
+            }
+        }
+        if written < self.beans.len() {
+            self.beans.retain(|_, slot| slot.1 == epoch);
+        }
     }
 
     /// Reads a bean.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.beans.get(name).copied()
+        self.beans.get(name).map(|slot| slot.0)
     }
 
     /// Reads a bean as a boolean (missing counts as false).
@@ -60,7 +88,7 @@ impl WorkingMemory {
 
     /// Removes a bean, returning its previous value.
     pub fn remove(&mut self, name: &str) -> Option<f64> {
-        self.beans.remove(name)
+        self.beans.remove(name).map(|slot| slot.0)
     }
 
     /// Number of beans held.
@@ -75,14 +103,21 @@ impl WorkingMemory {
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.beans.iter().map(|(k, v)| (k.as_str(), *v))
+        self.beans.iter().map(|(k, slot)| (k.as_str(), slot.0))
+    }
+}
+
+/// Equal when they hold the same beans with the same values.
+impl PartialEq for WorkingMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
 impl fmt::Display for WorkingMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (k, v)) in self.beans.iter().enumerate() {
+        for (i, (k, v)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -173,8 +208,8 @@ mod tests {
     #[test]
     fn flags_and_is_set() {
         let mut wm = WorkingMemory::new();
-        wm.insert_flag("endOfStream", true);
-        wm.insert_flag("reconfiguring", false);
+        wm.insert("endOfStream", 1.0);
+        wm.insert("reconfiguring", 0.0);
         assert!(wm.is_set("endOfStream"));
         assert!(!wm.is_set("reconfiguring"));
         assert!(!wm.is_set("absent"));
@@ -208,6 +243,45 @@ mod tests {
     fn display_is_stable() {
         let wm = WorkingMemory::from_beans([("b", 2.0), ("a", 1.0)]);
         assert_eq!(wm.to_string(), "{a=1, b=2}");
+    }
+
+    /// Refills `wm` with each step in turn, checking it against a fresh
+    /// `from_beans` of the same step.
+    fn refill_matches_from_beans(steps: &[&[(&str, f64)]]) {
+        let mut wm = WorkingMemory::new();
+        for (i, step) in steps.iter().enumerate() {
+            wm.refill(step.iter().copied());
+            let want = WorkingMemory::from_beans(step.iter().copied());
+            assert_eq!(wm, want, "step {i}");
+            assert_eq!(wm.to_string(), want.to_string(), "step {i}");
+        }
+    }
+
+    #[test]
+    fn refill_with_the_same_names_updates_values() {
+        refill_matches_from_beans(&[&[("a", 1.0), ("b", 2.0)], &[("a", 3.0), ("b", 4.0)]]);
+    }
+
+    #[test]
+    fn refill_drops_a_bean_that_disappears() {
+        refill_matches_from_beans(&[&[("a", 1.0), ("b", 2.0)], &[("b", 5.0)], &[]]);
+        let mut wm = WorkingMemory::from_beans([("gone", 1.0), ("kept", 2.0)]);
+        wm.refill([("kept", 3.0)]);
+        assert_eq!(wm.get("gone"), None);
+    }
+
+    #[test]
+    fn refill_adds_a_new_bean() {
+        refill_matches_from_beans(&[&[("b", 1.0)], &[("a", 2.0), ("b", 3.0), ("c", 4.0)]]);
+    }
+
+    #[test]
+    fn refill_keeps_the_last_value_of_a_repeated_name() {
+        refill_matches_from_beans(&[
+            &[("a", 1.0), ("b", 2.0), ("c", 3.0)],
+            &[("a", 4.0), ("a", 5.0), ("b", 6.0)],
+            &[("b", 7.0), ("a", 8.0), ("b", 9.0), ("c", 0.0)],
+        ]);
     }
 
     #[test]

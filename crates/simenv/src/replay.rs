@@ -435,7 +435,8 @@ pub fn replay_journal(
             .iter()
             .filter_map(|r| match &r.entry {
                 JournalEntry::Snapshot { at, source, beans } if *source == name => {
-                    let map: BTreeMap<String, f64> = beans.iter().cloned().collect();
+                    let map: BTreeMap<String, f64> =
+                        beans.iter().map(|(n, v)| (n.to_string(), *v)).collect();
                     Some((*at, snapshot_from_beans(*at, &map)))
                 }
                 _ => None,

@@ -166,7 +166,8 @@ fn every_journaled_snapshot_replays_to_the_same_beans() {
     let mut seen = 0;
     for r in &records {
         if let JournalEntry::Snapshot { at, beans, .. } = &r.entry {
-            let map: BTreeMap<String, f64> = beans.iter().cloned().collect();
+            let map: BTreeMap<String, f64> =
+                beans.iter().map(|(n, v)| (n.to_string(), *v)).collect();
             let snap = snapshot_from_beans(*at, &map);
             assert!(
                 snap.extra.is_empty(),
@@ -198,7 +199,7 @@ fn every_table_row_round_trips_through_set_bean() {
         let want = if def.kind == BeanKind::Flag { 1.0 } else { v };
         assert!(s.set_bean(def.name, v), "{} not settable", def.name);
         assert_eq!(s.bean(def.name), Some(want), "{}", def.name);
-        assert_eq!(s.to_beans()[i], (def.name.to_owned(), want));
+        assert_eq!(s.to_beans()[i], (def.name.into(), want));
         assert!(s.extra.is_empty());
     }
     let mut s = SensorSnapshot::empty(0.0);

@@ -16,6 +16,7 @@ use bskel_skel::abc_impl::FarmAbc;
 use bskel_skel::farm::{FarmBuilder, GatherPolicy};
 use bskel_skel::runtime::ManagerDriver;
 use bskel_skel::stream::StreamMsg;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -145,7 +146,7 @@ fn recorded_soak_journal_replays_identically() {
 fn metrics_exposition_covers_the_standard_schema() {
     let schema = standard_schema();
     let snapshot = SensorSnapshot::empty(1.5);
-    let snapshot_beans: Vec<String> = snapshot.to_beans().into_iter().map(|(n, _)| n).collect();
+    let snapshot_beans: Vec<Cow<str>> = snapshot.to_beans().into_iter().map(|(n, _)| n).collect();
 
     // The schema's snapshot beans (everything except the hierarchy
     // flags, which only inter-manager coordination publishes) must all
@@ -202,4 +203,87 @@ fn metrics_exposition_covers_the_standard_schema() {
         .find(|s| s.label("kind") == Some("addWorker"))
         .expect("addWorker counter");
     assert_eq!(add.value, 3.0);
+}
+
+/// Exposition of [`golden_series`], recorded before the renderer stopped
+/// building per-sample strings. Re-record with
+/// `BLESS=1 cargo test --test ops_plane exposition_matches_the_recorded_bytes`.
+const EXPO_FIXTURE: &str = "tests/fixtures/expo_four_series.prom";
+
+/// Four series: extras on two of them (one family shared), one series
+/// without events, label values that need escaping, and NaN/±Inf values.
+fn golden_series() -> Vec<ScrapeSeries> {
+    let mut busy = SensorSnapshot::empty(2.0);
+    busy.arrival_rate = 12.5;
+    busy.departure_rate = 0.1 + 0.2;
+    busy.num_workers = 4;
+    busy.queued_tasks = 17;
+    busy.end_of_stream = true;
+    busy.idle_for = 0.25;
+    busy.aimd_ceiling = 6.0;
+    let mut odd = SensorSnapshot::empty(3.0)
+        .with_extra("node load!", f64::NAN)
+        .with_extra("speedGainRatio", f64::NEG_INFINITY);
+    odd.queue_variance = f64::NAN;
+    odd.net_rtt_ms = f64::NEG_INFINITY;
+    odd.service_time = f64::INFINITY;
+    vec![
+        ScrapeSeries {
+            tenant: "default".into(),
+            manager: "AM_F".into(),
+            snapshot: busy.clone().with_extra("nodeLoad", 0.75),
+            event_counts: vec![("addWorker".into(), 3), ("contrLow".into(), 2)],
+        },
+        ScrapeSeries {
+            tenant: "t\"1\\\n".into(),
+            manager: "AM_T".into(),
+            snapshot: SensorSnapshot::empty(1.0),
+            event_counts: vec![("shedLoad".into(), 1)],
+        },
+        ScrapeSeries {
+            tenant: "_pool".into(),
+            manager: "AM_P".into(),
+            snapshot: odd,
+            event_counts: Vec::new(),
+        },
+        ScrapeSeries {
+            tenant: "default".into(),
+            manager: "AM_S".into(),
+            snapshot: busy.with_extra("nodeLoad", 1e-300),
+            event_counts: vec![("addWorker".into(), 1), ("odd \"kind\"".into(), 7)],
+        },
+    ]
+}
+
+#[test]
+fn exposition_matches_the_recorded_bytes() {
+    let got = bskel_monitor::expo::render(&golden_series());
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(EXPO_FIXTURE);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&fixture, &got).expect("write fixture");
+    }
+    let want = std::fs::read_to_string(&fixture).expect("fixture");
+    assert!(
+        got == want,
+        "exposition changed; want {EXPO_FIXTURE}, got:\n{got}"
+    );
+}
+
+/// Label values may hold `}` and `,`, which must not end the label set.
+#[test]
+fn label_values_with_braces_and_commas_parse_back() {
+    let series = ScrapeSeries {
+        tenant: "a}b".into(),
+        manager: "x,y=\"z\"".into(),
+        snapshot: SensorSnapshot::empty(0.0),
+        event_counts: vec![("addWorker".into(), 2)],
+    };
+    let text = bskel_monitor::expo::render(std::slice::from_ref(&series));
+    let expo = bskel_monitor::expo::parse(&text).expect("rendered exposition parses");
+    let events = expo.samples_of("bskel_events_total");
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].label("tenant"), Some("a}b"));
+    assert_eq!(events[0].label("manager"), Some("x,y=\"z\""));
+    assert_eq!(events[0].label("kind"), Some("addWorker"));
+    assert_eq!(events[0].value, 2.0);
 }
