@@ -1,10 +1,10 @@
 //! The distributed worker pool: farm semantics over TCP remote workers.
 //!
-//! [`RemoteWorkerPool`] mirrors the threaded farm's architecture exactly —
-//! an emitter dispatching batched tasks over per-slot queues through an
-//! RCU-published table, a collector restoring stream order, the same
-//! publish-before-close loss-freedom invariant — but each *slot* is a
-//! connection to a `bskel-workerd` daemon instead of a local thread.
+//! [`RemoteWorkerPool`] is the threaded farm with a different slot: it
+//! runs on the farm's own core ([`FarmCore`]) — its emitter, loss-free
+//! RCU dispatch, collector, redistribution, rebalancing, stream sensors
+//! and fault bookkeeping — but each *slot* ([`FarmSlot`]) is a connection
+//! to a `bskel-workerd` daemon instead of a local thread.
 //!
 //! All slot I/O runs on **one reactor thread** multiplexing every
 //! connection through a readiness poller ([`crate::sys::Poller`], raw
@@ -36,11 +36,13 @@
 //!   syscall. How late timers fire is exported as the
 //!   `reactorLoopLagUs` sensor bean.
 //!
-//! **Crash recovery** reuses the farm's worker-death protocol: the dying
-//! slot is removed from the published table *before* its queue closes
-//! (bounced emitters re-dispatch onto survivors), then its queued backlog
-//! *and* its in-flight map are replayed onto the surviving slots — or
-//! parked until `add_workers` restores capacity. Harvesting the in-flight
+//! **Crash recovery** has its own death path, because a dead connection
+//! leaves an in-flight map behind where a dead thread leaves none: the
+//! dying slot is removed from the published table *before* its queue
+//! closes (bounced emitters re-dispatch onto survivors), then its queued
+//! backlog *and* its in-flight map go through the core's redistribution
+//! onto the surviving slots — or are parked until `add_workers` restores
+//! capacity. Harvesting the in-flight
 //! map is safe from duplicates precisely because the reactor both
 //! resolves answers and runs the death path: once a connection is
 //! finished no result for a harvested task can ever be forwarded.
@@ -73,20 +75,20 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bskel_monitor::{
-    queue_variance, AtomicRateEstimator, Clock, Journal, RealClock, SensorSnapshot, Time, Welford,
+use bskel_monitor::{Clock, Journal, RealClock, SensorSnapshot, Time, Welford};
+use bskel_skel::farm::{
+    panic_message, FarmControl, FarmCore, FarmEvent, FarmEventKind, FarmSlot, ShutdownReport,
 };
-use bskel_skel::farm::{FarmControl, FarmEvent, FarmEventKind, ShutdownReport};
 use bskel_skel::queue::{Task, TryPop, WorkerQueue};
-use bskel_skel::rcu::{Published, ReadHandle};
-use bskel_skel::stream::{ReorderBuffer, StreamMsg};
+use bskel_skel::stream::StreamMsg;
 use bskel_skel::{GatherPolicy, SchedPolicy};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::chaos::ChaosRng;
@@ -98,8 +100,6 @@ use crate::reactor::{BufferPool, SendQueue, TimerWheel, WriteOutcome};
 use crate::secure::{derive_session_keys, CostMeter, CostReport, StreamCipher};
 use crate::sys::{Event, Interest, Poller, Waker};
 
-/// Most inputs the emitter drains (and dispatches) per wake-up.
-const DISPATCH_BATCH: usize = 32;
 /// Most tasks the reactor encodes per slot per fill (one send-queue chunk
 /// per wire batch; `SendQueue::write_to` then coalesces many chunks into
 /// one vectored syscall).
@@ -509,12 +509,6 @@ struct SpecRegistry {
     resolved: HashSet<u64>,
 }
 
-enum PoolMsg<Out> {
-    Batch(Vec<(u64, Out)>),
-    Lost(u64),
-    Total(u64),
-}
-
 /// Everything a remote slot's machinery shares. The RCU table holds
 /// `Arc`s of these.
 struct SlotShared {
@@ -557,15 +551,23 @@ struct SlotShared {
     suspect_reason: Mutex<Option<String>>,
 }
 
-impl SlotShared {
+impl FarmSlot for SlotShared {
+    type Item = Vec<u8>;
+
+    fn queue(&self) -> &WorkerQueue<Vec<u8>> {
+        &self.queue
+    }
+
     /// Tasks this slot is responsible for: staged locally, on the wire,
     /// or queued at the daemon.
-    fn backlog(&self) -> usize {
+    fn load(&self) -> usize {
         self.queue.len()
             + self.inflight_count.load(Ordering::Relaxed)
             + self.remote_depth.load(Ordering::Relaxed)
     }
+}
 
+impl SlotShared {
     fn rtt_ms(&self) -> f64 {
         f64::from_bits(self.rtt_ms_bits.load(Ordering::Relaxed))
     }
@@ -615,15 +617,10 @@ enum TimerKey {
     BackoffExpire(usize),
 }
 
+/// The pool's own counters; the stream beans live in the core's
+/// `StreamSensors`.
+#[derive(Default)]
 struct PoolMetrics {
-    clock: Arc<dyn Clock>,
-    arrivals: AtomicRateEstimator,
-    departures: AtomicRateEstimator,
-    end_of_stream: AtomicBool,
-    reconfiguring: AtomicBool,
-    blackout_until_bits: AtomicU64,
-    last_arrival_bits: AtomicU64,
-    workers_lost: AtomicU64,
     /// Speculative re-executions dispatched by the deadline sweep.
     tasks_retried: AtomicU64,
     /// Hedged (quantile-triggered) duplicate dispatches.
@@ -639,49 +636,19 @@ struct PoolMetrics {
     reactor_lag_us: AtomicU64,
 }
 
-impl PoolMetrics {
-    fn now(&self) -> Time {
-        self.clock.now()
-    }
-
-    fn set_blackout_until(&self, t: Time) {
-        self.blackout_until_bits
-            .store(t.to_bits(), Ordering::SeqCst);
-    }
-
-    fn in_blackout(&self, now: Time) -> bool {
-        now < f64::from_bits(self.blackout_until_bits.load(Ordering::SeqCst))
-    }
-}
-
 struct PoolShared<Out> {
+    /// The farm's stream machinery over remote slots.
+    core: FarmCore<SlotShared, Out>,
     metrics: PoolMetrics,
-    /// The RCU-published dispatch table (same invariants as the farm's).
-    table: Arc<Published<Vec<Arc<SlotShared>>>>,
     /// Membership and the reconfiguration serialisation point.
     slots: Mutex<Vec<Arc<SlotShared>>>,
     /// Cooperatively retired slots: their service statistic keeps
     /// counting toward the pool's.
     retired_slots: Mutex<Vec<Arc<SlotShared>>>,
-    /// Tasks stranded while no live slot exists.
-    parked: Mutex<Vec<Task<Vec<u8>>>>,
-    panics: Mutex<Vec<String>>,
-    events: Mutex<Vec<FarmEvent>>,
     disconnects: Mutex<Vec<String>>,
-    /// Task seqs whose `Lost` notification could not be delivered (the
-    /// collector had already exited); surfaced in the shutdown report so
-    /// loss freedom is auditable instead of assumed.
-    lost_undelivered: Mutex<Vec<u64>>,
-    /// Set when the reactor's poller failed irrecoverably: stranded
-    /// tasks are reported lost (instead of parked forever) so the
-    /// collector's convergence accounting still closes.
-    poisoned: AtomicBool,
-    terminating: AtomicBool,
     next_slot_id: AtomicU64,
     next_endpoint: AtomicUsize,
     next_ping: AtomicU64,
-    rr_cursor: AtomicUsize,
-    results_tx: Sender<PoolMsg<Out>>,
     /// Hands new connections and the shutdown signal to the reactor.
     reactor_tx: Sender<ReactorCmd>,
     /// Kicks the reactor out of its poll (emitter dispatch, actuators).
@@ -689,13 +656,8 @@ struct PoolShared<Out> {
     decode: DecodeFn<Out>,
     endpoints: Vec<EndpointState>,
     workload: String,
-    /// Pool name (journal source label, thread names, diagnostics).
-    name: String,
-    /// Optional ops journal fault events and loss accounting mirror into.
-    journal: Option<Arc<Journal>>,
     meter: Arc<CostMeter>,
     max_workers: u32,
-    rate_window: f64,
     /// How long a connect + handshake may take before the endpoint is
     /// declared unreachable (builder-configurable, clamped non-zero).
     handshake_timeout: Duration,
@@ -717,50 +679,6 @@ impl<Out: Send + 'static> PoolShared<Out> {
     /// Kicks the reactor out of its poll.
     fn wake(&self) {
         self.waker.wake();
-    }
-
-    /// Mirrors a substrate fault event into the ops journal, if attached.
-    fn journal_event(&self, event: &FarmEvent) {
-        if let Some(j) = &self.journal {
-            j.farm_event(event.at, &self.name, event.kind.label(), &event.detail);
-        }
-    }
-
-    /// Records an operational note in the ops journal, if attached.
-    fn journal_note(&self, at: Time, text: &str) {
-        if let Some(j) = &self.journal {
-            j.note(at, &self.name, text);
-        }
-    }
-
-    /// Reports a task as lost downstream. When the collector side has
-    /// already exited the notification cannot be delivered; the seq is
-    /// then recorded in the shutdown accounting (and journaled) instead
-    /// of being silently discarded.
-    fn report_lost(&self, seq: u64) {
-        if self.results_tx.send(PoolMsg::Lost(seq)).is_err() {
-            self.lost_undelivered.lock().push(seq);
-            self.journal_note(
-                self.metrics.now(),
-                &format!("lost notification for task {seq} undeliverable: collector exited"),
-            );
-        }
-    }
-
-    /// Parks tasks awaiting future capacity — unless the pool is
-    /// poisoned, in which case capacity will never return and each task
-    /// is reported lost so the output stream still terminates. The
-    /// parked lock orders parking against the poison drain.
-    fn park_tasks(&self, tasks: &mut Vec<Task<Vec<u8>>>) {
-        let mut parked = self.parked.lock();
-        if self.poisoned.load(Ordering::SeqCst) {
-            drop(parked);
-            for t in tasks.drain(..) {
-                self.report_lost(t.seq);
-            }
-        } else {
-            parked.append(tasks);
-        }
     }
 
     // -- connection establishment -------------------------------------
@@ -896,10 +814,25 @@ impl<Out: Send + 'static> PoolShared<Out> {
                     }
                 }
                 if self.resolve_answer(slot, seq, claimed) {
-                    if let Some(b) = &self.budget {
-                        b.deposit(1.0);
+                    // A panicking decoder poisons this task only, as a
+                    // panicking worker would.
+                    match catch_unwind(AssertUnwindSafe(|| (self.decode)(payload))) {
+                        Ok(result) => {
+                            if let Some(b) = &self.budget {
+                                b.deposit(1.0);
+                            }
+                            out.push((seq, result));
+                        }
+                        Err(p) => self.core.poison_task(
+                            seq,
+                            format!(
+                                "decode panicked on task {seq} (slot {}, {}): {}",
+                                slot.id,
+                                slot.endpoint.addr,
+                                panic_message(p.as_ref())
+                            ),
+                        ),
                     }
-                    out.push((seq, (self.decode)(payload)));
                 }
             }
             FrameType::Lost => {
@@ -910,21 +843,13 @@ impl<Out: Send + 'static> PoolShared<Out> {
                     slot.inflight_count.fetch_sub(1, Ordering::SeqCst);
                 }
                 if self.resolve_answer(slot, seq, claimed) {
-                    self.report_lost(seq);
-                    let now = self.metrics.now();
-                    self.metrics.departures.record_n(now, 1);
-                    let msg = format!(
-                        "remote worker panicked on task {} (slot {}, {})",
-                        seq, slot.id, slot.endpoint.addr
+                    self.core.poison_task(
+                        seq,
+                        format!(
+                            "remote worker panicked on task {} (slot {}, {})",
+                            seq, slot.id, slot.endpoint.addr
+                        ),
                     );
-                    let event = FarmEvent {
-                        at: now,
-                        kind: FarmEventKind::WorkerPanic,
-                        detail: msg.clone(),
-                    };
-                    self.journal_event(&event);
-                    self.events.lock().push(event);
-                    self.panics.lock().push(msg);
                 }
             }
             FrameType::Sensors => {
@@ -1020,7 +945,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
             (Some(q), None) => (q, true),
             (None, None) => return,
         };
-        let table = self.table.load();
+        let table = self.core.table.load();
         if table.len() < 2 {
             return;
         }
@@ -1080,7 +1005,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
             .iter()
             .filter(|s| !s.dead.load(Ordering::SeqCst) && !s.retiring.load(Ordering::SeqCst))
             .filter(|s| !holders.contains(&s.id))
-            .min_by_key(|s| s.backlog());
+            .min_by_key(|s| s.load());
         let Some(target) = target else {
             return; // every live slot already holds a copy
         };
@@ -1136,14 +1061,14 @@ impl<Out: Send + 'static> PoolShared<Out> {
         if slot.dead.swap(true, Ordering::SeqCst) {
             return;
         }
-        let now = self.metrics.now();
+        let now = self.core.sensors.now();
         let mut slots = self.slots.lock();
         let mut leftover: Vec<Task<Vec<u8>>> = Vec::new();
         if let Some(pos) = slots.iter().position(|s| s.id == slot.id) {
             slots.remove(pos);
-            // Publish the shrunken table BEFORE closing the dead queue —
-            // the farm's loss-freedom invariant, verbatim.
-            self.publish_table(&slots);
+            // Publish the shrunken table BEFORE closing the dead queue,
+            // so a bounced emitter re-dispatches onto survivors.
+            self.core.publish(&slots);
         }
         // In-flight first (oldest sequence numbers), then staged backlog.
         let harvested: Vec<Task<Vec<u8>>> = {
@@ -1171,48 +1096,23 @@ impl<Out: Send + 'static> PoolShared<Out> {
         // connects and then drops them (a flapper) must still open its
         // circuit, not just fail the occasional connect.
         self.record_endpoint_failure(&slot.endpoint);
-        self.metrics.workers_lost.fetch_add(1, Ordering::SeqCst);
-        let event = FarmEvent {
+        self.core
+            .sensors
+            .workers_lost
+            .fetch_add(1, Ordering::SeqCst);
+        self.core.record_event(FarmEvent {
             at: now,
             kind: FarmEventKind::WorkerLost,
             detail: format!(
                 "remote slot {} ({}) lost: {reason}; {replayed} tasks replayed",
                 slot.id, slot.endpoint.addr
             ),
-        };
-        self.journal_event(&event);
-        self.events.lock().push(event);
-        self.recover_tasks(&slots, leftover);
+        });
+        self.core.redistribute(&slots, leftover);
         drop(slots);
     }
 
-    /// Re-dispatches recovered tasks round-robin onto the survivors, or
-    /// parks them when no live slot exists. Caller holds the membership
-    /// lock.
-    fn recover_tasks(&self, survivors: &[Arc<SlotShared>], tasks: Vec<Task<Vec<u8>>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        if survivors.is_empty() {
-            if !self.terminating.load(Ordering::SeqCst) {
-                let mut tasks = tasks;
-                self.park_tasks(&mut tasks);
-            }
-            return;
-        }
-        for (i, task) in tasks.into_iter().enumerate() {
-            let target = &survivors[i % survivors.len()];
-            let mut one = vec![task];
-            let accepted = target.queue.push_batch(&mut one);
-            debug_assert!(accepted, "survivor queues are open under the lock");
-        }
-    }
-
     // -- reconfiguration (the FarmControl actuators) ------------------
-
-    fn publish_table(&self, slots: &[Arc<SlotShared>]) {
-        self.table.publish(slots.to_vec());
-    }
 
     /// Records a connect failure or slot death against the endpoint's
     /// breaker.
@@ -1286,7 +1186,8 @@ impl<Out: Send + 'static> PoolShared<Out> {
                 self.max_workers
             ));
         }
-        self.metrics.reconfiguring.store(true, Ordering::SeqCst);
+        let sensors = &self.core.sensors;
+        sensors.reconfiguring.store(true, Ordering::SeqCst);
         // Connect outside the membership lock: a slow or dead endpoint
         // must not stall sensing or the death path. The breaker decides
         // which endpoints may be attempted at all, which is what bounds
@@ -1321,7 +1222,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
         }
         let added = connected.len() as u32;
         if added == 0 {
-            self.metrics.reconfiguring.store(false, Ordering::SeqCst);
+            sensors.reconfiguring.store(false, Ordering::SeqCst);
             if last_err.is_empty() {
                 return Err(format!(
                     "no endpoint accepted a slot: {} circuit(s) open (quarantined), no probe due",
@@ -1332,10 +1233,9 @@ impl<Out: Send + 'static> PoolShared<Out> {
         }
         let mut slots = self.slots.lock();
         slots.extend(connected.iter().map(|seed| Arc::clone(&seed.slot)));
-        self.publish_table(&slots);
+        self.core.publish(&slots);
         // Tasks stranded by a total-failure episode resume here.
-        let parked: Vec<Task<Vec<u8>>> = std::mem::take(&mut *self.parked.lock());
-        self.recover_tasks(&slots, parked);
+        self.core.resume_parked(&slots);
         drop(slots);
         // Hand the connections to the reactor only after they are
         // published members, so the death path always finds them.
@@ -1343,10 +1243,8 @@ impl<Out: Send + 'static> PoolShared<Out> {
             let _ = self.reactor_tx.send(ReactorCmd::Register(seed));
         }
         self.wake();
-        let now = self.metrics.now();
-        self.metrics.departures.reset(now);
-        self.metrics.set_blackout_until(now + self.rate_window);
-        self.metrics.reconfiguring.store(false, Ordering::SeqCst);
+        sensors.reconfigured(sensors.now());
+        sensors.reconfiguring.store(false, Ordering::SeqCst);
         Ok(added)
     }
 
@@ -1363,63 +1261,22 @@ impl<Out: Send + 'static> PoolShared<Out> {
             slots.split_off(keep)
         };
         // Publish-before-close, as everywhere.
-        self.publish_table(&slots);
-        let mut removed = 0;
+        self.core.publish(&slots);
+        let mut stolen: Vec<Task<Vec<u8>>> = Vec::new();
         for victim in victims {
             victim.retiring.store(true, Ordering::SeqCst);
             // Staged tasks move to survivors; in-flight tasks finish at
             // the daemon and flow back through the still-registered
             // connection. The reactor sees the closed queue and sends
             // the Goodbye.
-            let mut stolen = victim.queue.close();
-            for (i, task) in stolen.drain(..).enumerate() {
-                let target = &slots[i % slots.len()];
-                let mut one = vec![task];
-                let accepted = target.queue.push_batch(&mut one);
-                debug_assert!(accepted, "survivor queues are open under the lock");
-            }
+            stolen.extend(victim.queue.close());
             self.retired_slots.lock().push(victim);
-            removed += 1;
         }
+        self.core.redistribute(&slots, stolen);
         drop(slots);
         self.wake();
-        let now = self.metrics.now();
-        self.metrics.departures.reset(now);
-        self.metrics.set_blackout_until(now + self.rate_window);
-        Ok(removed)
-    }
-
-    fn rebalance_impl(&self) -> bool {
-        let slots = self.slots.lock();
-        if slots.len() < 2 {
-            return false;
-        }
-        // Only the *local* staging queues can be rebalanced; what is on
-        // the wire or at a daemon is committed.
-        let lens: Vec<usize> = slots.iter().map(|s| s.queue.len()).collect();
-        let max = *lens.iter().max().expect("non-empty");
-        let min = *lens.iter().min().expect("non-empty");
-        if max - min <= 1 {
-            return false;
-        }
-        let mut all: Vec<Task<Vec<u8>>> = Vec::new();
-        for s in slots.iter() {
-            all.extend(s.queue.drain_open());
-        }
-        let moved = !all.is_empty();
-        let mut per: Vec<Vec<Task<Vec<u8>>>> = slots.iter().map(|_| Vec::new()).collect();
-        for (i, task) in all.into_iter().enumerate() {
-            per[i % slots.len()].push(task);
-        }
-        for (s, mut chunk) in slots.iter().zip(per) {
-            let accepted = s.queue.push_batch(&mut chunk);
-            debug_assert!(accepted, "open under the membership lock");
-        }
-        drop(slots);
-        if moved {
-            self.wake();
-        }
-        moved
+        self.core.sensors.reconfigured(self.core.sensors.now());
+        Ok(n)
     }
 
     /// Fault injection: severs `n` slots' sockets. Recovery is
@@ -1449,15 +1306,8 @@ impl<Out: Send + 'static> PoolShared<Out> {
     }
 
     fn sense_impl(&self, now: Time) -> SensorSnapshot {
-        let table = self.table.load();
-        let backlogs: Vec<u64> = table.iter().map(|s| s.backlog() as u64).collect();
-        let mut snap = SensorSnapshot::empty(now);
-        snap.arrival_rate = self.metrics.arrivals.rate(now);
-        snap.departure_rate = self.metrics.departures.rate(now);
-        snap.num_workers = table.len() as u32;
+        let (mut snap, table) = self.core.sense(now);
         snap.remote_workers = table.len() as u32;
-        snap.queue_variance = queue_variance(&backlogs);
-        snap.queued_tasks = backlogs.iter().sum();
         let mut service = Welford::new();
         let mut rtt_sum = 0.0;
         let mut rtt_n = 0u32;
@@ -1480,8 +1330,6 @@ impl<Out: Send + 'static> PoolShared<Out> {
         }
         snap.net_send_queue_depth = send_depth;
         snap.reactor_loop_lag_us = self.metrics.reactor_lag_us.load(Ordering::Relaxed) as f64;
-        snap.end_of_stream = self.metrics.end_of_stream.load(Ordering::SeqCst);
-        snap.workers_lost = self.metrics.workers_lost.load(Ordering::SeqCst);
         let mut open = 0u32;
         let mut backoff_ms = 0.0f64;
         for es in &self.endpoints {
@@ -1504,69 +1352,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
         if let Some(b) = &self.budget {
             snap.retry_budget_tokens = b.tokens();
         }
-        snap.reconfiguring =
-            self.metrics.reconfiguring.load(Ordering::SeqCst) || self.metrics.in_blackout(now);
-        let bits = self.metrics.last_arrival_bits.load(Ordering::Relaxed);
-        if bits != 0 {
-            snap.idle_for = (now - f64::from_bits(bits)).max(0.0);
-        }
         snap
-    }
-
-    // -- dispatch (the emitter's task path; the farm's logic verbatim) --
-
-    fn dispatch(
-        &self,
-        reader: &mut ReadHandle<Vec<Arc<SlotShared>>>,
-        sched: SchedPolicy,
-        items: &mut Vec<Task<Vec<u8>>>,
-    ) {
-        while !items.is_empty() {
-            let generation = self.table.generation();
-            let table = Arc::clone(reader.get());
-            if table.is_empty() {
-                if self.terminating.load(Ordering::SeqCst) {
-                    items.clear();
-                    return;
-                }
-                self.park_tasks(items);
-                if self.table.generation() == generation {
-                    return;
-                }
-                items.append(&mut self.parked.lock());
-                continue;
-            }
-            let n = table.len();
-            let mut per: Vec<Vec<Task<Vec<u8>>>> = (0..n).map(|_| Vec::new()).collect();
-            match sched {
-                SchedPolicy::RoundRobin => {
-                    for task in items.drain(..) {
-                        let i = self.rr_cursor.fetch_add(1, Ordering::Relaxed) % n;
-                        per[i].push(task);
-                    }
-                }
-                SchedPolicy::ShortestQueue => {
-                    let mut lens: Vec<usize> = table.iter().map(|s| s.backlog()).collect();
-                    for task in items.drain(..) {
-                        let i = (0..n).min_by_key(|&i| lens[i]).expect("non-empty");
-                        lens[i] += 1;
-                        per[i].push(task);
-                    }
-                }
-            }
-            for (i, chunk) in per.iter_mut().enumerate() {
-                if !table[i].queue.push_batch(chunk) {
-                    items.append(chunk);
-                }
-            }
-            if items.is_empty() {
-                return;
-            }
-            if self.table.generation() == generation {
-                items.clear();
-                return;
-            }
-        }
     }
 }
 
@@ -1583,12 +1369,18 @@ impl<Out: Send + 'static> FarmControl for PoolShared<Out> {
         self.remove_workers_impl(n)
     }
 
+    /// Only the *local* staging queues are rebalanced; what is on the
+    /// wire or at a daemon is committed.
     fn rebalance(&self) -> bool {
-        self.rebalance_impl()
+        let moved = self.core.rebalance(&self.slots.lock());
+        if moved {
+            self.wake();
+        }
+        moved
     }
 
     fn num_workers(&self) -> usize {
-        self.table.load().len()
+        self.core.table.load().len()
     }
 
     fn kill_workers(&self, n: u32) -> Result<u32, String> {
@@ -1596,11 +1388,11 @@ impl<Out: Send + 'static> FarmControl for PoolShared<Out> {
     }
 
     fn workers_lost(&self) -> u64 {
-        self.metrics.workers_lost.load(Ordering::SeqCst)
+        self.core.sensors.workers_lost.load(Ordering::SeqCst)
     }
 
     fn events(&self) -> Vec<FarmEvent> {
-        self.events.lock().clone()
+        self.core.events()
     }
 }
 
@@ -1734,7 +1526,7 @@ fn pump_conn<Out: Send + 'static>(
                     // Died under us before these tasks were recorded
                     // anywhere a harvest could see: replay them directly.
                     let slots = shared.slots.lock();
-                    shared.recover_tasks(&slots, std::mem::take(batch));
+                    shared.core.redistribute(&slots, std::mem::take(batch));
                     break;
                 };
                 slot.inflight_count.fetch_add(fresh, Ordering::SeqCst);
@@ -1886,26 +1678,13 @@ impl<Out: Send + 'static> Reactor<Out> {
     /// convergence accounting stays closed and the output stream still
     /// terminates), journal the escalation, and shut the reactor down.
     fn poison(&mut self, err: &std::io::Error) {
-        let now = self.shared.metrics.now();
-        let msg = format!("reactor: epoll_wait failed: {err}; escalating to pool shutdown");
-        self.shared.journal_note(now, &msg);
-        self.shared.panics.lock().push(msg);
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.finish_conn(token, "reactor poller failed".into());
         }
-        // Take the parked backlog under the lock that `park_tasks`
-        // serialises on, flipping the poisoned flag inside the critical
-        // section: any concurrent parking either lands before the drain
-        // (caught here) or observes the flag and reports loss itself.
-        let stranded: Vec<Task<Vec<u8>>> = {
-            let mut parked = self.shared.parked.lock();
-            self.shared.poisoned.store(true, Ordering::SeqCst);
-            std::mem::take(&mut *parked)
-        };
-        for t in stranded {
-            self.shared.report_lost(t.seq);
-        }
+        self.shared.core.poison(format!(
+            "reactor: epoll_wait failed: {err}; escalating to pool shutdown"
+        ));
         self.stopping = true;
     }
 
@@ -1970,14 +1749,10 @@ impl<Out: Send + 'static> Reactor<Out> {
                 continue; // already finished this tick
             };
             let death = service_readable(&shared, &mut scratch, &mut out, conn, ev.closed);
-            // Forward the decoded batch per connection, preserving the
-            // old reader-thread batching shape.
+            // Forward the decoded batch per connection: one collector
+            // message (and one departures record) per connection service.
             if !out.is_empty() {
-                let now = shared.metrics.now();
-                shared.metrics.departures.record_n(now, out.len() as u64);
-                let _ = shared
-                    .results_tx
-                    .send(PoolMsg::Batch(std::mem::take(&mut out)));
+                shared.core.deliver(std::mem::take(&mut out));
             }
             if let Some(reason) = death {
                 deaths.push((ev.token, reason));
@@ -2119,7 +1894,7 @@ impl<Out: Send + 'static> Reactor<Out> {
         }
         slot.send_q_depth.store(0, Ordering::Relaxed);
         let reason = slot.suspect_reason.lock().take().unwrap_or(io_reason);
-        if self.shared.terminating.load(Ordering::SeqCst) {
+        if self.shared.core.terminating.load(Ordering::SeqCst) {
             return; // pool shutdown: the stream already completed.
         }
         let unresolved = slot.inflight_count.load(Ordering::SeqCst) > 0 || !slot.queue.is_empty();
@@ -2397,7 +2172,6 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
             })
             .collect();
         let (input_tx, input_rx) = unbounded::<StreamMsg<In>>();
-        let (results_tx, results_rx) = unbounded::<PoolMsg<Out>>();
         let (output_tx, output_rx) = unbounded::<StreamMsg<Out>>();
         let (reactor_tx, reactor_rx) = unbounded::<ReactorCmd>();
 
@@ -2409,48 +2183,28 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
             .add(waker.raw_fd(), WAKER_TOKEN, Interest::READ)
             .map_err(|e| format!("epoll waker registration: {e}"))?;
 
+        let (core, results_rx) = FarmCore::new(
+            self.name.clone(),
+            self.clock,
+            self.rate_window,
+            self.journal,
+        );
         let shared = Arc::new(PoolShared {
-            metrics: PoolMetrics {
-                clock: Arc::clone(&self.clock),
-                arrivals: AtomicRateEstimator::new(self.rate_window),
-                departures: AtomicRateEstimator::new(self.rate_window),
-                end_of_stream: AtomicBool::new(false),
-                reconfiguring: AtomicBool::new(false),
-                blackout_until_bits: AtomicU64::new(0),
-                last_arrival_bits: AtomicU64::new(0),
-                workers_lost: AtomicU64::new(0),
-                tasks_retried: AtomicU64::new(0),
-                hedges_launched: AtomicU64::new(0),
-                hedge_wins: AtomicU64::new(0),
-                spec_wins: AtomicU64::new(0),
-                spec_dups: AtomicU64::new(0),
-                reactor_lag_us: AtomicU64::new(0),
-            },
-            table: Arc::new(Published::new(Vec::new())),
+            core,
+            metrics: PoolMetrics::default(),
             slots: Mutex::new(Vec::new()),
             retired_slots: Mutex::new(Vec::new()),
-            parked: Mutex::new(Vec::new()),
-            panics: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
             disconnects: Mutex::new(Vec::new()),
-            lost_undelivered: Mutex::new(Vec::new()),
-            poisoned: AtomicBool::new(false),
-            terminating: AtomicBool::new(false),
             next_slot_id: AtomicU64::new(0),
             next_endpoint: AtomicUsize::new(0),
             next_ping: AtomicU64::new(0),
-            rr_cursor: AtomicUsize::new(0),
-            results_tx: results_tx.clone(),
             reactor_tx: reactor_tx.clone(),
             waker: waker.clone(),
             decode: Arc::clone(&self.decode),
             endpoints: endpoint_states,
             workload: self.workload.clone(),
-            name: self.name.clone(),
-            journal: self.journal.clone(),
             meter: Arc::new(CostMeter::new()),
             max_workers: self.max_workers,
-            rate_window: self.rate_window,
             handshake_timeout,
             budget: resilience.retry_budget.map(RetryBudget::new),
             resilience,
@@ -2472,10 +2226,12 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
             }
             let mut slots = shared.slots.lock();
             slots.extend(seeds.iter().map(|seed| Arc::clone(&seed.slot)));
-            shared.publish_table(&slots);
+            shared.core.publish(&slots);
             drop(slots);
             for seed in seeds {
-                let _ = reactor_tx.send(ReactorCmd::Register(seed));
+                reactor_tx
+                    .send(ReactorCmd::Register(seed))
+                    .expect("the reactor's receiver is still local");
             }
         }
 
@@ -2509,8 +2265,8 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
                 .map_err(|e| format!("spawn reactor: {e}"))?
         };
 
-        // Emitter: encode + batch + RCU dispatch (the farm's loop with an
-        // encode step fused in), kicking the reactor after each dispatch.
+        // Emitter: the farm's, with the encode step and a reactor kick
+        // after each dispatch.
         let emitter = {
             let shared = Arc::clone(&shared);
             let encode = Arc::clone(&self.encode);
@@ -2518,96 +2274,19 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
             std::thread::Builder::new()
                 .name(format!("{}-emitter", self.name))
                 .spawn(move || {
-                    let mut reader = ReadHandle::new(Arc::clone(&shared.table));
-                    let mut dispatched = 0u64;
-                    let mut batch: Vec<Task<Vec<u8>>> = Vec::with_capacity(DISPATCH_BATCH);
-                    'stream: loop {
-                        let mut end = false;
-                        match input_rx.recv() {
-                            Ok(StreamMsg::Item { seq, payload }) => batch.push(Task {
-                                seq,
-                                item: encode(payload),
-                            }),
-                            Ok(StreamMsg::End) => end = true,
-                            Err(_) => break 'stream,
-                        }
-                        while !end && batch.len() < DISPATCH_BATCH {
-                            match input_rx.try_recv() {
-                                Ok(StreamMsg::Item { seq, payload }) => batch.push(Task {
-                                    seq,
-                                    item: encode(payload),
-                                }),
-                                Ok(StreamMsg::End) => end = true,
-                                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                            }
-                        }
-                        if !batch.is_empty() {
-                            let now = shared.metrics.now();
-                            shared.metrics.arrivals.record_n(now, batch.len() as u64);
-                            shared
-                                .metrics
-                                .last_arrival_bits
-                                .store(now.to_bits(), Ordering::Relaxed);
-                            dispatched += batch.len() as u64;
-                            shared.dispatch(&mut reader, sched, &mut batch);
-                            shared.wake();
-                        }
-                        if end {
-                            shared.metrics.end_of_stream.store(true, Ordering::SeqCst);
-                            let _ = shared.results_tx.send(PoolMsg::Total(dispatched));
-                            break 'stream;
-                        }
-                    }
+                    shared
+                        .core
+                        .emitter(input_rx, sched, |x| encode(x), || shared.wake())
                 })
                 .map_err(|e| format!("spawn emitter: {e}"))?
         };
 
-        // Collector: identical convergence protocol to the farm's.
         let collector = {
+            let shared = Arc::clone(&shared);
             let gather = self.gather;
             std::thread::Builder::new()
                 .name(format!("{}-collector", self.name))
-                .spawn(move || {
-                    let mut reorder = ReorderBuffer::new();
-                    let mut done = 0u64;
-                    let mut emitted = 0u64;
-                    let mut expected: Option<u64> = None;
-                    for msg in results_rx.iter() {
-                        match msg {
-                            PoolMsg::Batch(results) => {
-                                done += results.len() as u64;
-                                for (seq, out) in results {
-                                    match gather {
-                                        GatherPolicy::Unordered => {
-                                            let _ = output_tx.send(StreamMsg::item(seq, out));
-                                        }
-                                        GatherPolicy::Ordered => {
-                                            for item in reorder.push(seq, out) {
-                                                let _ =
-                                                    output_tx.send(StreamMsg::item(emitted, item));
-                                                emitted += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            PoolMsg::Lost(seq) => {
-                                done += 1;
-                                if gather == GatherPolicy::Ordered {
-                                    for item in reorder.skip(seq) {
-                                        let _ = output_tx.send(StreamMsg::item(emitted, item));
-                                        emitted += 1;
-                                    }
-                                }
-                            }
-                            PoolMsg::Total(n) => expected = Some(n),
-                        }
-                        if expected == Some(done) {
-                            let _ = output_tx.send(StreamMsg::End);
-                            break;
-                        }
-                    }
-                })
+                .spawn(move || shared.core.collector(results_rx, output_tx, gather))
                 .map_err(|e| format!("spawn collector: {e}"))?
         };
 
@@ -2653,12 +2332,12 @@ impl<In: Send + 'static, Out: Send + 'static> RemoteWorkerPool<In, Out> {
 
     /// Current number of live remote slots.
     pub fn num_workers(&self) -> usize {
-        self.shared.table.load().len()
+        self.shared.core.table.load().len()
     }
 
     /// Cumulative slots lost to failures.
     pub fn workers_lost(&self) -> u64 {
-        self.shared.metrics.workers_lost.load(Ordering::SeqCst)
+        self.shared.core.sensors.workers_lost.load(Ordering::SeqCst)
     }
 
     /// Speculative re-executions the deadline sweep has dispatched.
@@ -2704,19 +2383,6 @@ impl<In: Send + 'static, Out: Send + 'static> RemoteWorkerPool<In, Out> {
         self.shared.meter.report()
     }
 
-    fn record_join(&self, who: &str, res: std::thread::Result<()>) {
-        if let Err(payload) = res {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                format!("{who}: {s}")
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                format!("{who}: {s}")
-            } else {
-                format!("{who}: panicked (non-string payload)")
-            };
-            self.shared.panics.lock().push(msg);
-        }
-    }
-
     /// Waits for the stream to complete, retires every connection with a
     /// `Goodbye`, and tears everything down. Connection-teardown errors
     /// are surfaced in [`ShutdownReport::disconnects`] instead of being
@@ -2725,36 +2391,27 @@ impl<In: Send + 'static, Out: Send + 'static> RemoteWorkerPool<In, Out> {
         // Stream completion first (mirrors Farm::shutdown): the caller
         // sent End, the collector exits once all results converged — the
         // reactor must stay alive until then.
+        let core = &self.shared.core;
         if let Some(e) = self.emitter.take() {
-            self.record_join("emitter", e.join());
+            core.record_join("emitter", e.join());
         }
         if let Some(c) = self.collector.take() {
-            self.record_join("collector", c.join());
+            core.record_join("collector", c.join());
         }
-        self.shared.terminating.store(true, Ordering::SeqCst);
+        core.terminating.store(true, Ordering::SeqCst);
         let slots: Vec<Arc<SlotShared>> = std::mem::take(&mut *self.shared.slots.lock());
         // Closing the queues routes every connection into the reactor's
         // Goodbye path; the reactor's finalize flushes and closes.
         for s in &slots {
             s.queue.close();
         }
-        self.shared.table.publish(Vec::new());
+        core.table.publish(Vec::new());
         let _ = self.shared.reactor_tx.send(ReactorCmd::Shutdown);
         self.shared.wake();
         if let Some(r) = self.reactor.take() {
-            self.record_join("reactor", r.join());
+            core.record_join("reactor", r.join());
         }
-        ShutdownReport {
-            worker_panics: std::mem::take(&mut *self.shared.panics.lock()),
-            workers_lost: self.shared.metrics.workers_lost.load(Ordering::SeqCst),
-            events: std::mem::take(&mut *self.shared.events.lock()),
-            disconnects: std::mem::take(&mut *self.shared.disconnects.lock()),
-            lost_undelivered: {
-                let mut lost = std::mem::take(&mut *self.shared.lost_undelivered.lock());
-                lost.sort_unstable();
-                lost
-            },
-        }
+        core.shutdown_report(std::mem::take(&mut *self.shared.disconnects.lock()))
     }
 }
 
@@ -2766,16 +2423,22 @@ impl<In, Out> Drop for RemoteWorkerPool<In, Out> {
         let Some(reactor) = self.reactor.take() else {
             return; // shutdown() already ran
         };
-        self.shared.terminating.store(true, Ordering::SeqCst);
+        self.shared.core.terminating.store(true, Ordering::SeqCst);
         let slots: Vec<Arc<SlotShared>> = std::mem::take(&mut *self.shared.slots.lock());
         for s in &slots {
             s.queue.close();
             s.sever();
         }
-        self.shared.table.publish(Vec::new());
+        self.shared.core.table.publish(Vec::new());
         let _ = self.shared.reactor_tx.send(ReactorCmd::Shutdown);
         self.shared.waker.wake();
-        let _ = reactor.join();
+        if let Err(payload) = reactor.join() {
+            // Not silently dropped even on the best-effort path.
+            eprintln!(
+                "remote pool: reactor panicked: {}",
+                panic_message(payload.as_ref())
+            );
+        }
     }
 }
 

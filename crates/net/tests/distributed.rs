@@ -18,15 +18,16 @@ use std::time::{Duration, Instant};
 use bskel_core::contract::Contract;
 use bskel_core::events::{EventKind, EventLog};
 use bskel_core::manager::{AutonomicManager, ManagerConfig};
-use bskel_monitor::RealClock;
+use bskel_monitor::{Clock, ManualClock, RealClock};
 use bskel_net::proto::{decode_hello, encode_hello_ack, FrameType, HelloAck};
 use bskel_net::wire::{FrameReader, FrameWriter};
 use bskel_net::{spawn_local, Endpoint, RemotePoolBuilder, RemoteWorkerPool};
 use bskel_skel::abc_impl::FarmAbc;
-use bskel_skel::farm::FarmEventKind;
+use bskel_skel::farm::{FarmBuilder, FarmControl, FarmEventKind, ShutdownReport};
 use bskel_skel::runtime::ManagerDriver;
 use bskel_skel::stream::StreamMsg;
 use bskel_skel::GatherPolicy;
+use crossbeam::channel::{Receiver, Sender};
 
 // -- helpers ------------------------------------------------------------
 
@@ -432,4 +433,283 @@ fn remote_panic_poisons_only_that_task() {
     let report = pool.shutdown();
     assert_eq!(report.worker_panics.len(), 1);
     assert_eq!(report.workers_lost, 0);
+}
+
+/// Runs a 10-item ordered stream through a two-slot `double` pool built
+/// with the given codecs. The pool runs on a helper thread behind a 10 s
+/// timeout, so a hang fails the test instead of stalling the suite.
+fn run_with_codecs(
+    encode: impl Fn(u64) -> Vec<u8> + Send + Sync + 'static,
+    decode: impl Fn(&[u8]) -> u64 + Send + Sync + 'static,
+) -> (Vec<(u64, u64)>, ShutdownReport) {
+    let addr = spawn_local("127.0.0.1:0").expect("bind daemon");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pool = RemotePoolBuilder::new("double", encode, decode)
+            .name("codec")
+            .initial_workers(2)
+            .gather(GatherPolicy::Ordered)
+            .endpoint(Endpoint::plain(addr.to_string()))
+            .build()
+            .expect("daemon reachable");
+        let tx = pool.input();
+        for i in 0..10u64 {
+            tx.send(StreamMsg::item(i, i)).unwrap();
+        }
+        tx.send(StreamMsg::End).unwrap();
+        let got = collect(&pool.output());
+        done_tx.send((got, pool.shutdown())).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stream and shutdown complete within 10 s")
+}
+
+/// Every `(seq, payload)` up to `End`.
+fn collect(output: &Receiver<StreamMsg<u64>>) -> Vec<(u64, u64)> {
+    output
+        .iter()
+        .map_while(|m| match m {
+            StreamMsg::Item { seq, payload } => Some((seq, payload)),
+            StreamMsg::End => None,
+        })
+        .collect()
+}
+
+/// Asserts the codec-panic outcome: the other nine items in dense order,
+/// one `worker:panic` event and one `worker_panics` entry naming `why`.
+fn assert_codec_panic_poisons_item_3(got: &[(u64, u64)], report: &ShutdownReport, why: &str) {
+    let want: Vec<(u64, u64)> = (0..10u64)
+        .filter(|&x| x != 3)
+        .enumerate()
+        .map(|(i, x)| (i as u64, x * 2))
+        .collect();
+    assert_eq!(got, want, "the other nine items, densely renumbered");
+    assert_eq!(report.worker_panics.len(), 1, "{report:?}");
+    assert!(report.worker_panics[0].contains(why), "{report:?}");
+    let panics = report
+        .events
+        .iter()
+        .filter(|e| e.kind == FarmEventKind::WorkerPanic)
+        .count();
+    assert_eq!(panics, 1, "one worker:panic event: {report:?}");
+    assert_eq!(report.workers_lost, 0, "a codec panic is not a slot death");
+    assert!(report.lost_undelivered.is_empty());
+}
+
+/// A panicking `encode` poisons that task only, like a panicking worker:
+/// the emitter survives, the stream ends and `shutdown()` returns.
+#[test]
+fn encode_panic_poisons_only_that_task() {
+    let (got, report) = run_with_codecs(
+        |x| {
+            assert!(x != 3, "encode refuses item 3");
+            enc(x)
+        },
+        dec,
+    );
+    assert_codec_panic_poisons_item_3(&got, &report, "encode refuses item 3");
+}
+
+/// A panicking `decode` poisons that task only: the reactor survives,
+/// the stream ends and `shutdown()` returns.
+#[test]
+fn decode_panic_poisons_only_that_task() {
+    let (got, report) = run_with_codecs(enc, |b| {
+        let v = dec(b);
+        assert!(v != 6, "decode refuses the result of item 3");
+        v
+    });
+    assert_codec_panic_poisons_item_3(&got, &report, "decode refuses the result of item 3");
+}
+
+/// `departureRate` is delivered throughput on both substrates: 100 tasks
+/// with task 13 poisoned, all inside one 10 s window of a manual clock,
+/// sense 99 departures.
+#[test]
+fn poisoned_task_is_not_a_departure_on_either_substrate() {
+    const WINDOW: f64 = 10.0;
+    let departures = |ctl: Arc<dyn FarmControl>, clock: &ManualClock| {
+        ctl.sense(clock.now()).departure_rate * WINDOW
+    };
+
+    let clock = Arc::new(ManualClock::at(1.0));
+    let farm = FarmBuilder::from_fn(|x: u64| {
+        assert!(x != 13, "poisoned task");
+        x
+    })
+    .initial_workers(2)
+    .clock(clock.clone())
+    .rate_window(WINDOW)
+    .build();
+    let got = feed_and_collect(&farm.input(), &farm.output(), 0..100);
+    assert_eq!(got.len(), 99);
+    let farm_departures = departures(farm.control(), &clock);
+    farm.shutdown();
+
+    let clock = Arc::new(ManualClock::at(1.0));
+    let addr = spawn_local("127.0.0.1:0").expect("bind daemon");
+    let pool = RemotePoolBuilder::new("panic_on:13", enc, dec)
+        .initial_workers(2)
+        .clock(clock.clone())
+        .rate_window(WINDOW)
+        .endpoint(Endpoint::plain(addr.to_string()))
+        .build()
+        .expect("daemon reachable");
+    let got = feed_and_collect(&pool.input(), &pool.output(), 0..100);
+    assert_eq!(got.len(), 99);
+    let pool_departures = departures(pool.control(), &clock);
+    pool.shutdown();
+
+    assert!(
+        (farm_departures - 99.0).abs() < 1e-9,
+        "farm: {farm_departures}"
+    );
+    assert!(
+        (pool_departures - 99.0).abs() < 1e-9,
+        "pool: {pool_departures}"
+    );
+}
+
+/// Sends `items` (payload = seq) then `End`, returns what comes out.
+fn feed_and_collect(
+    input: &Sender<StreamMsg<u64>>,
+    output: &Receiver<StreamMsg<u64>>,
+    items: std::ops::Range<u64>,
+) -> Vec<(u64, u64)> {
+    for i in items {
+        input.send(StreamMsg::item(i, i)).unwrap();
+    }
+    input.send(StreamMsg::End).unwrap();
+    collect(output)
+}
+
+/// SplitMix64: seeded payloads without a dependency.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Streams `payloads` through one substrate, making the same control
+/// calls mid-stream, and checks what every substrate must report after
+/// each. Returns the output stream.
+fn conform(
+    input: Sender<StreamMsg<u64>>,
+    output: &Receiver<StreamMsg<u64>>,
+    ctl: &Arc<dyn FarmControl>,
+    clock: &ManualClock,
+    payloads: &[u64],
+) -> Vec<(u64, u64)> {
+    let half = payloads.len() / 2;
+    for (i, p) in payloads[..half].iter().enumerate() {
+        input.send(StreamMsg::item(i as u64, *p)).unwrap();
+    }
+
+    assert_eq!(ctl.add_workers(2), Ok(2));
+    assert_eq!(ctl.num_workers(), 4);
+    assert!(
+        ctl.sense(clock.now()).reconfiguring,
+        "blacked out right after add_workers"
+    );
+    ctl.rebalance();
+    assert_eq!(ctl.num_workers(), 4);
+    assert_eq!(ctl.remove_workers(1), Ok(1));
+    assert_eq!(ctl.num_workers(), 3);
+    assert_eq!(ctl.kill_workers(1), Ok(1));
+    // The pool runs its death path on the reactor: wait for it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ctl.workers_lost() < 1 || ctl.num_workers() != 2 {
+        assert!(Instant::now() < deadline, "kill never took effect");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(ctl.num_workers(), 2);
+
+    for (i, p) in payloads.iter().enumerate().skip(half) {
+        input.send(StreamMsg::item(i as u64, *p)).unwrap();
+    }
+    input.send(StreamMsg::End).unwrap();
+    let got = collect(output);
+
+    clock.advance(1.0);
+    let snap = ctl.sense(clock.now());
+    assert!(
+        snap.idle_for > 0.0,
+        "idle once the clock passes the last arrival"
+    );
+    assert_eq!(snap.workers_lost, 1);
+    assert_eq!(ctl.workers_lost(), 1);
+    got
+}
+
+/// Both halves of a conformance run must close a clean ledger: one worker
+/// lost to the injected kill and nothing else.
+fn assert_clean_ledger(who: &str, report: &ShutdownReport) {
+    assert_eq!(report.workers_lost, 1, "{who}: {report:?}");
+    assert!(report.worker_panics.is_empty(), "{who}: {report:?}");
+    assert!(report.lost_undelivered.is_empty(), "{who}: {report:?}");
+    assert!(report.disconnects.is_empty(), "{who}: {report:?}");
+}
+
+/// The threaded farm and the distributed pool are one pattern: the same
+/// seeded 2 000-task ordered stream under the same mid-stream actuations
+/// (`add_workers(2)`, `rebalance()`, `remove_workers(1)`,
+/// `kill_workers(1)`) yields the same dense output and the same sensed
+/// structure on both.
+#[test]
+fn farm_and_pool_conform_under_the_same_actuations() {
+    const TASKS: usize = 2_000;
+    let mut seed = 0x5EED_F00D_u64;
+    let payloads: Vec<u64> = (0..TASKS).map(|_| splitmix(&mut seed) >> 2).collect();
+    let want: Vec<(u64, u64)> = payloads
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (i as u64, p.wrapping_mul(2)))
+        .collect();
+
+    let clock = Arc::new(ManualClock::at(1.0));
+    let farm = FarmBuilder::from_fn(|x: u64| x.wrapping_mul(2))
+        .name("conform")
+        .initial_workers(2)
+        .max_workers(8)
+        .gather(GatherPolicy::Ordered)
+        .clock(clock.clone())
+        .rate_window(5.0)
+        .build();
+    let farm_out = conform(
+        farm.input(),
+        &farm.output(),
+        &farm.control(),
+        &clock,
+        &payloads,
+    );
+    assert_clean_ledger("farm", &farm.shutdown());
+
+    let clock = Arc::new(ManualClock::at(1.0));
+    let addr = spawn_local("127.0.0.1:0").expect("bind daemon");
+    let pool = RemotePoolBuilder::new("double", enc, dec)
+        .name("conform")
+        .initial_workers(2)
+        .max_workers(8)
+        .gather(GatherPolicy::Ordered)
+        .clock(clock.clone())
+        .rate_window(5.0)
+        .heartbeat_period(Duration::from_millis(20))
+        .failure_timeout(Duration::from_secs(2))
+        .endpoint(Endpoint::plain(addr.to_string()))
+        .build()
+        .expect("daemon reachable");
+    let pool_out = conform(
+        pool.input(),
+        &pool.output(),
+        &pool.control(),
+        &clock,
+        &payloads,
+    );
+    assert_clean_ledger("pool", &pool.shutdown());
+
+    assert_eq!(farm_out, want, "farm output");
+    assert_eq!(pool_out, want, "pool output");
 }

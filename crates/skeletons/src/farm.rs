@@ -9,6 +9,12 @@
 //! queue) are deliberate: they make the paper's `queueVariance` bean and
 //! `BALANCE_LOAD` action meaningful.
 //!
+//! Where a worker runs is a deployment choice, not a second pattern: the
+//! emitter, dispatch, collector, redistribution, stream sensors and fault
+//! bookkeeping live in [`FarmCore`], generic over the [`FarmSlot`] a
+//! worker is reached through. [`Farm`] plugs in worker threads; the
+//! distributed pool in `bskel-net` plugs in remote daemon connections.
+//!
 //! Concurrency design — the steady-state task path acquires **no mutex**:
 //!
 //! * the emitter reads the worker set through an RCU [`crate::rcu`]
@@ -39,8 +45,10 @@ use bskel_monitor::{
     queue_variance, AtomicRateEstimator, Clock, Journal, LocalStats, RealClock, SensorSnapshot,
     Time, Welford, WelfordCell,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::borrow::Borrow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -74,14 +82,15 @@ pub enum GatherPolicy {
 /// thread, so per-worker state needs no synchronisation.
 pub type WorkerFactory<In, Out> = Arc<dyn Fn() -> Box<dyn FnMut(In) -> Out + Send> + Send + Sync>;
 
-enum CollectMsg<Out> {
-    /// One batch of results from a single worker wake-up.
+/// What flows into a farm's collector.
+pub enum CollectMsg<Out> {
+    /// One batch of delivered results.
     Batch(Vec<(u64, Out)>),
-    /// A task was poisoned: its worker panicked while computing it. The
-    /// task is accounted for (no result will ever exist) so the End
-    /// accounting still converges.
+    /// A task was poisoned (its worker or codec panicked). The task is
+    /// accounted for (no result will ever exist) so the End accounting
+    /// still converges.
     Lost(u64),
-    /// Emitter saw `End` after dispatching this many tasks.
+    /// Emitter saw `End` after taking this many tasks off the input.
     Total(u64),
 }
 
@@ -153,7 +162,7 @@ impl ShutdownReport {
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -163,80 +172,561 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The dispatchable face of one worker: its queue plus its published
-/// service-time cell. What the RCU table holds.
-struct WorkerSlot<In> {
-    queue: Arc<WorkerQueue<In>>,
-    service: Arc<WelfordCell>,
+/// One dispatch slot of a [`FarmCore`]: the queue the emitter pushes into
+/// and the load [`SchedPolicy::ShortestQueue`] minimises.
+pub trait FarmSlot {
+    /// The task payload the slot's queue carries.
+    type Item;
+    /// The slot's task queue.
+    fn queue(&self) -> &WorkerQueue<Self::Item>;
+    /// Dispatch load. A worker thread's is its queue length (the
+    /// default); a remote slot also counts what is on the wire.
+    fn load(&self) -> usize {
+        self.queue().len()
+    }
 }
 
-// Manual impl: `derive(Clone)` would demand `In: Clone`, but only the
-// `Arc`s are cloned.
-impl<In> Clone for WorkerSlot<In> {
-    fn clone(&self) -> Self {
+/// The stream beans every farm substrate senses the same way: arrival
+/// and departure rates, end of stream, the reconfiguration blackout,
+/// idle time and the workers lost to faults.
+pub struct StreamSensors {
+    clock: Arc<dyn Clock>,
+    rate_window: f64,
+    arrivals: AtomicRateEstimator,
+    /// Delivered results only: a poisoned task is not throughput.
+    departures: AtomicRateEstimator,
+    end_of_stream: AtomicBool,
+    /// Set while an actuator deploys workers: the manager observes it
+    /// and skips its cycles (the paper's Fig. 4 sensor blackout).
+    pub reconfiguring: AtomicBool,
+    /// Sensors stay blacked out until this time (f64 bits): after a
+    /// reconfiguration the rate estimators hold no full window of fresh
+    /// data, and acting on them would make the manager oscillate (add a
+    /// worker, read a stale/empty window, add again, …).
+    blackout_until_bits: AtomicU64,
+    /// Cumulative workers lost to faults (panic, injected kill, dead
+    /// connection) — the `workersLost` bean.
+    pub workers_lost: AtomicU64,
+}
+
+impl StreamSensors {
+    fn new(clock: Arc<dyn Clock>, rate_window: f64) -> Self {
         Self {
-            queue: Arc::clone(&self.queue),
-            service: Arc::clone(&self.service),
+            clock,
+            rate_window,
+            arrivals: AtomicRateEstimator::new(rate_window),
+            departures: AtomicRateEstimator::new(rate_window),
+            end_of_stream: AtomicBool::new(false),
+            reconfiguring: AtomicBool::new(false),
+            blackout_until_bits: AtomicU64::new(0),
+            workers_lost: AtomicU64::new(0),
+        }
+    }
+
+    /// The substrate's clock.
+    pub fn now(&self) -> Time {
+        self.clock.now()
+    }
+
+    /// Records a reconfiguration at `now`. Stale pre-reconfiguration
+    /// windows would bias the next readings, so the output estimator
+    /// restarts and the sensors stay blacked out until a full window of
+    /// post-reconfiguration data exists.
+    pub fn reconfigured(&self, now: Time) {
+        self.departures.reset(now);
+        self.blackout_until_bits
+            .store((now + self.rate_window).to_bits(), Ordering::SeqCst);
+    }
+
+    /// Fills the stream beans into `snap`, read at `snap.at`.
+    fn fill(&self, snap: &mut SensorSnapshot) {
+        let now = snap.at;
+        snap.arrival_rate = self.arrivals.rate(now);
+        snap.departure_rate = self.departures.rate(now);
+        snap.end_of_stream = self.end_of_stream.load(Ordering::SeqCst);
+        snap.workers_lost = self.workers_lost.load(Ordering::SeqCst);
+        snap.reconfiguring = self.reconfiguring.load(Ordering::SeqCst)
+            || now < f64::from_bits(self.blackout_until_bits.load(Ordering::SeqCst));
+        if let Some(idle) = self.arrivals.idle_for(now) {
+            snap.idle_for = idle;
         }
     }
 }
 
-/// The immutable worker table a dispatch generation reads.
-type WorkerTable<In> = Vec<WorkerSlot<In>>;
+/// The farm's stream machinery, whatever its workers are: loss-free RCU
+/// dispatch, the emitter and collector loops, round-robin redistribution
+/// and rebalancing, parking while no worker exists, the stream sensors
+/// and fault/panic bookkeeping.
+///
+/// The substrate keeps its membership list — the reconfiguration
+/// serialisation point — and calls the `members`/`survivors` methods
+/// below with that list's lock held. Its death path stays its own.
+pub struct FarmCore<S: FarmSlot, Out> {
+    name: String,
+    /// The stream sensors.
+    pub sensors: StreamSensors,
+    /// The RCU-published dispatch table: reconfigurations replace it
+    /// wholesale, the emitter reads it wait-free via a cached handle.
+    pub table: Arc<Published<Vec<Arc<S>>>>,
+    /// Set at teardown: dispatch and redistribution stop parking
+    /// undeliverable tasks.
+    pub terminating: AtomicBool,
+    /// Tasks stranded while no worker exists; resumed by the next
+    /// [`FarmCore::resume_parked`].
+    parked: Mutex<Vec<Task<S::Item>>>,
+    /// Capacity will never return (see [`FarmCore::poison`]): parking
+    /// reports tasks lost instead.
+    poisoned: AtomicBool,
+    rr_cursor: AtomicUsize,
+    results: Sender<CollectMsg<Out>>,
+    /// Panic messages, surfaced in the [`ShutdownReport`].
+    panics: Mutex<Vec<String>>,
+    /// Fault events ([`FarmEventKind::WorkerPanic`]/`WorkerLost`).
+    events: Mutex<Vec<FarmEvent>>,
+    /// Tasks whose `Lost` notification found the collector gone.
+    lost_undelivered: Mutex<Vec<u64>>,
+    /// Optional ops journal every fault event is mirrored into.
+    journal: Option<Arc<Journal>>,
+}
+
+impl<S: FarmSlot, Out: Send + 'static> FarmCore<S, Out> {
+    /// A core with an empty dispatch table, plus the receiving end of
+    /// its collector channel (hand it to [`FarmCore::collector`]).
+    pub fn new(
+        name: impl Into<String>,
+        clock: Arc<dyn Clock>,
+        rate_window: f64,
+        journal: Option<Arc<Journal>>,
+    ) -> (Self, Receiver<CollectMsg<Out>>) {
+        let (results, results_rx) = unbounded();
+        let core = Self {
+            name: name.into(),
+            sensors: StreamSensors::new(clock, rate_window),
+            table: Arc::new(Published::new(Vec::new())),
+            terminating: AtomicBool::new(false),
+            parked: Mutex::new(Vec::new()),
+            poisoned: AtomicBool::new(false),
+            rr_cursor: AtomicUsize::new(0),
+            results,
+            panics: Mutex::new(Vec::new()),
+            events: Mutex::new(Vec::new()),
+            lost_undelivered: Mutex::new(Vec::new()),
+            journal,
+        };
+        (core, results_rx)
+    }
+
+    /// Re-derives and publishes the dispatch table from the membership
+    /// list.
+    pub fn publish<M: Borrow<Arc<S>>>(&self, members: &[M]) {
+        self.table
+            .publish(members.iter().map(|m| Arc::clone(m.borrow())).collect());
+    }
+
+    /// Re-dispatches tasks round-robin onto the survivors, or parks them
+    /// while none exists (dropped at teardown).
+    pub fn redistribute<M: Borrow<Arc<S>>>(&self, survivors: &[M], mut tasks: Vec<Task<S::Item>>) {
+        if tasks.is_empty() {
+            return;
+        }
+        if survivors.is_empty() {
+            if !self.terminating.load(Ordering::SeqCst) {
+                self.park(&mut tasks);
+            }
+            return;
+        }
+        let n = survivors.len();
+        let mut per: Vec<Vec<Task<S::Item>>> = (0..n)
+            .map(|_| Vec::with_capacity(tasks.len() / n + 1))
+            .collect();
+        for (i, task) in tasks.into_iter().enumerate() {
+            per[i % n].push(task);
+        }
+        for (s, mut chunk) in survivors.iter().zip(per) {
+            let accepted = s.borrow().queue().push_batch(&mut chunk);
+            debug_assert!(accepted, "survivor queues are open under the lock");
+        }
+    }
+
+    /// Hands tasks parked by a total-failure episode to the members.
+    pub fn resume_parked<M: Borrow<Arc<S>>>(&self, members: &[M]) {
+        let parked = std::mem::take(&mut *self.parked.lock());
+        self.redistribute(members, parked);
+    }
+
+    /// Evens the members' queue lengths; true if any task moved. Tasks
+    /// keep their sequence tags, so ordered gathering is unaffected.
+    pub fn rebalance<M: Borrow<Arc<S>>>(&self, members: &[M]) -> bool {
+        if members.len() < 2 {
+            return false;
+        }
+        let lens = members.iter().map(|m| m.borrow().queue().len());
+        let (min, max) = lens.fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
+        if max - min <= 1 {
+            return false;
+        }
+        let mut all: Vec<Task<S::Item>> = Vec::new();
+        for m in members {
+            all.extend(m.borrow().queue().drain_open());
+        }
+        let moved = !all.is_empty();
+        self.redistribute(members, all);
+        moved
+    }
+
+    /// Parks tasks awaiting future capacity — unless the core is
+    /// poisoned, in which case capacity will never return and each task
+    /// is reported lost so the output stream still terminates. The
+    /// parked lock orders parking against the poison drain.
+    fn park(&self, tasks: &mut Vec<Task<S::Item>>) {
+        let mut parked = self.parked.lock();
+        if self.poisoned.load(Ordering::SeqCst) {
+            drop(parked);
+            for t in tasks.drain(..) {
+                self.report_lost(t.seq);
+            }
+        } else {
+            parked.append(tasks);
+        }
+    }
+
+    /// Escalation when capacity can never return (e.g. the substrate's
+    /// I/O loop failed): records `why` as a panic, and reports every
+    /// parked and future parked task lost so the collector's accounting
+    /// still closes.
+    pub fn poison(&self, why: String) {
+        self.journal_note(&why);
+        self.panics.lock().push(why);
+        // Flip the flag inside the parked critical section: concurrent
+        // parking either lands before the drain (caught here) or
+        // observes the flag and reports the loss itself.
+        let stranded: Vec<Task<S::Item>> = {
+            let mut parked = self.parked.lock();
+            self.poisoned.store(true, Ordering::SeqCst);
+            std::mem::take(&mut *parked)
+        };
+        for t in stranded {
+            self.report_lost(t.seq);
+        }
+    }
+
+    /// Hands a batch of results to the collector.
+    pub fn deliver(&self, batch: Vec<(u64, Out)>) {
+        if self.results.send(CollectMsg::Batch(batch)).is_err() {
+            self.journal_note("result batch after the collector exited");
+        }
+    }
+
+    /// Reports a task as lost downstream. When the collector has already
+    /// exited, the seq is recorded in the shutdown accounting (and
+    /// journaled) instead of being silently discarded.
+    fn report_lost(&self, seq: u64) {
+        if self.results.send(CollectMsg::Lost(seq)).is_err() {
+            self.lost_undelivered.lock().push(seq);
+            self.journal_note(&format!(
+                "lost notification for task {seq} undeliverable: collector exited"
+            ));
+        }
+    }
+
+    /// A task that can never produce a result (its worker or codec
+    /// panicked): the collector steps over it, and the panic is recorded.
+    pub fn poison_task(&self, seq: u64, detail: String) {
+        self.report_lost(seq);
+        self.record_panic(self.sensors.now(), detail);
+    }
+
+    /// Appends a fault event, mirroring it into the ops journal when one
+    /// is attached.
+    pub fn record_event(&self, event: FarmEvent) {
+        if let Some(j) = &self.journal {
+            j.farm_event(event.at, &self.name, event.kind.label(), &event.detail);
+        }
+        self.events.lock().push(event);
+    }
+
+    /// Records a panic: one `worker:panic` event and one entry in the
+    /// report's `worker_panics`.
+    fn record_panic(&self, at: Time, detail: String) {
+        self.record_event(FarmEvent {
+            at,
+            kind: FarmEventKind::WorkerPanic,
+            detail: detail.clone(),
+        });
+        self.panics.lock().push(detail);
+    }
+
+    /// Records a join outcome: an `Err` is an un-caught panic of thread
+    /// `who`.
+    pub fn record_join(&self, who: &str, res: std::thread::Result<()>) {
+        if let Err(payload) = res {
+            let msg = format!("{who}: {}", panic_message(payload.as_ref()));
+            self.record_panic(self.sensors.now(), msg);
+        }
+    }
+
+    /// Fault events recorded so far, in order.
+    pub fn events(&self) -> Vec<FarmEvent> {
+        self.events.lock().clone()
+    }
+
+    fn journal_note(&self, text: &str) {
+        if let Some(j) = &self.journal {
+            j.note(self.sensors.now(), &self.name, text);
+        }
+    }
+
+    /// The structural and stream beans at `now`, plus the table they were
+    /// read from (for the substrate's own per-slot beans).
+    pub fn sense(&self, now: Time) -> (SensorSnapshot, Arc<Vec<Arc<S>>>) {
+        let table = self.table.load();
+        let loads: Vec<u64> = table.iter().map(|s| s.load() as u64).collect();
+        let mut snap = SensorSnapshot::empty(now);
+        snap.num_workers = loads.len() as u32;
+        snap.queue_variance = queue_variance(&loads);
+        snap.queued_tasks = loads.iter().sum();
+        self.sensors.fill(&mut snap);
+        (snap, table)
+    }
+
+    /// Drains the fault accounting into a report.
+    pub fn shutdown_report(&self, disconnects: Vec<String>) -> ShutdownReport {
+        let mut lost_undelivered = std::mem::take(&mut *self.lost_undelivered.lock());
+        lost_undelivered.sort_unstable();
+        ShutdownReport {
+            worker_panics: std::mem::take(&mut *self.panics.lock()),
+            workers_lost: self.sensors.workers_lost.load(Ordering::SeqCst),
+            events: std::mem::take(&mut *self.events.lock()),
+            disconnects,
+            lost_undelivered,
+        }
+    }
+
+    /// Dispatches one drained input batch over the current table,
+    /// re-reading the table and re-dispatching any batch bounced off a
+    /// queue that closed under a stale table.
+    fn dispatch(
+        &self,
+        reader: &mut ReadHandle<Vec<Arc<S>>>,
+        sched: SchedPolicy,
+        items: &mut Vec<Task<S::Item>>,
+    ) {
+        while !items.is_empty() {
+            let generation = self.table.generation();
+            let table = Arc::clone(reader.get());
+            if table.is_empty() {
+                if self.terminating.load(Ordering::SeqCst) {
+                    // Tearing down; parity with dropping a running farm.
+                    items.clear();
+                    return;
+                }
+                // Every worker died: park the batch for the next
+                // `add_workers` instead of losing it.
+                self.park(items);
+                if self.table.generation() == generation {
+                    return;
+                }
+                // A new table appeared while we parked — reclaim so the
+                // items are not stranded until a later `add_workers`.
+                items.append(&mut self.parked.lock());
+                continue;
+            }
+            let n = table.len();
+            let mut per: Vec<Vec<Task<S::Item>>> = (0..n).map(|_| Vec::new()).collect();
+            match sched {
+                SchedPolicy::RoundRobin => {
+                    for task in items.drain(..) {
+                        let i = self.rr_cursor.fetch_add(1, Ordering::Relaxed) % n;
+                        per[i].push(task);
+                    }
+                }
+                SchedPolicy::ShortestQueue => {
+                    // One load snapshot per batch, tracked through the
+                    // batch's own assignments.
+                    let mut loads: Vec<usize> = table.iter().map(|s| s.load()).collect();
+                    for task in items.drain(..) {
+                        let i = (0..n).min_by_key(|&i| loads[i]).expect("non-empty");
+                        loads[i] += 1;
+                        per[i].push(task);
+                    }
+                }
+            }
+            for (slot, chunk) in table.iter().zip(per.iter_mut()) {
+                if !slot.queue().push_batch(chunk) {
+                    // Closed under us: hand back for re-dispatch.
+                    items.append(chunk);
+                }
+            }
+            if items.is_empty() {
+                return;
+            }
+            if self.table.generation() == generation {
+                // A queue closed with no newer table published — only
+                // shutdown does that. Nobody will collect these.
+                items.clear();
+                return;
+            }
+            // Generation moved: loop re-reads the fresh table.
+        }
+    }
+
+    /// The emitter loop: drains `input` in batches, turns each item into
+    /// a slot payload with `encode`, dispatches the batch and calls
+    /// `after_dispatch`. An `encode` panic poisons that task only.
+    /// Returns after `End` (or when every input sender is gone).
+    pub fn emitter<In>(
+        &self,
+        input: Receiver<StreamMsg<In>>,
+        sched: SchedPolicy,
+        mut encode: impl FnMut(In) -> S::Item,
+        mut after_dispatch: impl FnMut(),
+    ) {
+        let mut reader = ReadHandle::new(Arc::clone(&self.table));
+        let mut taken = 0u64;
+        let mut batch: Vec<Task<S::Item>> = Vec::with_capacity(DISPATCH_BATCH);
+        // Block for the first message, then opportunistically drain the
+        // channel up to the batch bound.
+        while let Ok(first) = input.recv() {
+            let mut arrived = 0u64;
+            let mut end = false;
+            let mut next = Some(first);
+            while let Some(msg) = next.take() {
+                let StreamMsg::Item { seq, payload } = msg else {
+                    end = true;
+                    break;
+                };
+                arrived += 1;
+                match catch_unwind(AssertUnwindSafe(|| encode(payload))) {
+                    Ok(item) => batch.push(Task { seq, item }),
+                    Err(p) => self.poison_task(
+                        seq,
+                        format!(
+                            "emitter: encode panicked on task {seq}: {}",
+                            panic_message(p.as_ref())
+                        ),
+                    ),
+                }
+                if batch.len() < DISPATCH_BATCH {
+                    next = input.try_recv().ok();
+                }
+            }
+            if arrived > 0 {
+                self.sensors.arrivals.record_n(self.sensors.now(), arrived);
+                taken += arrived;
+            }
+            if !batch.is_empty() {
+                self.dispatch(&mut reader, sched, &mut batch);
+                after_dispatch();
+            }
+            if end {
+                self.sensors.end_of_stream.store(true, Ordering::SeqCst);
+                if self.results.send(CollectMsg::Total(taken)).is_err() {
+                    self.journal_note("end of stream after the collector exited");
+                }
+                return;
+            }
+        }
+    }
+
+    /// The collector loop: gathers result batches and poisoned-task
+    /// holes onto `output` (renumbered densely under ordered gather),
+    /// then sends `End` once every task the emitter took is accounted
+    /// for. Departures count delivered results only.
+    pub fn collector(
+        &self,
+        results: Receiver<CollectMsg<Out>>,
+        output: Sender<StreamMsg<Out>>,
+        gather: GatherPolicy,
+    ) {
+        // A consumer that dropped its receiver has stopped listening;
+        // nothing downstream is left to tell.
+        let forward = |msg| {
+            output.send(msg).ok();
+        };
+        let mut reorder = ReorderBuffer::new();
+        let mut done = 0u64;
+        // Dense output renumbering under ordered gather: an explicit
+        // counter (not `reorder.next_seq()`) so a poisoned task's skipped
+        // hole leaves no gap.
+        let mut emitted = 0u64;
+        let mut emit_run = |run: Vec<Out>| {
+            for item in run {
+                forward(StreamMsg::item(emitted, item));
+                emitted += 1;
+            }
+        };
+        let mut expected: Option<u64> = None;
+        for msg in results.iter() {
+            match msg {
+                CollectMsg::Batch(batch) => {
+                    self.sensors
+                        .departures
+                        .record_n(self.sensors.now(), batch.len() as u64);
+                    done += batch.len() as u64;
+                    for (seq, out) in batch {
+                        match gather {
+                            GatherPolicy::Unordered => forward(StreamMsg::item(seq, out)),
+                            GatherPolicy::Ordered => emit_run(reorder.push(seq, out)),
+                        }
+                    }
+                }
+                CollectMsg::Lost(seq) => {
+                    // Poisoned: no result will ever exist. Account for it
+                    // so the End check converges, and step the reorder
+                    // front over the hole.
+                    done += 1;
+                    if gather == GatherPolicy::Ordered {
+                        emit_run(reorder.skip(seq));
+                    }
+                }
+                CollectMsg::Total(n) => expected = Some(n),
+            }
+            if expected == Some(done) {
+                forward(StreamMsg::End);
+                break;
+            }
+        }
+    }
+}
+
+/// The dispatchable face of one worker thread: its queue plus its
+/// published service-time cell. What the RCU table holds.
+struct WorkerSlot<In> {
+    queue: WorkerQueue<In>,
+    service: Arc<WelfordCell>,
+}
+
+impl<In> FarmSlot for WorkerSlot<In> {
+    type Item = In;
+
+    fn queue(&self) -> &WorkerQueue<In> {
+        &self.queue
+    }
+}
 
 struct WorkerHandle<In> {
     /// Stable identity: the death path uses it to tell "still a member"
     /// (self-removal required) from "already removed by an actuator".
     id: u64,
-    slot: WorkerSlot<In>,
+    slot: Arc<WorkerSlot<In>>,
     /// Fault-injection flag: set by `kill_workers`, observed between
     /// tasks — the thread dies abruptly from the farm's point of view.
     kill: Arc<AtomicBool>,
     thread: JoinHandle<()>,
 }
 
-struct FarmMetrics {
-    clock: Arc<dyn Clock>,
-    arrivals: AtomicRateEstimator,
-    departures: AtomicRateEstimator,
-    end_of_stream: AtomicBool,
-    reconfiguring: AtomicBool,
-    /// Sensors stay blacked out until this time (f64 bits): after a
-    /// reconfiguration the rate estimators hold no full window of fresh
-    /// data, and acting on them would make the manager oscillate (add a
-    /// worker, read a stale/empty window, add again, …).
-    blackout_until_bits: AtomicU64,
-    last_arrival_bits: AtomicU64, // f64 time bits
-    /// Cumulative workers lost to faults (panic or injected kill) — the
-    /// `workersLost` bean.
-    workers_lost: AtomicU64,
-}
-
-impl FarmMetrics {
-    fn now(&self) -> Time {
-        self.clock.now()
-    }
-
-    fn set_blackout_until(&self, t: Time) {
-        self.blackout_until_bits
-            .store(t.to_bits(), Ordering::SeqCst);
-    }
-
-    fn in_blackout(&self, now: Time) -> bool {
-        now < f64::from_bits(self.blackout_until_bits.load(Ordering::SeqCst))
+impl<In> Borrow<Arc<WorkerSlot<In>>> for WorkerHandle<In> {
+    fn borrow(&self) -> &Arc<WorkerSlot<In>> {
+        &self.slot
     }
 }
 
 struct Shared<In, Out> {
-    name: String,
     /// Back-reference worker threads upgrade transiently on their death
     /// path (panic caught or kill flag observed) to hand unprocessed
     /// tasks back and deregister themselves.
     self_ref: std::sync::Weak<Shared<In, Out>>,
-    metrics: FarmMetrics,
-    /// The RCU-published dispatch table: reconfigurations replace it
-    /// wholesale, the emitter reads it wait-free via a cached handle.
-    table: Arc<Published<WorkerTable<In>>>,
+    core: FarmCore<WorkerSlot<In>, Out>,
     /// Membership (thread handles) and the reconfiguration serialisation
     /// point. Never touched by the task path.
     workers: Mutex<Vec<WorkerHandle<In>>>,
@@ -247,59 +737,42 @@ struct Shared<In, Out> {
     /// Join handles of workers that died (panic or kill) rather than
     /// retiring cooperatively; reaped — not discarded — at shutdown.
     dead: Mutex<Vec<JoinHandle<()>>>,
-    /// Tasks stranded while no live worker exists; drained into the pool
-    /// by the next `add_workers`.
-    parked: Mutex<Vec<Task<In>>>,
-    /// Panic messages from workers, surfaced in the [`ShutdownReport`].
-    panics: Mutex<Vec<String>>,
-    /// Fault events ([`FarmEventKind::WorkerPanic`]/`WorkerLost`).
-    events: Mutex<Vec<FarmEvent>>,
-    /// Optional ops journal every fault event is mirrored into.
-    journal: Option<Arc<Journal>>,
-    /// Set at teardown: dispatch stops parking undeliverable tasks.
-    terminating: AtomicBool,
     /// Monotonic source for [`WorkerHandle::id`].
     next_worker_id: AtomicU64,
-    rr_cursor: AtomicUsize,
     factory: WorkerFactory<In, Out>,
-    results_tx: Sender<CollectMsg<Out>>,
     max_workers: u32,
     reconfig_delay: f64,
-    rate_window: f64,
 }
 
 impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
-    /// Appends a fault event, mirroring it into the ops journal when one
-    /// is attached.
-    fn record_event(&self, event: FarmEvent) {
-        if let Some(j) = &self.journal {
-            j.farm_event(event.at, &self.name, event.kind.label(), &event.detail);
-        }
-        self.events.lock().push(event);
-    }
-
     fn spawn_worker(&self) -> WorkerHandle<In> {
         let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
-        let queue = Arc::new(WorkerQueue::new());
         let service = Arc::new(WelfordCell::new());
         let kill = Arc::new(AtomicBool::new(false));
-        let slot = WorkerSlot {
-            queue: Arc::clone(&queue),
+        let slot = Arc::new(WorkerSlot {
+            queue: WorkerQueue::new(),
             service: Arc::clone(&service),
-        };
+        });
+        let queue = Arc::clone(&slot);
         let factory = Arc::clone(&self.factory);
-        let results = self.results_tx.clone();
-        let clock = Arc::clone(&self.metrics.clock);
+        let results = self.core.results.clone();
+        let clock = Arc::clone(&self.core.sensors.clock);
         let weak = self.self_ref.clone();
         let kill_flag = Arc::clone(&kill);
-        let name = format!("{}-worker", self.name);
+        let name = format!("{}-worker", self.core.name);
         let thread = std::thread::Builder::new()
             .name(name)
             .spawn(move || {
+                let queue = &queue.queue;
                 let mut work = factory();
                 let mut stats = LocalStats::new(service);
                 let mut batch: Vec<Task<In>> = Vec::with_capacity(WORKER_BATCH);
                 let mut out: Vec<(u64, Out)> = Vec::with_capacity(WORKER_BATCH);
+                // A failed send means the collector is gone: the stream
+                // already ended, so the results have no reader.
+                let flush = |out: &mut Vec<(u64, Out)>| {
+                    out.is_empty() || results.send(CollectMsg::Batch(std::mem::take(out))).is_ok()
+                };
                 while queue.pop_batch(WORKER_BATCH, &mut batch) {
                     // Pop from the back of the reversed batch: FIFO order,
                     // with the unprocessed remainder still owned by `batch`
@@ -311,9 +784,7 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
                             // current task and the remainder back intact.
                             batch.push(task);
                             batch.reverse();
-                            if !out.is_empty() {
-                                let _ = results.send(CollectMsg::Batch(std::mem::take(&mut out)));
-                            }
+                            flush(&mut out);
                             if let Some(shared) = weak.upgrade() {
                                 shared.on_worker_death(id, std::mem::take(&mut batch), None);
                             }
@@ -321,9 +792,7 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
                         }
                         let seq = task.seq;
                         let t0 = clock.now();
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            work(task.item)
-                        })) {
+                        match catch_unwind(AssertUnwindSafe(|| work(task.item))) {
                             Ok(result) => {
                                 stats.update(clock.now() - t0);
                                 out.push((seq, result));
@@ -332,13 +801,10 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
                                 // The task is poisoned; everything not yet
                                 // started is recovered. Flush finished
                                 // results first so nothing computed is lost.
-                                if !out.is_empty() {
-                                    let _ =
-                                        results.send(CollectMsg::Batch(std::mem::take(&mut out)));
-                                }
-                                let _ = results.send(CollectMsg::Lost(seq));
+                                flush(&mut out);
                                 batch.reverse();
                                 if let Some(shared) = weak.upgrade() {
+                                    shared.core.report_lost(seq);
                                     shared.on_worker_death(
                                         id,
                                         std::mem::take(&mut batch),
@@ -349,12 +815,8 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
                             }
                         }
                     }
-                    if !out.is_empty()
-                        && results
-                            .send(CollectMsg::Batch(std::mem::take(&mut out)))
-                            .is_err()
-                    {
-                        break; // collector gone: shutting down
+                    if !flush(&mut out) {
+                        break;
                     }
                 }
             })
@@ -372,19 +834,24 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
     /// has already removed it — and recover every unprocessed task it
     /// held (in-flight remainder plus queued backlog).
     fn on_worker_death(&self, id: u64, mut leftover: Vec<Task<In>>, panic_msg: Option<String>) {
-        let now = self.metrics.now();
+        let now = self.core.sensors.now();
         let mut workers = self.workers.lock();
         if let Some(pos) = workers.iter().position(|h| h.id == id) {
             let victim = workers.remove(pos);
             // Publish the shrunken table BEFORE closing the dead queue:
             // a bounced emitter then observes a newer generation and
             // re-dispatches onto survivors (loss-freedom invariant).
-            self.publish_table(&workers);
+            self.core.publish(&workers);
             leftover.extend(victim.slot.queue.close());
-            self.retired_stats.lock().push(victim.slot.service);
+            self.retired_stats
+                .lock()
+                .push(Arc::clone(&victim.slot.service));
             self.dead.lock().push(victim.thread);
-            self.metrics.workers_lost.fetch_add(1, Ordering::SeqCst);
-            self.record_event(FarmEvent {
+            self.core
+                .sensors
+                .workers_lost
+                .fetch_add(1, Ordering::SeqCst);
+            self.core.record_event(FarmEvent {
                 at: now,
                 kind: FarmEventKind::WorkerLost,
                 detail: panic_msg
@@ -392,36 +859,10 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
                     .unwrap_or_else(|| "worker died".to_owned()),
             });
         }
-        self.recover_tasks(&workers, leftover);
+        self.core.redistribute(&workers, leftover);
         drop(workers);
         if let Some(msg) = panic_msg {
-            self.record_event(FarmEvent {
-                at: now,
-                kind: FarmEventKind::WorkerPanic,
-                detail: msg.clone(),
-            });
-            self.panics.lock().push(msg);
-        }
-    }
-
-    /// Re-dispatches recovered tasks round-robin onto the survivors, or
-    /// parks them for the next `add_workers` when no live worker exists.
-    /// Caller holds the membership lock (`survivors` is its contents).
-    fn recover_tasks(&self, survivors: &[WorkerHandle<In>], tasks: Vec<Task<In>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        if survivors.is_empty() {
-            if !self.terminating.load(Ordering::SeqCst) {
-                self.parked.lock().extend(tasks);
-            }
-            return;
-        }
-        for (i, task) in tasks.into_iter().enumerate() {
-            let target = &survivors[i % survivors.len()];
-            let mut one = vec![task];
-            let accepted = target.slot.queue.push_batch(&mut one);
-            debug_assert!(accepted, "survivor queues are open under the lock");
+            self.core.record_panic(now, msg);
         }
     }
 
@@ -438,31 +879,29 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
         let keep = workers.len() - n as usize;
         let victims: Vec<WorkerHandle<In>> = workers.split_off(keep);
         // Same publish-before-close ordering as removal/death.
-        self.publish_table(&workers);
-        let now = self.metrics.now();
+        self.core.publish(&workers);
+        let now = self.core.sensors.now();
         let mut recovered: Vec<Task<In>> = Vec::new();
         for victim in victims {
             victim.kill.store(true, Ordering::SeqCst);
             recovered.extend(victim.slot.queue.close());
-            self.retired_stats.lock().push(victim.slot.service);
+            self.retired_stats
+                .lock()
+                .push(Arc::clone(&victim.slot.service));
             self.dead.lock().push(victim.thread);
-            self.metrics.workers_lost.fetch_add(1, Ordering::SeqCst);
-            self.record_event(FarmEvent {
+            self.core
+                .sensors
+                .workers_lost
+                .fetch_add(1, Ordering::SeqCst);
+            self.core.record_event(FarmEvent {
                 at: now,
                 kind: FarmEventKind::WorkerLost,
                 detail: "worker killed (fault injection)".to_owned(),
             });
         }
-        self.recover_tasks(&workers, recovered);
+        self.core.redistribute(&workers, recovered);
         drop(workers);
         Ok(n)
-    }
-
-    /// Re-derives and publishes the dispatch table from the membership
-    /// list. Caller holds the `workers` lock.
-    fn publish_table(&self, workers: &[WorkerHandle<In>]) {
-        self.table
-            .publish(workers.iter().map(|h| h.slot.clone()).collect());
     }
 
     fn add_workers(&self, n: u32) -> Result<u32, String> {
@@ -473,7 +912,8 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
                 self.max_workers
             ));
         }
-        self.metrics.reconfiguring.store(true, Ordering::SeqCst);
+        let sensors = &self.core.sensors;
+        sensors.reconfiguring.store(true, Ordering::SeqCst);
         if self.reconfig_delay > 0.0 {
             // Models node recruitment + component deployment latency; the
             // manager observes `reconfiguring` and skips its cycles — the
@@ -484,18 +924,12 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
         for _ in 0..n {
             workers.push(self.spawn_worker());
         }
-        self.publish_table(&workers);
+        self.core.publish(&workers);
         // Tasks stranded by a total-failure episode resume here.
-        let parked: Vec<Task<In>> = std::mem::take(&mut *self.parked.lock());
-        self.recover_tasks(&workers, parked);
+        self.core.resume_parked(&workers);
         drop(workers);
-        // Stale pre-reconfiguration windows would bias the next readings:
-        // reset the output estimator and keep the sensors blacked out until
-        // a full window of post-reconfiguration data exists.
-        let now = self.metrics.now();
-        self.metrics.departures.reset(now);
-        self.metrics.set_blackout_until(now + self.rate_window);
-        self.metrics.reconfiguring.store(false, Ordering::SeqCst);
+        sensors.reconfigured(sensors.now());
+        sensors.reconfiguring.store(false, Ordering::SeqCst);
         Ok(n)
     }
 
@@ -515,72 +949,26 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
         // an emitter whose push then bounces off a closed queue is
         // guaranteed to observe a newer generation and re-dispatch onto
         // survivors — the loss-freedom invariant.
-        self.publish_table(&workers);
-        let mut removed = 0;
+        self.core.publish(&workers);
+        let mut stolen: Vec<Task<In>> = Vec::new();
         for victim in victims {
-            // Redistribute the victim's backlog to the survivors.
-            let mut stolen = victim.slot.queue.close();
-            for (i, task) in stolen.drain(..).enumerate() {
-                let target = &workers[i % workers.len()];
-                let mut one = vec![task];
-                let accepted = target.slot.queue.push_batch(&mut one);
-                debug_assert!(accepted, "survivor queues are open under the lock");
-            }
+            stolen.extend(victim.slot.queue.close());
             // Joining may block for up to one in-flight task's service
             // time; retire instead and join at shutdown.
             self.retired.lock().push(victim.thread);
-            self.retired_stats.lock().push(victim.slot.service);
-            removed += 1;
+            self.retired_stats
+                .lock()
+                .push(Arc::clone(&victim.slot.service));
         }
+        // The victims' backlog moves to the survivors.
+        self.core.redistribute(&workers, stolen);
         drop(workers);
-        // Same estimator-freshness argument as worker addition.
-        let now = self.metrics.now();
-        self.metrics.departures.reset(now);
-        self.metrics.set_blackout_until(now + self.rate_window);
-        Ok(removed)
-    }
-
-    /// Evens queue lengths; returns true if any task moved.
-    fn rebalance(&self) -> bool {
-        let workers = self.workers.lock();
-        if workers.len() < 2 {
-            return false;
-        }
-        let lens: Vec<usize> = workers.iter().map(|w| w.slot.queue.len()).collect();
-        let max = *lens.iter().max().expect("non-empty");
-        let min = *lens.iter().min().expect("non-empty");
-        if max - min <= 1 {
-            return false;
-        }
-        // Drain everything, redistribute round-robin. Tasks keep their
-        // sequence tags, so ordered gathering is unaffected.
-        let mut all: Vec<Task<In>> = Vec::new();
-        for w in workers.iter() {
-            all.extend(w.slot.queue.drain_open());
-        }
-        let moved = !all.is_empty();
-        let share = all.len() / workers.len() + 1;
-        let mut per: Vec<Vec<Task<In>>> =
-            workers.iter().map(|_| Vec::with_capacity(share)).collect();
-        for (i, task) in all.into_iter().enumerate() {
-            per[i % workers.len()].push(task);
-        }
-        for (w, mut chunk) in workers.iter().zip(per) {
-            let accepted = w.slot.queue.push_batch(&mut chunk);
-            debug_assert!(accepted, "open under the membership lock");
-        }
-        moved
+        self.core.sensors.reconfigured(self.core.sensors.now());
+        Ok(n)
     }
 
     fn sense(&self, now: Time) -> SensorSnapshot {
-        let table = self.table.load();
-        let lens: Vec<u64> = table.iter().map(|s| s.queue.len() as u64).collect();
-        let mut snap = SensorSnapshot::empty(now);
-        snap.arrival_rate = self.metrics.arrivals.rate(now);
-        snap.departure_rate = self.metrics.departures.rate(now);
-        snap.num_workers = lens.len() as u32;
-        snap.queue_variance = queue_variance(&lens);
-        snap.queued_tasks = lens.iter().sum();
+        let (mut snap, table) = self.core.sense(now);
         // Merge the per-worker seqlock cells (plus retired workers') into
         // the farm-level service statistic — the snapshot-time fold that
         // lets the per-task path stay lock-free.
@@ -592,83 +980,7 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
             service.merge(&cell.read());
         }
         snap.service_time = service.mean();
-        snap.end_of_stream = self.metrics.end_of_stream.load(Ordering::SeqCst);
-        snap.workers_lost = self.metrics.workers_lost.load(Ordering::SeqCst);
-        snap.reconfiguring =
-            self.metrics.reconfiguring.load(Ordering::SeqCst) || self.metrics.in_blackout(now);
-        let bits = self.metrics.last_arrival_bits.load(Ordering::Relaxed);
-        if bits != 0 {
-            snap.idle_for = (now - f64::from_bits(bits)).max(0.0);
-        }
         snap
-    }
-
-    /// Dispatches one drained input batch over the current worker table,
-    /// re-reading the table and re-dispatching any batch bounced off a
-    /// queue that closed under a stale table.
-    fn dispatch(
-        &self,
-        reader: &mut ReadHandle<WorkerTable<In>>,
-        sched: SchedPolicy,
-        items: &mut Vec<Task<In>>,
-    ) {
-        while !items.is_empty() {
-            let generation = self.table.generation();
-            let table = Arc::clone(reader.get());
-            if table.is_empty() {
-                if self.terminating.load(Ordering::SeqCst) {
-                    // Tearing down; parity with dropping a running farm.
-                    items.clear();
-                    return;
-                }
-                // Every worker died: park the batch for the next
-                // `add_workers` instead of losing it.
-                self.parked.lock().append(items);
-                if self.table.generation() == generation {
-                    return;
-                }
-                // A new table appeared while we parked — reclaim so the
-                // items are not stranded until a later `add_workers`.
-                items.append(&mut self.parked.lock());
-                continue;
-            }
-            let n = table.len();
-            let mut per: Vec<Vec<Task<In>>> = (0..n).map(|_| Vec::new()).collect();
-            match sched {
-                SchedPolicy::RoundRobin => {
-                    for task in items.drain(..) {
-                        let i = self.rr_cursor.fetch_add(1, Ordering::Relaxed) % n;
-                        per[i].push(task);
-                    }
-                }
-                SchedPolicy::ShortestQueue => {
-                    // One length snapshot per batch, tracked through the
-                    // batch's own assignments.
-                    let mut lens: Vec<usize> = table.iter().map(|s| s.queue.len()).collect();
-                    for task in items.drain(..) {
-                        let i = (0..n).min_by_key(|&i| lens[i]).expect("non-empty");
-                        lens[i] += 1;
-                        per[i].push(task);
-                    }
-                }
-            }
-            for (i, chunk) in per.iter_mut().enumerate() {
-                if !table[i].queue.push_batch(chunk) {
-                    // Closed under us: hand back for re-dispatch.
-                    items.append(chunk);
-                }
-            }
-            if items.is_empty() {
-                return;
-            }
-            if self.table.generation() == generation {
-                // A queue closed with no newer table published — only
-                // shutdown does that. Nobody will collect these.
-                items.clear();
-                return;
-            }
-            // Generation moved: loop re-reads the fresh table.
-        }
     }
 }
 
@@ -715,11 +1027,11 @@ impl<In: Send + 'static, Out: Send + 'static> FarmControl for Shared<In, Out> {
     }
 
     fn rebalance(&self) -> bool {
-        Shared::rebalance(self)
+        self.core.rebalance(&self.workers.lock())
     }
 
     fn num_workers(&self) -> usize {
-        self.table.load().len()
+        self.core.table.load().len()
     }
 
     fn kill_workers(&self, n: u32) -> Result<u32, String> {
@@ -727,11 +1039,11 @@ impl<In: Send + 'static, Out: Send + 'static> FarmControl for Shared<In, Out> {
     }
 
     fn workers_lost(&self) -> u64 {
-        self.metrics.workers_lost.load(Ordering::SeqCst)
+        self.core.sensors.workers_lost.load(Ordering::SeqCst)
     }
 
     fn events(&self) -> Vec<FarmEvent> {
-        self.events.lock().clone()
+        self.core.events()
     }
 }
 
@@ -840,39 +1152,25 @@ impl<In: Send + 'static, Out: Send + 'static> FarmBuilder<In, Out> {
     /// Builds and starts the farm.
     pub fn build(self) -> Farm<In, Out> {
         let (input_tx, input_rx) = unbounded::<StreamMsg<In>>();
-        let (results_tx, results_rx) = unbounded::<CollectMsg<Out>>();
         let (output_tx, output_rx) = unbounded::<StreamMsg<Out>>();
+        let (core, results_rx) = FarmCore::new(
+            self.name.clone(),
+            self.clock,
+            self.rate_window,
+            self.journal,
+        );
 
         let shared = Arc::new_cyclic(|self_ref| Shared {
-            name: self.name.clone(),
             self_ref: self_ref.clone(),
-            metrics: FarmMetrics {
-                clock: Arc::clone(&self.clock),
-                arrivals: AtomicRateEstimator::new(self.rate_window),
-                departures: AtomicRateEstimator::new(self.rate_window),
-                end_of_stream: AtomicBool::new(false),
-                reconfiguring: AtomicBool::new(false),
-                blackout_until_bits: AtomicU64::new(0),
-                last_arrival_bits: AtomicU64::new(0),
-                workers_lost: AtomicU64::new(0),
-            },
-            table: Arc::new(Published::new(Vec::new())),
+            core,
             workers: Mutex::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
             retired_stats: Mutex::new(Vec::new()),
             dead: Mutex::new(Vec::new()),
-            parked: Mutex::new(Vec::new()),
-            panics: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-            terminating: AtomicBool::new(false),
             next_worker_id: AtomicU64::new(0),
-            rr_cursor: AtomicUsize::new(0),
             factory: self.factory,
-            results_tx: results_tx.clone(),
             max_workers: self.max_workers,
             reconfig_delay: self.reconfig_delay,
-            rate_window: self.rate_window,
-            journal: self.journal.clone(),
         });
 
         {
@@ -880,118 +1178,24 @@ impl<In: Send + 'static, Out: Send + 'static> FarmBuilder<In, Out> {
             for _ in 0..self.initial_workers {
                 workers.push(shared.spawn_worker());
             }
-            shared.publish_table(&workers);
+            shared.core.publish(&workers);
         }
 
-        // Emitter: drains input in batches, dispatches via the RCU table.
         let emitter = {
             let shared = Arc::clone(&shared);
             let sched = self.sched;
             std::thread::Builder::new()
                 .name(format!("{}-emitter", self.name))
-                .spawn(move || {
-                    let mut reader = ReadHandle::new(Arc::clone(&shared.table));
-                    let mut dispatched = 0u64;
-                    let mut batch: Vec<Task<In>> = Vec::with_capacity(DISPATCH_BATCH);
-                    'stream: loop {
-                        // Block for the first message, then opportunistically
-                        // drain the channel up to the batch bound.
-                        let mut end = false;
-                        match input_rx.recv() {
-                            Ok(StreamMsg::Item { seq, payload }) => {
-                                batch.push(Task { seq, item: payload })
-                            }
-                            Ok(StreamMsg::End) => end = true,
-                            Err(_) => break 'stream, // all senders gone
-                        }
-                        while !end && batch.len() < DISPATCH_BATCH {
-                            match input_rx.try_recv() {
-                                Ok(StreamMsg::Item { seq, payload }) => {
-                                    batch.push(Task { seq, item: payload })
-                                }
-                                Ok(StreamMsg::End) => end = true,
-                                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                            }
-                        }
-                        if !batch.is_empty() {
-                            let now = shared.metrics.now();
-                            shared.metrics.arrivals.record_n(now, batch.len() as u64);
-                            shared
-                                .metrics
-                                .last_arrival_bits
-                                .store(now.to_bits(), Ordering::Relaxed);
-                            dispatched += batch.len() as u64;
-                            shared.dispatch(&mut reader, sched, &mut batch);
-                        }
-                        if end {
-                            shared.metrics.end_of_stream.store(true, Ordering::SeqCst);
-                            let _ = shared.results_tx.send(CollectMsg::Total(dispatched));
-                            break 'stream;
-                        }
-                    }
-                })
+                .spawn(move || shared.core.emitter(input_rx, sched, |x| x, || {}))
                 .expect("spawn emitter thread")
         };
 
-        // Collector: consumes per-worker result batches.
         let collector = {
             let shared = Arc::clone(&shared);
             let gather = self.gather;
             std::thread::Builder::new()
                 .name(format!("{}-collector", self.name))
-                .spawn(move || {
-                    let mut reorder = ReorderBuffer::new();
-                    let mut done = 0u64;
-                    // Dense output renumbering under ordered gather: an
-                    // explicit counter (not `reorder.next_seq()`) so a
-                    // poisoned task's skipped hole leaves no gap.
-                    let mut emitted = 0u64;
-                    let mut expected: Option<u64> = None;
-                    for msg in results_rx.iter() {
-                        match msg {
-                            CollectMsg::Batch(results) => {
-                                let now = shared.metrics.now();
-                                shared
-                                    .metrics
-                                    .departures
-                                    .record_n(now, results.len() as u64);
-                                done += results.len() as u64;
-                                for (seq, out) in results {
-                                    match gather {
-                                        GatherPolicy::Unordered => {
-                                            let _ = output_tx.send(StreamMsg::item(seq, out));
-                                        }
-                                        GatherPolicy::Ordered => {
-                                            for item in reorder.push(seq, out) {
-                                                let _ =
-                                                    output_tx.send(StreamMsg::item(emitted, item));
-                                                emitted += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            CollectMsg::Lost(seq) => {
-                                // Poisoned by a worker panic: no result
-                                // will ever exist. Account for it so the
-                                // End check converges, and step the
-                                // reorder front over the hole.
-                                done += 1;
-                                if gather == GatherPolicy::Ordered {
-                                    for item in reorder.skip(seq) {
-                                        let _ = output_tx.send(StreamMsg::item(emitted, item));
-                                        emitted += 1;
-                                    }
-                                }
-                            }
-                            CollectMsg::Total(n) => expected = Some(n),
-                        }
-                        if expected == Some(done) {
-                            let _ = output_tx.send(StreamMsg::End);
-                            break;
-                        }
-                    }
-                })
+                .spawn(move || shared.core.collector(results_rx, output_tx, gather))
                 .expect("spawn collector thread")
         };
 
@@ -1032,12 +1236,12 @@ impl<In: Send + 'static, Out: Send + 'static> Farm<In, Out> {
 
     /// Current parallelism degree.
     pub fn num_workers(&self) -> usize {
-        self.shared.table.load().len()
+        self.shared.core.table.load().len()
     }
 
     /// Cumulative workers lost to faults.
     pub fn workers_lost(&self) -> u64 {
-        self.shared.metrics.workers_lost.load(Ordering::SeqCst)
+        self.shared.core.sensors.workers_lost.load(Ordering::SeqCst)
     }
 
     /// Waits for the stream to complete (End observed on the output side
@@ -1047,49 +1251,30 @@ impl<In: Send + 'static, Out: Send + 'static> Farm<In, Out> {
         self.join_all()
     }
 
-    /// Records a join outcome: an `Err` is an un-caught panic (emitter,
-    /// collector, or a worker that died outside `catch_unwind`).
-    fn record_join(&self, who: &str, res: std::thread::Result<()>) {
-        if let Err(payload) = res {
-            let msg = format!("{who}: {}", panic_message(payload.as_ref()));
-            self.shared.record_event(FarmEvent {
-                at: self.shared.metrics.now(),
-                kind: FarmEventKind::WorkerPanic,
-                detail: msg.clone(),
-            });
-            self.shared.panics.lock().push(msg);
-        }
-    }
-
     fn join_all(&mut self) -> ShutdownReport {
-        self.shared.terminating.store(true, Ordering::SeqCst);
+        let core = &self.shared.core;
+        core.terminating.store(true, Ordering::SeqCst);
         if let Some(e) = self.emitter.take() {
-            self.record_join("emitter", e.join());
+            core.record_join("emitter", e.join());
         }
         if let Some(c) = self.collector.take() {
-            self.record_join("collector", c.join());
+            core.record_join("collector", c.join());
         }
         let handles: Vec<WorkerHandle<In>> = std::mem::take(&mut *self.shared.workers.lock());
         for h in &handles {
             h.slot.queue.close();
         }
-        self.shared.table.publish(Vec::new());
+        core.table.publish(Vec::new());
         for h in handles {
-            self.record_join("worker", h.thread.join());
+            core.record_join("worker", h.thread.join());
         }
         for t in std::mem::take(&mut *self.shared.retired.lock()) {
-            self.record_join("retired worker", t.join());
+            core.record_join("retired worker", t.join());
         }
         for t in std::mem::take(&mut *self.shared.dead.lock()) {
-            self.record_join("dead worker", t.join());
+            core.record_join("dead worker", t.join());
         }
-        ShutdownReport {
-            worker_panics: std::mem::take(&mut *self.shared.panics.lock()),
-            workers_lost: self.shared.metrics.workers_lost.load(Ordering::SeqCst),
-            events: std::mem::take(&mut *self.shared.events.lock()),
-            disconnects: Vec::new(),
-            lost_undelivered: Vec::new(),
-        }
+        core.shutdown_report(Vec::new())
     }
 }
 
@@ -1098,23 +1283,21 @@ impl<In, Out> Drop for Farm<In, Out> {
         // Best-effort shutdown: close the per-worker queues so workers
         // exit (the emitter, if still running, drops unplaceable tasks).
         // Collector exits when results senders drop.
-        self.shared.terminating.store(true, Ordering::SeqCst);
+        self.shared.core.terminating.store(true, Ordering::SeqCst);
         let handles: Vec<WorkerHandle<In>> = std::mem::take(&mut *self.shared.workers.lock());
         for h in &handles {
             h.slot.queue.close();
         }
-        for h in handles {
-            if let Err(payload) = h.thread.join() {
+        let dead = std::mem::take(&mut *self.shared.dead.lock());
+        for thread in handles.into_iter().map(|h| h.thread).chain(dead) {
+            if let Err(payload) = thread.join() {
                 // Not silently dropped even on the best-effort path.
                 eprintln!(
                     "farm {}: worker panicked: {}",
-                    self.shared.name,
+                    self.shared.core.name,
                     panic_message(payload.as_ref())
                 );
             }
-        }
-        for t in std::mem::take(&mut *self.shared.dead.lock()) {
-            let _ = t.join();
         }
     }
 }
