@@ -49,7 +49,7 @@ fn main() {
         let events: Vec<String> = outcome
             .events
             .iter()
-            .filter(|e| e.manager == manager)
+            .filter(|e| *e.manager == *manager)
             .take(30)
             .map(|e| e.to_string())
             .collect();

@@ -180,7 +180,7 @@ fn run_phase(duration: f64, contended: bool, journal: Option<&Journal>) -> Phase
     let victim_violations = events
         .iter()
         .filter(|e| {
-            e.manager == "AM_T_victim"
+            &*e.manager == "AM_T_victim"
                 && e.at >= WARMUP_S
                 && matches!(
                     e.kind,

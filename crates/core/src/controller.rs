@@ -256,15 +256,12 @@ impl Controller for AimdController {
 
         // Escalation mirrors the farm rule program's arrival checks.
         if snap.arrival_rate < floor && !snap.end_of_stream {
-            ops.push(OpCall {
-                operation: op::RAISE_VIOLATION.to_owned(),
-                data: Some(viol::NOT_ENOUGH_TASKS.to_owned()),
-            });
+            ops.push(OpCall::with_data(
+                op::RAISE_VIOLATION,
+                viol::NOT_ENOUGH_TASKS,
+            ));
         } else if snap.arrival_rate > ceil {
-            ops.push(OpCall {
-                operation: op::RAISE_VIOLATION.to_owned(),
-                data: Some(viol::TOO_MUCH_TASKS.to_owned()),
-            });
+            ops.push(OpCall::with_data(op::RAISE_VIOLATION, viol::TOO_MUCH_TASKS));
         }
 
         let pressure = snap.departure_rate < floor && snap.arrival_rate >= floor;

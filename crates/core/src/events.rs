@@ -8,10 +8,11 @@
 //! append-only record of such events; the experiment harness renders it as
 //! the same series the paper plots.
 
+use bskel_monitor::journal::Text;
 use bskel_monitor::{Journal, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The kinds of events a manager can emit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,7 +64,16 @@ pub enum EventKind {
 impl EventKind {
     /// The paper's event-line label.
     pub fn label(&self) -> &str {
-        match self {
+        match self.static_label() {
+            Ok(label) => label,
+            Err(other) => other,
+        }
+    }
+
+    /// The label: `Ok` with static lifetime for the paper's kinds, `Err`
+    /// borrowing an [`EventKind::Other`]'s own.
+    fn static_label(&self) -> Result<&'static str, &str> {
+        Ok(match self {
             EventKind::ContrLow => "contrLow",
             EventKind::ContrHigh => "contrHigh",
             EventKind::NotEnough => "notEnough",
@@ -82,8 +92,8 @@ impl EventKind {
             EventKind::GrowShare => "growShare",
             EventKind::ShrinkShare => "shrinkShare",
             EventKind::ShedLoad => "shedLoad",
-            EventKind::Other(s) => s,
-        }
+            EventKind::Other(s) => return Err(s),
+        })
     }
 }
 
@@ -94,12 +104,12 @@ impl fmt::Display for EventKind {
 }
 
 /// One timestamped manager event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Event time (seconds since run origin).
     pub at: Time,
-    /// Emitting manager's name (e.g. `AM_F`).
-    pub manager: String,
+    /// Emitting manager's name (e.g. `AM_F`), shared with the manager.
+    pub manager: Arc<str>,
     /// Event kind.
     pub kind: EventKind,
     /// Optional detail (violation datum, worker count, new rate, …).
@@ -123,7 +133,8 @@ impl fmt::Display for EventRecord {
 #[derive(Debug, Default)]
 struct LogShared {
     events: Mutex<Vec<EventRecord>>,
-    journal: Mutex<Option<Arc<Journal>>>,
+    /// Set once, then read without a lock on every push.
+    journal: OnceLock<Arc<Journal>>,
 }
 
 /// A shared, append-only event log. Cloning yields a handle onto the same
@@ -133,7 +144,8 @@ struct LogShared {
 /// then on every pushed event is also recorded as a structured journal
 /// entry (the ops plane's durable, replayable trace). The attachment is
 /// shared log state, so attaching through any clone takes effect for all
-/// handles, including managers constructed earlier.
+/// handles, including managers constructed earlier. A log mirrors into
+/// one journal for its whole life.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     inner: Arc<LogShared>,
@@ -146,27 +158,44 @@ impl EventLog {
     }
 
     /// Mirrors all events (past none, future all) into `journal`.
+    ///
+    /// # Panics
+    ///
+    /// If a different journal is already attached.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
-        *self
-            .inner
-            .journal
-            .lock()
-            .expect("event log journal lock poisoned") = Some(journal);
+        let held = self.inner.journal.get_or_init(|| Arc::clone(&journal));
+        assert!(
+            Arc::ptr_eq(held, &journal),
+            "an event log mirrors into one journal for its whole life"
+        );
     }
 
     /// The attached journal, if any.
-    pub fn journal(&self) -> Option<Arc<Journal>> {
-        self.inner
-            .journal
-            .lock()
-            .expect("event log journal lock poisoned")
-            .clone()
+    pub fn journal(&self) -> Option<&Arc<Journal>> {
+        self.inner.journal.get()
     }
 
-    /// Appends an event.
-    pub fn push(&self, at: Time, manager: &str, kind: EventKind, detail: Option<String>) {
+    /// Appends an event. A manager passes its shared name, so neither
+    /// the record nor its journal line copies it.
+    pub fn push(
+        &self,
+        at: Time,
+        manager: impl Into<Arc<str>>,
+        kind: EventKind,
+        detail: Option<String>,
+    ) {
+        let manager = manager.into();
         if let Some(journal) = self.journal() {
-            journal.manager_event(at, manager, kind.label(), detail.as_deref());
+            let label = match kind.static_label() {
+                Ok(label) => Text::Static(label),
+                Err(other) => Text::Shared(other.into()),
+            };
+            journal.record_event(
+                at,
+                Text::Shared(Arc::clone(&manager)),
+                label,
+                detail.as_deref(),
+            );
         }
         self.inner
             .events
@@ -174,7 +203,7 @@ impl EventLog {
             .expect("event log lock poisoned")
             .push(EventRecord {
                 at,
-                manager: manager.to_owned(),
+                manager,
                 kind,
                 detail,
             });
@@ -193,7 +222,7 @@ impl EventLog {
     pub fn by_manager(&self, manager: &str) -> Vec<EventRecord> {
         self.snapshot()
             .into_iter()
-            .filter(|e| e.manager == manager)
+            .filter(|e| *e.manager == *manager)
             .collect()
     }
 

@@ -33,6 +33,7 @@ use crate::concern::Concern;
 use crate::contract::Contract;
 use crate::controller::{build_controller, Controller, ControllerKind};
 use crate::events::{EventKind, EventLog};
+use bskel_monitor::journal::Text;
 use bskel_monitor::{SensorSnapshot, Time};
 use bskel_rules::stdlib::{self, hier_beans, viol};
 use bskel_rules::{op, Analyzer, OpArgs, OpCall, RuleSet, WorkingMemory};
@@ -312,6 +313,10 @@ impl ManagerConfig {
 /// An autonomic manager bound to a computation through an ABC.
 pub struct AutonomicManager {
     cfg: ManagerConfig,
+    /// `cfg.name`, shared by every event and journal record.
+    name: Arc<str>,
+    /// Each operation ordered so far with its journal form, rendered once.
+    op_forms: Vec<(ManagerOp, Arc<str>)>,
     state: AmState,
     contract: Contract,
     controller: Box<dyn Controller>,
@@ -365,6 +370,8 @@ impl AutonomicManager {
         let source_rate = cfg.initial_source_rate;
         let controller = build_controller(cfg.controller, rules);
         let mut m = Self {
+            name: cfg.name.as_str().into(),
+            op_forms: Vec::new(),
             cfg,
             state: AmState::Active,
             contract: Contract::BestEffort,
@@ -565,7 +572,7 @@ impl AutonomicManager {
 
     /// Manager name.
     pub fn name(&self) -> &str {
-        &self.cfg.name
+        &self.name
     }
 
     /// Current mode.
@@ -599,7 +606,7 @@ impl AutonomicManager {
     }
 
     fn emit(&self, at: Time, kind: EventKind, detail: Option<String>) {
-        self.log.push(at, &self.cfg.name, kind, detail);
+        self.log.push(at, Arc::clone(&self.name), kind, detail);
     }
 
     /// Derives the rule parameters implied by a contract for this kind.
@@ -700,19 +707,21 @@ impl AutonomicManager {
         let result = self.abc.actuate(op, now);
         if let Some(journal) = self.log.journal() {
             let outcome = match &result {
-                Ok(ActuationOutcome::Applied) => "applied".to_owned(),
-                Ok(ActuationOutcome::NoOp) => "noop".to_owned(),
-                Ok(ActuationOutcome::Refused { reason }) => format!("refused:{reason}"),
+                Ok(ActuationOutcome::Applied) => Text::Static("applied"),
+                Ok(ActuationOutcome::NoOp) => Text::Static("noop"),
+                Ok(ActuationOutcome::Refused { reason }) => {
+                    Text::Shared(format!("refused:{reason}").into())
+                }
                 // The message alone: `AbcError`'s `Display` adds a prefix
                 // that replay would otherwise double.
-                Err(e) => format!("error:{}", e.0),
+                Err(e) => Text::Shared(format!("error:{}", e.0).into()),
             };
-            journal.actuation_by(
+            journal.record_actuation(
                 now,
-                &self.cfg.name,
-                &op.to_string(),
-                &outcome,
-                self.controller.name(),
+                Text::Shared(Arc::clone(&self.name)),
+                Text::Shared(op_form(&mut self.op_forms, op)),
+                outcome,
+                Text::Static(self.controller.name()),
             );
         }
         result
@@ -737,7 +746,7 @@ impl AutonomicManager {
         // is attached to the log), making the control loop's full input
         // durable and the run replayable offline.
         if let Some(journal) = self.log.journal() {
-            journal.snapshot(now, &self.cfg.name, &snap);
+            journal.record_snapshot(now, Text::Shared(Arc::clone(&self.name)), &snap);
         }
         let reconfiguring = snap.reconfiguring;
         // Failure sensing: a rise in the cumulative `workersLost` bean is
@@ -964,6 +973,17 @@ impl AutonomicManager {
             });
         }
     }
+}
+
+/// `op`'s journal form, rendered on its first actuation: the payloads are
+/// configuration constants, so a manager orders few distinct operations.
+fn op_form(forms: &mut Vec<(ManagerOp, Arc<str>)>, op: &ManagerOp) -> Arc<str> {
+    if let Some((_, form)) = forms.iter().find(|(known, _)| known == op) {
+        return Arc::clone(form);
+    }
+    let form: Arc<str> = op.to_string().into();
+    forms.push((op.clone(), Arc::clone(&form)));
+    form
 }
 
 /// The event an applied operation emits: the paper's event lines for the

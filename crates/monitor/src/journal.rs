@@ -11,6 +11,15 @@
 //! (`bskel_sim::replay`): a chaos soak or a production incident becomes
 //! a file that re-runs step-for-step against the production manager.
 //!
+//! The ring holds compact records, so that recording costs no more than
+//! the decision it records: names and labels are [`Text`]s — interned
+//! symbols, names the caller holds, or static labels — and a snapshot is
+//! the bean table's value row plus its extras. Only free-form text (notes,
+//! details, refusal reasons) is copied per record, and it is never
+//! interned, so the symbol table cannot grow with traffic. [`JournalEntry`]
+//! is the read side, built from the compact records by
+//! [`Journal::entries`] and [`parse_jsonl`].
+//!
 //! The encoding is a deliberately tiny hand-rolled JSON subset (the
 //! monitor crate stays dependency-light), with one extension: non-finite
 //! floats — `idleFor` is `+inf` before the first arrival — encode as the
@@ -19,16 +28,51 @@
 //! shortest-representation `Display`.
 
 use crate::clock::Time;
-use crate::snapshot::SensorSnapshot;
+use crate::snapshot::{SensorSnapshot, BEAN_TABLE};
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Default ring capacity (entries) of [`Journal::new`].
 pub const DEFAULT_CAPACITY: usize = 65_536;
+
+/// Distinct names a journal interns at most. A name past it is stored
+/// uninterned, so a caller passing free text as a name (an
+/// `abcError:<message>` event kind) cannot grow the table without bound.
+const SYMBOL_CAP: usize = 4_096;
+
+/// A snapshot's table beans as values, in bean-table order.
+type Row = [f64; BEAN_TABLE.len()];
+
+/// A string a journal record holds without a copy of its own.
+#[derive(Debug, Clone)]
+pub enum Text {
+    /// A label with static lifetime (`applied`, `addWorker`, `rules`).
+    Static(&'static str),
+    /// A shared string: an interned name, a name the caller holds (a
+    /// manager's, a cached operation form), or free-form text allocated
+    /// once for its record.
+    Shared(Arc<str>),
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Text::Static(s) => s,
+            Text::Shared(s) => s,
+        }
+    }
+}
+
+/// Free-form text, copied once for its record.
+fn text(s: &str) -> Text {
+    Text::Shared(s.into())
+}
 
 /// One structured record in the journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,19 +178,188 @@ pub struct JournalRecord {
     pub entry: JournalEntry,
 }
 
+/// One record as the ring holds it: no `String` or bean vector of its own.
+#[derive(Debug, Clone)]
+enum Compact {
+    Manager {
+        manager: Text,
+        kind: Text,
+        detail: Option<Text>,
+    },
+    Farm {
+        source: Text,
+        kind: Text,
+        detail: Text,
+    },
+    /// With `table`, the snapshot has the bean table's layout: its
+    /// table beans are a row of [`Ring::rows`] and `extra` holds the beans
+    /// after them. Without (a parsed foreign snapshot), `extra` holds
+    /// every bean.
+    Snapshot {
+        source: Text,
+        table: bool,
+        extra: Vec<(Text, f64)>,
+    },
+    Note {
+        source: Text,
+        text: Text,
+    },
+    Actuation {
+        manager: Text,
+        op: Text,
+        outcome: Text,
+        controller: Text,
+    },
+}
+
+/// A compact record with its sequence number and time.
+#[derive(Debug, Clone)]
+struct Slot {
+    seq: u64,
+    at: Time,
+    rec: Compact,
+}
+
+impl Slot {
+    /// Whether the slot's snapshot owns a row of [`Ring::rows`].
+    fn has_row(&self) -> bool {
+        matches!(self.rec, Compact::Snapshot { table: true, .. })
+    }
+
+    /// The read-side record; `row` is the slot's own.
+    fn materialise(&self, row: Option<&Row>) -> JournalRecord {
+        let at = self.at;
+        let entry = match &self.rec {
+            Compact::Manager {
+                manager,
+                kind,
+                detail,
+            } => JournalEntry::Manager {
+                at,
+                manager: manager.to_string(),
+                kind: kind.to_string(),
+                detail: detail.as_ref().map(|d| d.to_string()),
+            },
+            Compact::Farm {
+                source,
+                kind,
+                detail,
+            } => JournalEntry::Farm {
+                at,
+                source: source.to_string(),
+                kind: kind.to_string(),
+                detail: detail.to_string(),
+            },
+            Compact::Snapshot { source, extra, .. } => {
+                let table = row.into_iter().flat_map(|row| {
+                    BEAN_TABLE
+                        .iter()
+                        .zip(row)
+                        .map(|(def, v)| (Cow::Borrowed(def.name), *v))
+                });
+                JournalEntry::Snapshot {
+                    at,
+                    source: source.to_string(),
+                    beans: table
+                        .chain(extra.iter().map(|(n, v)| (Cow::Owned(n.to_string()), *v)))
+                        .collect(),
+                }
+            }
+            Compact::Note { source, text } => JournalEntry::Note {
+                at,
+                source: source.to_string(),
+                text: text.to_string(),
+            },
+            Compact::Actuation {
+                manager,
+                op,
+                outcome,
+                controller,
+            } => JournalEntry::Actuation {
+                at,
+                manager: manager.to_string(),
+                op: op.to_string(),
+                outcome: outcome.to_string(),
+                controller: controller.to_string(),
+            },
+        };
+        JournalRecord {
+            seq: self.seq,
+            entry,
+        }
+    }
+}
+
+/// What the ring lock guards: the records and the symbol table their
+/// interned names come from.
+#[derive(Debug, Default)]
+struct Ring {
+    slots: VecDeque<Slot>,
+    /// The rows of the table-layout snapshots among `slots`, in the same
+    /// order: kept apart so that every other record stays small.
+    rows: VecDeque<Row>,
+    symbols: HashSet<Arc<str>>,
+    /// The latest names interned, compared before `symbols` is hashed
+    /// into: a recorder names the same few components and labels again
+    /// and again.
+    recent: [Option<Arc<str>>; 8],
+    /// The next record's `seq`, taken under the lock so that ring order
+    /// is `seq` order.
+    next_seq: u64,
+}
+
+impl Ring {
+    /// `name` as a shared symbol, interned while the table has room.
+    fn intern(&mut self, name: &str) -> Text {
+        if let Some(s) = self.recent.iter().flatten().find(|s| ***s == *name) {
+            return Text::Shared(Arc::clone(s));
+        }
+        let s = match self.symbols.get(name) {
+            Some(s) => Arc::clone(s),
+            None => {
+                let s: Arc<str> = name.into();
+                if self.symbols.len() < SYMBOL_CAP {
+                    self.symbols.insert(Arc::clone(&s));
+                }
+                s
+            }
+        };
+        self.recent.rotate_right(1);
+        self.recent[0] = Some(Arc::clone(&s));
+        Text::Shared(s)
+    }
+
+    /// A snapshot record: the table beans as a value row, extras by
+    /// interned name.
+    fn snapshot(&mut self, source: Text, snap: &SensorSnapshot) -> Compact {
+        self.rows.push_back(snap.values());
+        let extra = snap
+            .extra
+            .iter()
+            .map(|(n, v)| (self.intern(n), *v))
+            .collect();
+        Compact::Snapshot {
+            source,
+            table: true,
+            extra,
+        }
+    }
+}
+
 /// A fixed-capacity, shared, append-only-until-full event ring.
 ///
-/// Recording is one short mutex hold (the ring) plus two relaxed atomic
-/// bumps; when the ring is full the oldest entry is dropped and counted
-/// in [`Journal::dropped`], so a runaway producer degrades to "recent
-/// history only" instead of unbounded memory. Handles are shared by
-/// cloning the `Arc` the journal is normally held in.
+/// Recording is one short mutex hold (the ring); when the ring is full the
+/// oldest entry is dropped and counted in [`Journal::dropped`], so a
+/// runaway producer degrades to "recent history only" instead of
+/// unbounded memory. Handles are shared by cloning the `Arc` the journal
+/// is normally held in.
+///
+/// The `&str` methods intern the names they are given; the `record_*`
+/// methods take [`Text`]s the caller holds and look nothing up.
 #[derive(Debug)]
 pub struct Journal {
     capacity: usize,
-    ring: Mutex<VecDeque<JournalRecord>>,
-    next_seq: AtomicU64,
-    dropped: AtomicU64,
+    ring: Mutex<Ring>,
 }
 
 impl Default for Journal {
@@ -161,9 +374,10 @@ impl Journal {
         let capacity = capacity.max(1);
         Self {
             capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            next_seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                slots: VecDeque::with_capacity(capacity.min(1024)),
+                ..Ring::default()
+            }),
         }
     }
 
@@ -172,45 +386,114 @@ impl Journal {
         Arc::new(Self::default())
     }
 
-    /// Records one entry, dropping the oldest when the ring is full.
-    pub fn record(&self, entry: JournalEntry) {
+    /// Appends the record `make` builds (interning through the ring),
+    /// dropping the oldest when the ring is full.
+    fn push(&self, at: Time, make: impl FnOnce(&mut Ring) -> Compact) {
         let mut ring = self.ring.lock();
-        // Taken under the lock, so ring order is `seq` order.
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let rec = make(&mut ring);
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        if ring.slots.len() == self.capacity {
+            // A new row, if any, went in behind the oldest one.
+            if ring.slots.pop_front().is_some_and(|old| old.has_row()) {
+                ring.rows.pop_front();
+            }
         }
-        ring.push_back(JournalRecord { seq, entry });
+        ring.slots.push_back(Slot { seq, at, rec });
+    }
+
+    /// Records one entry (a parsed or external one), dropping the oldest
+    /// when the ring is full.
+    pub fn record(&self, entry: JournalEntry) {
+        match entry {
+            JournalEntry::Manager {
+                at,
+                manager,
+                kind,
+                detail,
+            } => self.manager_event(at, &manager, &kind, detail.as_deref()),
+            JournalEntry::Farm {
+                at,
+                source,
+                kind,
+                detail,
+            } => self.farm_event(at, &source, &kind, &detail),
+            JournalEntry::Snapshot { at, source, beans } => self.push(at, |ring| {
+                // Only the table's layout has a row; a foreign snapshot
+                // keeps every bean by name.
+                let table = beans.len() >= BEAN_TABLE.len()
+                    && beans
+                        .iter()
+                        .zip(BEAN_TABLE)
+                        .all(|((n, _), def)| n == def.name);
+                let mut rest = beans.iter();
+                if table {
+                    let mut row = [0.0; BEAN_TABLE.len()];
+                    for (v, (_, bean)) in row.iter_mut().zip(&mut rest) {
+                        *v = *bean;
+                    }
+                    ring.rows.push_back(row);
+                }
+                Compact::Snapshot {
+                    source: ring.intern(&source),
+                    table,
+                    extra: rest.map(|(n, v)| (ring.intern(n), *v)).collect(),
+                }
+            }),
+            JournalEntry::Note { at, source, text } => self.note(at, &source, &text),
+            JournalEntry::Actuation {
+                at,
+                manager,
+                op,
+                outcome,
+                controller,
+            } => self.actuation_by(at, &manager, &op, &outcome, &controller),
+        }
     }
 
     /// Records a manager event.
     pub fn manager_event(&self, at: Time, manager: &str, kind: &str, detail: Option<&str>) {
-        self.record(JournalEntry::Manager {
-            at,
-            manager: manager.to_owned(),
-            kind: kind.to_owned(),
-            detail: detail.map(str::to_owned),
+        let detail = detail.map(text);
+        self.push(at, |ring| Compact::Manager {
+            manager: ring.intern(manager),
+            kind: ring.intern(kind),
+            detail,
+        });
+    }
+
+    /// Records a manager event under names the caller holds; only the
+    /// detail is copied.
+    pub fn record_event(&self, at: Time, manager: Text, kind: Text, detail: Option<&str>) {
+        let detail = detail.map(text);
+        self.push(at, |_| Compact::Manager {
+            manager,
+            kind,
+            detail,
         });
     }
 
     /// Records a substrate fault event.
     pub fn farm_event(&self, at: Time, source: &str, kind: &str, detail: &str) {
-        self.record(JournalEntry::Farm {
-            at,
-            source: source.to_owned(),
-            kind: kind.to_owned(),
-            detail: detail.to_owned(),
+        let detail = text(detail);
+        self.push(at, |ring| Compact::Farm {
+            source: ring.intern(source),
+            kind: ring.intern(kind),
+            detail,
         });
     }
 
     /// Records a sensor snapshot (flattened to beans).
     pub fn snapshot(&self, at: Time, source: &str, snap: &SensorSnapshot) {
-        self.record(JournalEntry::Snapshot {
-            at,
-            source: source.to_owned(),
-            beans: snap.to_beans(),
+        self.push(at, |ring| {
+            let source = ring.intern(source);
+            ring.snapshot(source, snap)
         });
+    }
+
+    /// Records a sensor snapshot under a source name the caller holds;
+    /// without extras nothing is allocated.
+    pub fn record_snapshot(&self, at: Time, source: Text, snap: &SensorSnapshot) {
+        self.push(at, |ring| ring.snapshot(source, snap));
     }
 
     /// Records an ordered actuation and the plant's response.
@@ -220,27 +503,49 @@ impl Journal {
 
     /// Records an ordered actuation attributed to a specific control law.
     pub fn actuation_by(&self, at: Time, manager: &str, op: &str, outcome: &str, controller: &str) {
-        self.record(JournalEntry::Actuation {
-            at,
-            manager: manager.to_owned(),
-            op: op.to_owned(),
-            outcome: outcome.to_owned(),
-            controller: controller.to_owned(),
+        // The two labels are static; a refusal or error is free text.
+        let outcome = match outcome {
+            "applied" => Text::Static("applied"),
+            "noop" => Text::Static("noop"),
+            other => text(other),
+        };
+        self.push(at, |ring| Compact::Actuation {
+            manager: ring.intern(manager),
+            op: ring.intern(op),
+            outcome,
+            controller: ring.intern(controller),
+        });
+    }
+
+    /// Records an ordered actuation under names the caller holds.
+    pub fn record_actuation(
+        &self,
+        at: Time,
+        manager: Text,
+        op: Text,
+        outcome: Text,
+        controller: Text,
+    ) {
+        self.push(at, |_| Compact::Actuation {
+            manager,
+            op,
+            outcome,
+            controller,
         });
     }
 
     /// Records a free-form operational note.
     pub fn note(&self, at: Time, source: &str, text: &str) {
-        self.record(JournalEntry::Note {
-            at,
-            source: source.to_owned(),
-            text: text.to_owned(),
+        let text = self::text(text);
+        self.push(at, |ring| Compact::Note {
+            source: ring.intern(source),
+            text,
         });
     }
 
     /// Entries currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.ring.lock().slots.len()
     }
 
     /// True when nothing has been recorded (or everything was dropped).
@@ -255,27 +560,52 @@ impl Journal {
 
     /// Total entries ever recorded (including since-dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
+        self.ring.lock().next_seq
     }
 
-    /// Entries overwritten because the ring was full.
+    /// Entries overwritten because the ring was full: the ring holds the
+    /// latest records, so every earlier one was dropped.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        let ring = self.ring.lock();
+        ring.next_seq - ring.slots.len() as u64
+    }
+
+    /// Calls `f` on every current record with its row, oldest first.
+    /// Only a copy is made under the ring lock, and names are shared, so
+    /// the copy holds no string of its own.
+    fn for_each_record(&self, mut f: impl FnMut(&Slot, Option<&Row>)) {
+        let (slots, rows): (Vec<Slot>, Vec<Row>) = {
+            let ring = self.ring.lock();
+            (
+                ring.slots.iter().cloned().collect(),
+                ring.rows.iter().copied().collect(),
+            )
+        };
+        let mut rows = rows.iter();
+        for slot in &slots {
+            let row = slot
+                .has_row()
+                .then(|| rows.next().expect("every table snapshot has a row"));
+            f(slot, row);
+        }
     }
 
     /// A copy of the current contents, oldest first.
     pub fn entries(&self) -> Vec<JournalRecord> {
-        self.ring.lock().iter().cloned().collect()
+        let mut out = Vec::new();
+        self.for_each_record(|slot, row| out.push(slot.materialise(row)));
+        out
     }
 
     /// Renders the current contents as JSON-lines text (one entry per
-    /// line, oldest first).
+    /// line, oldest first). Records are encoded after the ring lock is
+    /// released, so a scrape holds recorders up only for the copy.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for rec in self.ring.lock().iter() {
-            encode_record(&mut out, rec);
+        self.for_each_record(|slot, row| {
+            encode_record(&mut out, &slot.materialise(row));
             out.push('\n');
-        }
+        });
         out
     }
 
@@ -796,6 +1126,114 @@ mod tests {
         );
         let parsed = parse_jsonl(&j.to_jsonl()).unwrap();
         assert_eq!(parsed, j.entries());
+    }
+
+    #[test]
+    fn full_ring_keeps_the_last_records_with_their_seq() {
+        let j = Journal::new(4);
+        let mut odd = sample_snapshot();
+        odd.extra.push(("nodeLoad".into(), f64::NAN));
+        odd.extra.push(("tail".into(), f64::NEG_INFINITY));
+        odd.service_time = f64::INFINITY;
+        let foreign = JournalEntry::Snapshot {
+            at: 9.0,
+            source: "sim".into(),
+            beans: vec![("nodeLoad".into(), f64::NAN), ("arrivalRate".into(), 1.0)],
+        };
+        let mut want = Vec::new();
+        for i in 0..10u32 {
+            let at = f64::from(i);
+            match i % 5 {
+                0 => j.snapshot(at, "AM_F", &odd),
+                1 => j.manager_event(at, "AM_F", "addWorker", Some(&i.to_string())),
+                2 => j.actuation(at, "AM_F", "addWorkers(1)", &format!("refused:{i}")),
+                3 => j.note(at, "pool", "escalation"),
+                _ => j.record(foreign.clone()),
+            }
+            want.push(j.entries().pop().expect("just recorded"));
+        }
+        assert_eq!(j.dropped(), 6);
+        let got = j.entries();
+        let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [6, 7, 8, 9]);
+        // `Debug` compares the NaNs too.
+        assert_eq!(format!("{got:?}"), format!("{:?}", &want[6..]));
+    }
+
+    #[test]
+    fn recording_methods_and_record_agree() {
+        let fast = Journal::new(64);
+        let manager = Text::Shared("AM_F".into());
+        fast.manager_event(1.0, "AM_F", "addWorker", Some("2"));
+        fast.record_event(1.0, manager.clone(), Text::Static("contrLow"), None);
+        fast.farm_event(2.0, "rfarm", "worker:lost", "slot 3 died");
+        fast.snapshot(2.5, "AM_F", &sample_snapshot());
+        fast.record_snapshot(2.5, manager.clone(), &SensorSnapshot::empty(2.5));
+        fast.actuation(3.5, "AM_F", "addWorkers(2)", "applied");
+        fast.actuation_by(3.5, "AM_F", "balanceLoad", "error:gone", "aimd");
+        fast.record_actuation(
+            3.5,
+            manager,
+            Text::Shared("removeWorkers(1)".into()),
+            Text::Static("noop"),
+            Text::Static("rules"),
+        );
+        fast.note(4.0, "pool", "poller escalation");
+        let replayed = Journal::new(64);
+        for r in fast.entries() {
+            replayed.record(r.entry);
+        }
+        assert_eq!(replayed.to_jsonl(), fast.to_jsonl());
+    }
+
+    #[test]
+    fn free_text_never_grows_the_symbol_table() {
+        let j = Journal::new(16);
+        let cycle = |i: u32| {
+            j.note(f64::from(i), "pool", &format!("note {i}"));
+            j.manager_event(f64::from(i), "AM_F", "addWorker", Some(&format!("{i}")));
+            j.farm_event(f64::from(i), "rfarm", "worker:lost", &format!("slot {i}"));
+            j.actuation(
+                f64::from(i),
+                "AM_F",
+                "addWorkers(1)",
+                &format!("refused:{i}"),
+            );
+        };
+        cycle(0);
+        let symbols = j.ring.lock().symbols.len();
+        for i in 1..10_000 {
+            cycle(i);
+        }
+        assert_eq!(j.ring.lock().symbols.len(), symbols);
+    }
+
+    #[test]
+    fn jsonl_scrapes_race_recorders_cleanly() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let j = Journal::new(4_096);
+        for i in 0..4_096 {
+            j.snapshot(f64::from(i), "AM_F", &sample_snapshot());
+        }
+        let done = AtomicBool::new(false);
+        let scrapes = std::thread::scope(|s| {
+            let scraper = s.spawn(|| {
+                let mut scrapes = 0;
+                while !done.load(Ordering::Acquire) || scrapes == 0 {
+                    let records = parse_jsonl(&j.to_jsonl()).expect("a scrape parses");
+                    assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
+                    scrapes += 1;
+                }
+                scrapes
+            });
+            for i in 0..10_000 {
+                j.manager_event(f64::from(i), "AM_F", "addWorker", Some("1"));
+            }
+            done.store(true, Ordering::Release);
+            scraper.join().expect("scraper panicked")
+        });
+        assert!(scrapes > 0);
+        assert_eq!(j.recorded(), 14_096);
     }
 
     #[test]

@@ -143,9 +143,17 @@ macro_rules! bean_table {
             /// allocating: the standard beans in table order, then the
             /// extras. Booleans encode as 0.0/1.0.
             pub fn beans(&self) -> impl Iterator<Item = (&str, f64)> + Clone + '_ {
-                [$(($name, self.$field.to_bean()),)*]
-                    .into_iter()
+                BEAN_TABLE
+                    .iter()
+                    .map(|def| def.name)
+                    .zip(self.values())
                     .chain(self.extra.iter().map(|(n, v)| (n.as_str(), *v)))
+            }
+
+            /// The standard beans' values in table order, e.g. the journal's
+            /// row for this snapshot.
+            pub fn values(&self) -> [f64; BEAN_TABLE.len()] {
+                [$(self.$field.to_bean(),)*]
             }
 
             /// [`SensorSnapshot::beans`] as an owned row, e.g. for the

@@ -922,7 +922,7 @@ impl Analyzer {
                     && self.effects.actuator_of(&call.operation).is_none()
                     && self.effects.effects_of(&call.operation).is_empty()
             })
-            .map(|call| call.operation.as_str())
+            .map(|call| call.operation.as_ref())
             .collect();
         if unmodelled.len() == ops.len() {
             out.push(Diagnostic {
@@ -1169,12 +1169,12 @@ impl Analyzer {
                 let ops_a: Vec<String> = shadower
                     .execute()
                     .into_iter()
-                    .map(|o| o.operation)
+                    .map(|o| o.operation.into_owned())
                     .collect();
                 let ops_b: Vec<String> = shadowed
                     .execute()
                     .into_iter()
-                    .map(|o| o.operation)
+                    .map(|o| o.operation.into_owned())
                     .collect();
                 if let Some(resource) = self.effects.opposing(&ops_a, &ops_b) {
                     out.push(Diagnostic {
@@ -1222,7 +1222,12 @@ impl Analyzer {
         let all = rules.rules();
         let ops: Vec<Vec<String>> = all
             .iter()
-            .map(|r| r.execute().into_iter().map(|o| o.operation).collect())
+            .map(|r| {
+                r.execute()
+                    .into_iter()
+                    .map(|o| o.operation.into_owned())
+                    .collect()
+            })
             .collect();
         // edge i → j: some effect of rule i's actions moves a bean in the
         // direction that enables rule j.
@@ -1302,10 +1307,18 @@ impl Analyzer {
         let empty = ParamTable::new();
         let mut out = Vec::new();
         for ra in set_a.rules() {
-            let ops_a: Vec<String> = ra.execute().into_iter().map(|o| o.operation).collect();
+            let ops_a: Vec<String> = ra
+                .execute()
+                .into_iter()
+                .map(|o| o.operation.into_owned())
+                .collect();
             let ca = bind_params(&ra.when, params_a.unwrap_or(&empty));
             for rb in set_b.rules() {
-                let ops_b: Vec<String> = rb.execute().into_iter().map(|o| o.operation).collect();
+                let ops_b: Vec<String> = rb
+                    .execute()
+                    .into_iter()
+                    .map(|o| o.operation.into_owned())
+                    .collect();
                 let Some(resource) = self.effects.opposing_actuator(&ops_a, &ops_b) else {
                     continue;
                 };

@@ -6,6 +6,7 @@
 //! ([`crate::parser`]).
 
 use crate::wm::{ParamTable, WorkingMemory};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A scalar expression: a bean reference, a `$PARAM` reference or a literal.
@@ -285,17 +286,19 @@ impl fmt::Display for Action {
 
 /// A resolved operation invocation produced by executing a rule's actions:
 /// the operation name plus the datum attached by the most recent `setData`.
+/// Names from the operation table and data from `stdlib::viol` are
+/// borrowed, so cloning a call of a loaded program allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpCall {
     /// Symbolic operation name (see [`crate::op`]).
-    pub operation: String,
+    pub operation: Cow<'static, str>,
     /// Datum attached via `setData`, if any (e.g. the violation kind).
-    pub data: Option<String>,
+    pub data: Option<Cow<'static, str>>,
 }
 
 impl OpCall {
     /// Builds an operation call without a datum.
-    pub fn new(operation: impl Into<String>) -> Self {
+    pub fn new(operation: impl Into<Cow<'static, str>>) -> Self {
         Self {
             operation: operation.into(),
             data: None,
@@ -303,7 +306,10 @@ impl OpCall {
     }
 
     /// Builds an operation call with a datum.
-    pub fn with_data(operation: impl Into<String>, data: impl Into<String>) -> Self {
+    pub fn with_data(
+        operation: impl Into<Cow<'static, str>>,
+        data: impl Into<Cow<'static, str>>,
+    ) -> Self {
         Self {
             operation: operation.into(),
             data: Some(data.into()),
@@ -361,14 +367,14 @@ impl Rule {
     /// prototype, where `setData` writes a field later read by the
     /// operation handler).
     pub fn execute(&self) -> Vec<OpCall> {
-        let mut data: Option<String> = None;
+        let mut data: Option<&str> = None;
         let mut out = Vec::new();
         for action in &self.then {
             match action {
-                Action::SetData(d) => data = Some(d.clone()),
+                Action::SetData(d) => data = Some(d),
                 Action::Fire(operation) => out.push(OpCall {
-                    operation: operation.clone(),
-                    data: data.clone(),
+                    operation: Cow::Owned(operation.clone()),
+                    data: data.map(|d| Cow::Owned(d.to_owned())),
                 }),
             }
         }

@@ -8,8 +8,10 @@
 //! the simulator's fixed seeds.
 
 use crate::ast::{EvalError, OpCall, Rule, RuleSet};
+use crate::op::OP_TABLE;
+use crate::stdlib::viol;
 use crate::wm::{ParamTable, WorkingMemory};
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One rule firing: the rule's name and the operations its actions produced.
@@ -52,24 +54,56 @@ impl std::error::Error for EngineError {}
 ///
 /// The engine is stateful only for *edge-triggered* rules, for which it
 /// remembers whether each rule's condition held in the previous cycle.
-#[derive(Debug, Clone)]
+/// Loading a program compiles each rule's operation calls once, with
+/// table names borrowed, so [`RuleEngine::cycle_ops`] only copies them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleEngine {
     rules: RuleSet,
-    /// Names of edge-triggered rules whose condition held last cycle.
-    active_edges: BTreeSet<String>,
-    /// Each rule's condition this cycle, kept to reuse its buffer.
-    truth: Vec<bool>,
+    /// Each rule's operation calls (see [`compile`]).
+    calls: Vec<Vec<OpCall>>,
+    /// Rule indices by descending salience, definition order within a tie.
+    order: Vec<usize>,
+    /// Per rule: an edge-triggered rule whose condition held last cycle.
+    held_before: Vec<bool>,
+    /// Per rule: whether it fires this cycle, kept to reuse its buffer.
+    fires: Vec<bool>,
     cycles: u64,
     firings: u64,
+}
+
+/// `rule`'s operation calls, each name borrowed from the operation table
+/// and each datum from [`viol`] when it is one of theirs.
+fn compile(rule: &Rule) -> Vec<OpCall> {
+    fn borrow(
+        s: Cow<'static, str>,
+        mut known: impl Iterator<Item = &'static str>,
+    ) -> Cow<'static, str> {
+        known.find(|k| *k == s).map_or(s, Cow::Borrowed)
+    }
+    rule.execute()
+        .into_iter()
+        .map(|call| OpCall {
+            operation: borrow(call.operation, OP_TABLE.iter().map(|d| d.name)),
+            data: call.data.map(|d| borrow(d, viol::ALL.iter().copied())),
+        })
+        .collect()
 }
 
 impl RuleEngine {
     /// Creates an engine over the given rule program.
     pub fn new(rules: RuleSet) -> Self {
+        let n = rules.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        // Stable: salience descending, definition order preserved within
+        // equal salience (matches Drools' default conflict resolution
+        // closely enough for our single-pass managers).
+        order.sort_by_key(|&i| std::cmp::Reverse(rules.rules()[i].salience));
         Self {
+            calls: rules.rules().iter().map(compile).collect(),
+            order,
+            held_before: vec![false; n],
+            fires: Vec::with_capacity(n),
             rules,
-            active_edges: BTreeSet::new(),
-            truth: Vec::new(),
             cycles: 0,
             firings: 0,
         }
@@ -83,8 +117,11 @@ impl RuleEngine {
     /// Replaces the rule program (e.g. after receiving a contract whose
     /// concern needs a different policy set). Edge state is cleared.
     pub fn load(&mut self, rules: RuleSet) {
-        self.rules = rules;
-        self.active_edges.clear();
+        *self = Self {
+            cycles: self.cycles,
+            firings: self.firings,
+            ..Self::new(rules)
+        };
     }
 
     /// Number of control cycles run so far.
@@ -95,6 +132,43 @@ impl RuleEngine {
     /// Number of rule firings so far.
     pub fn firings(&self) -> u64 {
         self.firings
+    }
+
+    /// Evaluates every condition, marks in `fires` the rules that fire
+    /// this cycle and moves the edge state on.
+    fn select(&mut self, wm: &WorkingMemory, params: &ParamTable) -> Result<(), EngineError> {
+        self.cycles += 1;
+
+        // Evaluate all conditions first so edge bookkeeping sees a
+        // consistent snapshot even if a later rule errors.
+        self.fires.clear();
+        for rule in self.rules.rules() {
+            let held = rule
+                .when
+                .eval(wm, params)
+                .map_err(|source| EngineError::Eval {
+                    rule: rule.name.clone(),
+                    source,
+                })?;
+            self.fires.push(held);
+        }
+
+        // An edge-triggered rule fires only on the cycle its condition
+        // starts to hold.
+        for ((rule, fires), held_before) in self
+            .rules
+            .rules()
+            .iter()
+            .zip(&mut self.fires)
+            .zip(&mut self.held_before)
+        {
+            if rule.edge_triggered {
+                let held = *fires;
+                *fires = held && !*held_before;
+                *held_before = held;
+            }
+        }
+        Ok(())
     }
 
     /// Runs one control cycle: evaluates every rule against `wm`/`params`,
@@ -109,35 +183,15 @@ impl RuleEngine {
         wm: &WorkingMemory,
         params: &ParamTable,
     ) -> Result<Vec<Firing>, EngineError> {
-        self.cycles += 1;
+        self.select(wm, params)?;
 
-        // Evaluate all conditions first so edge bookkeeping sees a
-        // consistent snapshot even if a later rule errors.
-        self.truth.clear();
-        for rule in self.rules.rules() {
-            let held = rule
-                .when
-                .eval(wm, params)
-                .map_err(|source| EngineError::Eval {
-                    rule: rule.name.clone(),
-                    source,
-                })?;
-            self.truth.push(held);
-        }
-
-        let mut fireable: Vec<&Rule> = Vec::new();
-        for (rule, &held) in self.rules.rules().iter().zip(&self.truth) {
-            if held {
-                let suppressed = rule.edge_triggered && self.active_edges.contains(&rule.name);
-                if !suppressed {
-                    fireable.push(rule);
-                }
-            }
-        }
-
-        // Stable sort: salience descending, definition order preserved
-        // within equal salience (matches Drools' default conflict
-        // resolution closely enough for our single-pass managers).
+        let mut fireable: Vec<&Rule> = self
+            .rules
+            .rules()
+            .iter()
+            .zip(&self.fires)
+            .filter_map(|(rule, &fires)| fires.then_some(rule))
+            .collect();
         fireable.sort_by_key(|r| std::cmp::Reverse(r.salience));
 
         let firings: Vec<Firing> = fireable
@@ -149,36 +203,31 @@ impl RuleEngine {
             })
             .collect();
         self.firings += firings.len() as u64;
-
-        // Update edge state from this cycle's truth values; a name is
-        // copied in only on a rising edge.
-        for (rule, &held) in self.rules.rules().iter().zip(&self.truth) {
-            if rule.edge_triggered {
-                if held {
-                    if !self.active_edges.contains(&rule.name) {
-                        self.active_edges.insert(rule.name.clone());
-                    }
-                } else {
-                    self.active_edges.remove(&rule.name);
-                }
-            }
-        }
-
         Ok(firings)
     }
 
     /// Like [`RuleEngine::cycle`] but flattening the firings into the bare
-    /// operation calls, in firing order.
+    /// operation calls, in firing order. Copies the calls compiled at load
+    /// time: with every name in the operation table and every datum in
+    /// `stdlib::viol`, the returned vector is the only allocation.
     pub fn cycle_ops(
         &mut self,
         wm: &WorkingMemory,
         params: &ParamTable,
     ) -> Result<Vec<OpCall>, EngineError> {
-        Ok(self
-            .cycle(wm, params)?
-            .into_iter()
-            .flat_map(|f| f.ops)
-            .collect())
+        self.select(wm, params)?;
+        let fired = || {
+            self.order
+                .iter()
+                .filter(|&&i| self.fires[i])
+                .map(|&i| &self.calls[i])
+        };
+        let mut ops = Vec::with_capacity(fired().map(Vec::len).sum());
+        for calls in fired() {
+            ops.extend_from_slice(calls);
+        }
+        self.firings += fired().count() as u64;
+        Ok(ops)
     }
 }
 

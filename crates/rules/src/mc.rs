@@ -72,6 +72,7 @@ use crate::engine::Firing;
 use crate::op;
 use crate::stdlib::{hier_beans, viol};
 use crate::wm::{ParamTable, WorkingMemory};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -922,7 +923,7 @@ impl<'a> Model<'a> {
             }
         }
         let mut deltas: BTreeMap<usize, i32> = BTreeMap::new();
-        let mut raised: Vec<Option<String>> = Vec::new();
+        let mut raised: Vec<Option<Cow<'static, str>>> = Vec::new();
         for rule in &fired {
             let ops = rule.execute();
             for call in &ops {
@@ -1277,7 +1278,7 @@ fn check_livelock(model: &Model<'_>, ex: &Explored) -> Verdict {
                     .map(|&si| {
                         let step = model.control_step(&ex.order[si]);
                         for (_, f) in &step.firings {
-                            ops.extend(f.ops.iter().map(|o| o.operation.clone()));
+                            ops.extend(f.ops.iter().map(|o| o.operation.to_string()));
                         }
                         TraceStep {
                             beans: model.valuation(&ex.order[si]),

@@ -77,6 +77,31 @@ pub mod viol {
     pub const TOO_MUCH_TASKS: &str = "tooMuchTasks";
     /// Datum attached to worker-addition operations.
     pub const FARM_ADD_WORKERS: &str = "farmAddWorkers";
+    /// Datum of the fault-tolerance program's worker replacement.
+    pub const REPLACE_FAILED: &str = "replaceFailed";
+    /// Datum of the migration program's move.
+    pub const MIGRATE_SLOWEST: &str = "migrateSlowest";
+    /// Datum of the resilience program's recruitment past open circuits.
+    pub const CIRCUIT_OPEN: &str = "circuitOpen";
+    /// Datum of the tenancy program's load shedding.
+    pub const TENANT_OVER_BUDGET: &str = "tenantOverBudget";
+    /// Datum of the tenancy program's share growth.
+    pub const TENANT_UNDER_SERVED: &str = "tenantUnderServed";
+    /// Datum of the tenancy program's pool growth.
+    pub const TENANT_PRESSURE: &str = "tenantPressure";
+
+    /// Every datum above: the ones a loaded program's calls borrow.
+    pub const ALL: &[&str] = &[
+        NOT_ENOUGH_TASKS,
+        TOO_MUCH_TASKS,
+        FARM_ADD_WORKERS,
+        REPLACE_FAILED,
+        MIGRATE_SLOWEST,
+        CIRCUIT_OPEN,
+        TENANT_OVER_BUDGET,
+        TENANT_UNDER_SERVED,
+        TENANT_PRESSURE,
+    ];
 }
 
 /// Beans set by hierarchy-aware managers (in addition to the sensor beans
@@ -274,7 +299,7 @@ mod tests {
         let mut e = RuleEngine::new(farm_rules());
         let p = farm_params(0.3, 0.7, 1, 16, 4.0);
         let ops = e.cycle_ops(&farm_wm(0.5, 0.2, 2.0, 0.0), &p).unwrap();
-        let names: Vec<&str> = ops.iter().map(|o| o.operation.as_str()).collect();
+        let names: Vec<&str> = ops.iter().map(|o| o.operation.as_ref()).collect();
         assert_eq!(names, [op::ADD_EXECUTOR, op::BALANCE_LOAD]);
         assert_eq!(ops[0].data.as_deref(), Some(viol::FARM_ADD_WORKERS));
     }
@@ -294,7 +319,7 @@ mod tests {
         let mut e = RuleEngine::new(farm_rules());
         let p = farm_params(0.3, 0.7, 1, 16, 4.0);
         let ops = e.cycle_ops(&farm_wm(0.5, 0.9, 4.0, 0.0), &p).unwrap();
-        let names: Vec<&str> = ops.iter().map(|o| o.operation.as_str()).collect();
+        let names: Vec<&str> = ops.iter().map(|o| o.operation.as_ref()).collect();
         assert_eq!(names, [op::REMOVE_EXECUTOR, op::BALANCE_LOAD]);
     }
 
@@ -549,5 +574,27 @@ mod tests {
         let firings = e.cycle(&wm, &p).unwrap();
         assert_eq!(firings[0].rule, "ReplaceLostWorkers");
         assert!(firings.iter().any(|f| f.rule == "CheckRateLow"));
+    }
+
+    #[test]
+    fn every_datum_a_shipped_program_sets_is_a_viol_const() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/rules");
+        let mut set = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+            for rule in parse_rules(&text).unwrap().rules() {
+                for action in &rule.then {
+                    if let crate::Action::SetData(datum) = action {
+                        set += 1;
+                        assert!(
+                            viol::ALL.contains(&datum.as_str()),
+                            "`{}` sets `{datum}`, which is not in viol::ALL",
+                            rule.name
+                        );
+                    }
+                }
+            }
+        }
+        assert!(set > 0);
     }
 }

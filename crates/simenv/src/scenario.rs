@@ -738,7 +738,7 @@ impl PipelineOutcome {
     pub fn events_of(&self, manager: &str, kind: &EventKind) -> Vec<&EventRecord> {
         self.events
             .iter()
-            .filter(|e| e.manager == manager && &e.kind == kind)
+            .filter(|e| *e.manager == *manager && &e.kind == kind)
             .collect()
     }
 

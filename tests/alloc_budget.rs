@@ -1,9 +1,10 @@
-//! Allocation budget of a quiet control cycle. After warm-up, an
-//! in-contract `AutonomicManager::control_cycle` allocates nothing without
-//! a journal, and with one only the journal's snapshot row: its bean
-//! vector and its source name. The count comes from a global allocator
-//! that tallies per thread, so tests running in parallel cannot pollute
-//! each other's count.
+//! Allocation budget of a control cycle. After warm-up, an in-contract
+//! `AutonomicManager::control_cycle` allocates nothing, with or without a
+//! journal. A cycle that acts allocates only the operation vector it
+//! returns and its `addWorker` event's detail text, plus the journal's
+//! copy of that text when a journal is attached. The count comes from a
+//! global allocator that tallies per thread, so tests running in parallel
+//! cannot pollute each other's count.
 
 use bskel_core::contract::Contract;
 use bskel_core::events::{EventKind, EventLog};
@@ -11,7 +12,7 @@ use bskel_core::manager::{AutonomicManager, ManagerConfig};
 use bskel_core::ControllerKind;
 use bskel_monitor::{Journal, SensorSnapshot};
 use bskel_rules::stdlib::{farm_rules_with_ft, params};
-use bskel_rules::{parse_rules, RuleSet};
+use bskel_rules::{op, parse_rules, RuleSet};
 use bskel_sim::ScriptedAbc;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,6 +86,15 @@ fn quiet_snapshot() -> SensorSnapshot {
     s
 }
 
+/// A plant under the contract floor with arrivals to serve: the farm
+/// program and AIMD both order `ADD_EXECUTOR` and `BALANCE_LOAD` every
+/// cycle (the plant is scripted, so the worker count never moves).
+fn acting_snapshot() -> SensorSnapshot {
+    let mut s = quiet_snapshot();
+    s.departure_rate = 1_000.0;
+    s
+}
+
 fn manager(
     controller: ControllerKind,
     script: Vec<SensorSnapshot>,
@@ -101,14 +111,20 @@ fn manager(
     m
 }
 
-/// The most allocations any one quiet cycle made, after enough warm-up
-/// cycles to fill a 64-entry journal ring.
-fn worst_quiet_cycle(controller: ControllerKind, journal: bool) -> u64 {
+/// The most allocations any one of 20 cycles over `plant` made, after
+/// enough warm-up cycles to fill a 64-entry journal ring. Every measured
+/// cycle must order exactly `ordered`.
+fn worst_cycle(
+    controller: ControllerKind,
+    journal: bool,
+    plant: SensorSnapshot,
+    ordered: &[&str],
+) -> u64 {
     let log = EventLog::new();
     if journal {
         log.attach_journal(Arc::new(Journal::new(64)));
     }
-    let mut m = manager(controller, vec![quiet_snapshot()], log.clone());
+    let mut m = manager(controller, vec![plant], log.clone());
     for i in 0..100 {
         m.control_cycle(f64::from(i));
     }
@@ -118,25 +134,49 @@ fn worst_quiet_cycle(controller: ControllerKind, journal: bool) -> u64 {
             let before = allocations();
             let ops = m.control_cycle(f64::from(i));
             let n = allocations() - before;
-            assert!(ops.is_empty(), "cycle {i} is not quiet: {ops:?}");
+            let names: Vec<&str> = ops.iter().map(|o| o.operation.as_ref()).collect();
+            assert_eq!(names, ordered, "cycle {i}");
             n
         })
         .max()
         .expect("cycles ran");
-    assert_eq!(log.len(), events, "a quiet cycle logs no event");
+    if ordered.is_empty() {
+        assert_eq!(log.len(), events, "a quiet cycle logs no event");
+    }
     worst
 }
 
-#[test]
-fn quiet_rules_cycle_allocates_only_the_journal_row() {
-    assert_eq!(worst_quiet_cycle(ControllerKind::Rules, false), 0);
-    assert!(worst_quiet_cycle(ControllerKind::Rules, true) <= 2);
+fn worst_quiet_cycle(controller: ControllerKind, journal: bool) -> u64 {
+    worst_cycle(controller, journal, quiet_snapshot(), &[])
+}
+
+fn worst_acting_cycle(controller: ControllerKind, journal: bool) -> u64 {
+    let ordered = [op::ADD_EXECUTOR, op::BALANCE_LOAD];
+    worst_cycle(controller, journal, acting_snapshot(), &ordered)
 }
 
 #[test]
-fn quiet_aimd_cycle_allocates_only_the_journal_row() {
+fn quiet_rules_cycle_allocates_nothing() {
+    assert_eq!(worst_quiet_cycle(ControllerKind::Rules, false), 0);
+    assert_eq!(worst_quiet_cycle(ControllerKind::Rules, true), 0);
+}
+
+#[test]
+fn quiet_aimd_cycle_allocates_nothing() {
     assert_eq!(worst_quiet_cycle(ControllerKind::Aimd, false), 0);
-    assert!(worst_quiet_cycle(ControllerKind::Aimd, true) <= 2);
+    assert_eq!(worst_quiet_cycle(ControllerKind::Aimd, true), 0);
+}
+
+#[test]
+fn acting_rules_cycle_allocates_only_its_ops_and_event_detail() {
+    assert!(worst_acting_cycle(ControllerKind::Rules, false) <= 2);
+    assert!(worst_acting_cycle(ControllerKind::Rules, true) <= 3);
+}
+
+#[test]
+fn acting_aimd_cycle_allocates_only_its_ops_and_event_detail() {
+    assert!(worst_acting_cycle(ControllerKind::Aimd, false) <= 2);
+    assert!(worst_acting_cycle(ControllerKind::Aimd, true) <= 3);
 }
 
 /// The refilled working memory forgets a bean the plant stopped

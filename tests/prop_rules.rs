@@ -1,15 +1,20 @@
 //! Property-based tests of the rule language: render → parse round-trips,
-//! engine semantics under random programs, and soundness of the static
-//! analyzer's verdicts against engine evaluation.
+//! engine semantics under random programs, the compiled `cycle_ops` path
+//! against `cycle`, and soundness of the static analyzer's verdicts
+//! against engine evaluation.
 
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 use bskel::core::standard_schema;
 use bskel::rules::analysis::{
     bind_params, satisfiable, Analyzer, BeanSchema, BeanType, LintCode, Proof,
 };
+use bskel::rules::op::OP_TABLE;
+use bskel::rules::stdlib::{self, viol};
 use bskel::rules::{
-    parse_rules, Action, Cmp, Condition, Expr, ParamTable, Rule, RuleEngine, RuleSet, WorkingMemory,
+    parse_rules, Action, Cmp, Condition, Expr, OpCall, ParamTable, Rule, RuleEngine, RuleSet,
+    WorkingMemory,
 };
 
 fn ident() -> impl Strategy<Value = String> {
@@ -185,6 +190,103 @@ proptest! {
             .map(|f| f.rule)
             .collect();
         prop_assert_eq!(fired, expected);
+    }
+}
+
+/// Every shipped rule program, the merged programs managers run (whose
+/// later rules outrank the earlier ones), and one firing an operation
+/// outside the table with a datum outside `stdlib::viol`.
+fn engine_programs() -> Vec<(String, RuleSet)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/rules/rules");
+    let mut programs: Vec<(String, RuleSet)> = std::fs::read_dir(dir)
+        .expect("shipped rule programs")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let text = std::fs::read_to_string(&path).expect("readable program");
+            let set = parse_rules(&text).expect("shipped program parses");
+            (path.display().to_string(), set)
+        })
+        .collect();
+    programs.sort_by(|a, b| a.0.cmp(&b.0));
+    programs.push(("farm+fault".into(), stdlib::farm_rules_with_ft()));
+    programs.push((
+        "fault+resilience".into(),
+        stdlib::fault_rules_with_resilience(),
+    ));
+    let custom = r#"
+        rule "edge" once when x > 4 then fire(ADD_EXECUTOR); end
+        rule "custom" salience 3 when x > 1 then setData("hot"); fire(COOL_DOWN); fire(BALANCE_LOAD); end
+    "#;
+    programs.push((
+        "custom".into(),
+        parse_rules(custom).expect("custom program"),
+    ));
+    programs
+}
+
+/// A bean or parameter value: mostly near the shipped thresholds, with
+/// exact zeros so that flags clear.
+fn engine_value() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0f64..10.0, 0.0f64..5_000.0,]
+}
+
+proptest! {
+    /// `cycle_ops` orders exactly the calls of `cycle`'s firings, in the
+    /// same order, and leaves the engine (edge state, counters) as `cycle`
+    /// does — over every shipped program and a sequence of random working
+    /// memories. Names from the table and data from `viol` are borrowed,
+    /// others owned.
+    #[test]
+    fn cycle_ops_equals_flattened_cycle(
+        params in proptest::collection::vec(engine_value(), 16),
+        memories in proptest::collection::vec(
+            proptest::collection::vec(engine_value(), 32),
+            1..12,
+        ),
+    ) {
+        for (name, set) in engine_programs() {
+            let table: ParamTable = set
+                .required_params()
+                .into_iter()
+                .zip(params.iter().cycle())
+                .fold(ParamTable::new(), |t, (p, v)| t.with(p, *v));
+            let beans = set.required_beans();
+            let mut by_firings = RuleEngine::new(set);
+            let mut by_ops = by_firings.clone();
+            for values in &memories {
+                let wm = WorkingMemory::from_beans(
+                    beans.iter().cloned().zip(values.iter().copied().cycle()),
+                );
+                let want: Vec<OpCall> = by_firings
+                    .cycle(&wm, &table)
+                    .expect("closed program")
+                    .into_iter()
+                    .flat_map(|f| f.ops)
+                    .collect();
+                let got = by_ops.cycle_ops(&wm, &table).expect("closed program");
+                prop_assert_eq!(&got, &want, "{}", name);
+                for call in &got {
+                    let known = OP_TABLE.iter().any(|d| d.name == call.operation);
+                    prop_assert_eq!(
+                        matches!(call.operation, Cow::Borrowed(_)),
+                        known,
+                        "{}: {:?}",
+                        name,
+                        call
+                    );
+                    if let Some(data) = &call.data {
+                        prop_assert_eq!(
+                            matches!(data, Cow::Borrowed(_)),
+                            viol::ALL.contains(&data.as_ref()),
+                            "{}: {:?}",
+                            name,
+                            call
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(&by_ops, &by_firings, "{}", name);
+        }
     }
 }
 

@@ -131,7 +131,7 @@ fn fig4_passive_mode_round_trip() {
     let filter_events: Vec<_> = outcome
         .events
         .iter()
-        .filter(|e| e.manager == "AM_filter")
+        .filter(|e| &*e.manager == "AM_filter")
         .collect();
     let t_passive = filter_events
         .iter()
@@ -161,7 +161,7 @@ fn fig4_reconfiguration_blackout_visible() {
     let farm_events_in_blackout = outcome
         .events
         .iter()
-        .filter(|e| e.manager == "AM_filter" && e.at > t_add && e.at < t_add + 9.0)
+        .filter(|e| &*e.manager == "AM_filter" && e.at > t_add && e.at < t_add + 9.0)
         .count();
     assert_eq!(
         farm_events_in_blackout, 0,
