@@ -88,7 +88,7 @@ use bskel_skel::farm::{
 use bskel_skel::queue::{Task, TryPop, WorkerQueue};
 use bskel_skel::stream::StreamMsg;
 use bskel_skel::{GatherPolicy, SchedPolicy};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use parking_lot::Mutex;
 
 use crate::chaos::ChaosRng;
@@ -1179,6 +1179,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
     }
 
     fn add_workers_impl(&self, n: u32) -> Result<u32, String> {
+        self.core.refuse_if_terminating()?;
         let current = self.slots.lock().len() as u32;
         if current + n > self.max_workers {
             return Err(format!(
@@ -1238,9 +1239,16 @@ impl<Out: Send + 'static> PoolShared<Out> {
         self.core.resume_parked(&slots);
         drop(slots);
         // Hand the connections to the reactor only after they are
-        // published members, so the death path always finds them.
+        // published members, so the death path always finds them. A
+        // reactor gone with a concurrent shutdown will never watch one:
+        // it dies here, as one the poller refuses dies in `register`.
         for seed in connected {
-            let _ = self.reactor_tx.send(ReactorCmd::Register(seed));
+            if let Err(SendError(ReactorCmd::Register(seed))) =
+                self.reactor_tx.send(ReactorCmd::Register(seed))
+            {
+                seed.slot.sever();
+                self.on_slot_death(&seed.slot, "reactor gone");
+            }
         }
         self.wake();
         sensors.reconfigured(sensors.now());

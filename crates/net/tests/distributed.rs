@@ -571,6 +571,38 @@ fn poisoned_task_is_not_a_departure_on_either_substrate() {
     );
 }
 
+/// A control handle kept past shutdown cannot grow either substrate:
+/// `add_workers` is refused and no worker appears.
+#[test]
+fn add_workers_after_shutdown_is_refused_on_either_substrate() {
+    let refused = |who: &str, ctl: Arc<dyn FarmControl>| {
+        assert!(ctl.add_workers(1).is_err(), "{who}");
+        assert_eq!(ctl.num_workers(), 0, "{who}");
+    };
+
+    let farm = FarmBuilder::from_fn(|x: u64| x.wrapping_mul(2))
+        .initial_workers(1)
+        .max_workers(8)
+        .build();
+    let ctl = farm.control();
+    assert_eq!(
+        feed_and_collect(&farm.input(), &farm.output(), 0..10).len(),
+        10
+    );
+    assert!(farm.shutdown().is_clean());
+    refused("farm", ctl);
+
+    let addr = spawn_local("127.0.0.1:0").expect("bind daemon");
+    let pool = double_pool(&[Endpoint::plain(addr.to_string())], 1);
+    let ctl = pool.control();
+    assert_eq!(
+        feed_and_collect(&pool.input(), &pool.output(), 0..10).len(),
+        10
+    );
+    assert!(pool.shutdown().is_clean());
+    refused("pool", ctl);
+}
+
 /// Sends `items` (payload = seq) then `End`, returns what comes out.
 fn feed_and_collect(
     input: &Sender<StreamMsg<u64>>,

@@ -33,19 +33,22 @@ impl Expr {
             Expr::Const(v) => Ok(*v),
         }
     }
+}
 
-    /// Names of beans this expression reads.
-    fn collect_beans<'a>(&'a self, out: &mut Vec<&'a str>) {
-        if let Expr::Bean(name) = self {
-            out.push(name);
-        }
-    }
+/// Where a condition's operands get their values. Operands are numbered
+/// in evaluation order, two per comparison, so a [`RuleEngine`] can
+/// resolve each one to a slot once and read it by number every cycle.
+///
+/// [`RuleEngine`]: crate::RuleEngine
+pub(crate) trait Operands {
+    /// The value of operand number `at`, which is `expr`.
+    fn value(&self, at: usize, expr: &Expr) -> Result<f64, EvalError>;
+}
 
-    /// Names of parameters this expression reads.
-    fn collect_params<'a>(&'a self, out: &mut Vec<&'a str>) {
-        if let Expr::Param(name) = self {
-            out.push(name);
-        }
+/// By name: [`Condition::eval`]'s operands.
+impl Operands for (&WorkingMemory, &ParamTable) {
+    fn value(&self, _at: usize, expr: &Expr) -> Result<f64, EvalError> {
+        expr.eval(self.0, self.1)
     }
 }
 
@@ -161,39 +164,63 @@ impl Condition {
     /// programming error the manager must surface, matching the fail-fast
     /// behaviour of the GCM prototype.
     pub fn eval(&self, wm: &WorkingMemory, params: &ParamTable) -> Result<bool, EvalError> {
+        self.eval_in(&(wm, params), &mut 0)
+    }
+
+    /// Evaluates over `operands`, numbering this condition's operands
+    /// from `*at`. Returning `Ok`, it leaves `*at` past all of them, the
+    /// ones a short circuit skipped included.
+    pub(crate) fn eval_in(
+        &self,
+        operands: &impl Operands,
+        at: &mut usize,
+    ) -> Result<bool, EvalError> {
         match self {
             Condition::True => Ok(true),
             Condition::False => Ok(false),
             Condition::Cmp { lhs, op, rhs } => {
-                Ok(op.apply(lhs.eval(wm, params)?, rhs.eval(wm, params)?))
+                let i = *at;
+                *at += 2;
+                Ok(op.apply(operands.value(i, lhs)?, operands.value(i + 1, rhs)?))
             }
-            Condition::And(cs) => {
-                for c in cs {
-                    if !c.eval(wm, params)? {
-                        return Ok(false);
+            // `And` stops at the first false child, `Or` at the first true.
+            Condition::And(cs) | Condition::Or(cs) => {
+                let stop = matches!(self, Condition::Or(_));
+                for (i, c) in cs.iter().enumerate() {
+                    if c.eval_in(operands, at)? == stop {
+                        *at += cs[i + 1..].iter().map(Condition::width).sum::<usize>();
+                        return Ok(stop);
                     }
                 }
-                Ok(true)
+                Ok(!stop)
             }
-            Condition::Or(cs) => {
-                for c in cs {
-                    if c.eval(wm, params)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Condition::Not(c) => Ok(!c.eval(wm, params)?),
+            Condition::Not(c) => Ok(!c.eval_in(operands, at)?),
         }
+    }
+
+    /// Number of operands: two per comparison.
+    pub(crate) fn width(&self) -> usize {
+        let mut n = 0;
+        self.for_each_operand(|_| n += 1);
+        n
+    }
+
+    /// Calls `f` on every operand, in evaluation order.
+    pub(crate) fn for_each_operand<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        self.walk(&mut |c| {
+            if let Condition::Cmp { lhs, rhs, .. } = c {
+                f(lhs);
+                f(rhs);
+            }
+        });
     }
 
     /// All bean names read by this condition (with duplicates).
     pub fn beans(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        self.walk(&mut |c| {
-            if let Condition::Cmp { lhs, rhs, .. } = c {
-                lhs.collect_beans(&mut out);
-                rhs.collect_beans(&mut out);
+        self.for_each_operand(|e| {
+            if let Expr::Bean(name) = e {
+                out.push(name.as_str());
             }
         });
         out
@@ -202,10 +229,9 @@ impl Condition {
     /// All parameter names read by this condition (with duplicates).
     pub fn params(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        self.walk(&mut |c| {
-            if let Condition::Cmp { lhs, rhs, .. } = c {
-                lhs.collect_params(&mut out);
-                rhs.collect_params(&mut out);
+        self.for_each_operand(|e| {
+            if let Expr::Param(name) = e {
+                out.push(name.as_str());
             }
         });
         out
@@ -554,6 +580,39 @@ mod tests {
         // never evaluated — mirroring Drools' left-to-right evaluation.
         let c = Condition::And(vec![Condition::False, Condition::flag("no-such-bean")]);
         assert_eq!(c.eval(&wm(), &params()), Ok(false));
+    }
+
+    /// By name, checking each operand's number against
+    /// `for_each_operand`'s order.
+    struct Numbered<'a>(Vec<&'a Expr>, (&'a WorkingMemory, &'a ParamTable));
+
+    impl Operands for Numbered<'_> {
+        fn value(&self, at: usize, expr: &Expr) -> Result<f64, EvalError> {
+            assert!(std::ptr::eq(self.0[at], expr), "operand {at} is {expr}");
+            self.1.value(at, expr)
+        }
+    }
+
+    #[test]
+    fn operands_are_numbered_in_evaluation_order_past_short_circuits() {
+        let (wm, p) = (wm(), params());
+        let c = Condition::And(vec![
+            Condition::Or(vec![
+                Condition::flag("flag"),
+                Condition::bean_vs_const("x", Cmp::Gt, 9.0),
+            ]),
+            Condition::Not(Box::new(Condition::And(vec![
+                Condition::flag("off"),
+                Condition::bean_vs_param("y", Cmp::Lt, "LIMIT"),
+            ]))),
+            Condition::bean_vs_param("x", Cmp::Lt, "LIMIT"),
+        ]);
+        let mut order = Vec::new();
+        c.for_each_operand(|e| order.push(e));
+        let mut at = 0;
+        assert_eq!(c.eval_in(&Numbered(order, (&wm, &p)), &mut at), Ok(true));
+        assert_eq!(at, c.width());
+        assert_eq!(c.width(), 10);
     }
 
     #[test]

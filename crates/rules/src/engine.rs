@@ -7,12 +7,13 @@
 //! break by definition order, making manager behaviour reproducible under
 //! the simulator's fixed seeds.
 
-use crate::ast::{EvalError, OpCall, Rule, RuleSet};
+use crate::ast::{EvalError, Expr, OpCall, Operands, Rule, RuleSet};
 use crate::op::OP_TABLE;
 use crate::stdlib::viol;
-use crate::wm::{ParamTable, WorkingMemory};
+use crate::wm::{Layout, ParamTable, WorkingMemory};
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// One rule firing: the rule's name and the operations its actions produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +57,9 @@ impl std::error::Error for EngineError {}
 /// remembers whether each rule's condition held in the previous cycle.
 /// Loading a program compiles each rule's operation calls once, with
 /// table names borrowed, so [`RuleEngine::cycle_ops`] only copies them.
+/// Conditions read their operands from slots bound to the working
+/// memory's and parameter table's layouts, rebound only when one of
+/// those changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleEngine {
     rules: RuleSet,
@@ -67,8 +71,54 @@ pub struct RuleEngine {
     held_before: Vec<bool>,
     /// Per rule: whether it fires this cycle, kept to reuse its buffer.
     fires: Vec<bool>,
+    /// Every rule's operands, in evaluation order, bound to `bound_to`.
+    slots: Vec<Slot>,
+    /// The bean and parameter layouts `slots` is bound to.
+    bound_to: Option<(Arc<Layout>, Arc<Layout>)>,
     cycles: u64,
     firings: u64,
+}
+
+/// Where a bound operand reads its value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slot {
+    /// A slot of the working memory.
+    Bean(u32),
+    /// A slot of the parameter table.
+    Param(u32),
+    /// A literal, or a name the layout lacks: [`Expr::eval`] returns the
+    /// one and raises the same error by name for the other.
+    ByName,
+}
+
+/// A program's operands read through the slots the engine bound.
+struct Bound<'a> {
+    slots: &'a [Slot],
+    wm: &'a WorkingMemory,
+    params: &'a ParamTable,
+}
+
+impl Operands for Bound<'_> {
+    fn value(&self, at: usize, expr: &Expr) -> Result<f64, EvalError> {
+        match self.slots[at] {
+            Slot::Bean(s) => Ok(self.wm.at(s)),
+            Slot::Param(s) => Ok(self.params.slots().at(s)),
+            Slot::ByName => expr.eval(self.wm, self.params),
+        }
+    }
+}
+
+/// Whether `held` names the same slots as `now`, in which case `held`
+/// becomes `now`, so the next check is one pointer comparison.
+fn adopt(held: &mut Arc<Layout>, now: &Arc<Layout>) -> bool {
+    if Arc::ptr_eq(held, now) {
+        return true;
+    }
+    let same = **held == **now;
+    if same {
+        *held = Arc::clone(now);
+    }
+    same
 }
 
 /// `rule`'s operation calls, each name borrowed from the operation table
@@ -103,6 +153,8 @@ impl RuleEngine {
             order,
             held_before: vec![false; n],
             fires: Vec::with_capacity(n),
+            slots: Vec::with_capacity(rules.rules().iter().map(|r| r.when.width()).sum()),
+            bound_to: None,
             rules,
             cycles: 0,
             firings: 0,
@@ -134,23 +186,53 @@ impl RuleEngine {
         self.firings
     }
 
+    /// Binds every operand to its slot in `wm`'s or `params`' layout,
+    /// unless the layouts bound last have the same names in the same
+    /// slots. The engine holds the layouts it bound, and a memory never
+    /// changes a layout it shares, so this compares content, never an
+    /// address another table could reuse. The slot buffer is sized at
+    /// load, so rebinding allocates nothing.
+    fn bind(&mut self, wm: &WorkingMemory, params: &ParamTable) {
+        let (beans, table) = (wm.layout(), params.slots().layout());
+        if let Some((b, p)) = &mut self.bound_to {
+            if adopt(b, beans) && adopt(p, table) {
+                return;
+            }
+        }
+        self.slots.clear();
+        for rule in self.rules.rules() {
+            rule.when.for_each_operand(|e| {
+                self.slots.push(match e {
+                    Expr::Bean(name) => beans.slot(name).map_or(Slot::ByName, Slot::Bean),
+                    Expr::Param(name) => table.slot(name).map_or(Slot::ByName, Slot::Param),
+                    Expr::Const(_) => Slot::ByName,
+                })
+            });
+        }
+        self.bound_to = Some((Arc::clone(beans), Arc::clone(table)));
+    }
+
     /// Evaluates every condition, marks in `fires` the rules that fire
     /// this cycle and moves the edge state on.
     fn select(&mut self, wm: &WorkingMemory, params: &ParamTable) -> Result<(), EngineError> {
         self.cycles += 1;
+        self.bind(wm, params);
+        let operands = Bound {
+            slots: &self.slots,
+            wm,
+            params,
+        };
 
         // Evaluate all conditions first so edge bookkeeping sees a
         // consistent snapshot even if a later rule errors.
         self.fires.clear();
+        let mut at = 0;
         for rule in self.rules.rules() {
-            let held = rule
-                .when
-                .eval(wm, params)
-                .map_err(|source| EngineError::Eval {
-                    rule: rule.name.clone(),
-                    source,
-                })?;
-            self.fires.push(held);
+            let held = rule.when.eval_in(&operands, &mut at);
+            self.fires.push(held.map_err(|source| EngineError::Eval {
+                rule: rule.name.clone(),
+                source,
+            })?);
         }
 
         // An edge-triggered rule fires only on the cycle its condition

@@ -6,20 +6,58 @@
 //! `ManagersConstants` of the paper's Fig. 5 — quasi-static: they change
 //! only when a new contract arrives from the user or the parent manager).
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
+
+/// The names of a [`WorkingMemory`]'s slots. A memory changes its layout
+/// only while it holds the sole reference, so a layout shared with a
+/// [`RuleEngine`](crate::RuleEngine) stands for the same names, in the
+/// same slots, for as long as the engine holds it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Layout {
+    /// Names by slot, in the order they were first written.
+    names: Vec<String>,
+    /// Slots in name order.
+    by_name: Vec<u32>,
+}
+
+impl Layout {
+    /// `Ok(slot)` holding `name`, or `Err(i)`: where in `by_name` it goes.
+    /// A bisection that stops at the match: `binary_search_by` always runs
+    /// to the end, a chain of dependent string loads that made a lookup
+    /// among 30 beans three times slower than this.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.by_name.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let slot = self.by_name[mid] as usize;
+            match self.names[slot].as_str().cmp(name) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(slot),
+            }
+        }
+        Err(lo)
+    }
+
+    /// The slot holding `name`.
+    pub(crate) fn slot(&self, name: &str) -> Option<u32> {
+        self.find(name).ok().map(|s| s as u32)
+    }
+}
 
 /// Named scalar beans sampled once per control cycle.
 ///
-/// Booleans are encoded 0.0 / 1.0; [`WorkingMemory::is_set`] applies the
-/// conventional "non-zero is true" reading.
-#[derive(Debug, Clone, Default)]
+/// Beans live in slots, in the order they were first written, under a
+/// shared name index (the layout). Booleans are encoded 0.0 / 1.0;
+/// [`WorkingMemory::is_set`] applies the conventional "non-zero is true"
+/// reading.
+#[derive(Clone, Default)]
 pub struct WorkingMemory {
-    /// Bean name → (value, the `epoch` it was last written in).
-    beans: BTreeMap<String, (f64, bool)>,
-    /// Flipped by every [`WorkingMemory::refill`], which tells the beans
-    /// it wrote from those left over from the previous cycle.
-    epoch: bool,
+    layout: Arc<Layout>,
+    /// Bean values, by slot.
+    values: Vec<f64>,
 }
 
 impl WorkingMemory {
@@ -35,50 +73,77 @@ impl WorkingMemory {
         I: IntoIterator<Item = (S, f64)>,
         S: Into<String>,
     {
-        let mut wm = Self::new();
-        for (name, value) in pairs {
-            wm.insert(name, value);
-        }
+        let pairs = pairs.into_iter();
+        let n = pairs.size_hint().0;
+        let mut wm = Self {
+            layout: Arc::new(Layout {
+                names: Vec::with_capacity(n),
+                by_name: Vec::with_capacity(n),
+            }),
+            values: Vec::with_capacity(n),
+        };
+        wm.refill(pairs.map(|(name, value)| (name.into(), value)));
         wm
     }
 
     /// Inserts or updates a bean.
     pub fn insert(&mut self, name: impl Into<String>, value: f64) {
-        self.beans.insert(name.into(), (value, self.epoch));
+        self.put(name.into(), value);
     }
 
     /// Replaces the contents with `pairs`, leaving what
     /// [`WorkingMemory::from_beans`]`(pairs)` would build: a repeated
     /// name keeps its last value, and a bean `pairs` does not name is
-    /// gone. Allocates only for names the memory does not hold yet, so a
-    /// control loop sensing the same beans every cycle refills it for
-    /// free.
-    pub fn refill<'a>(&mut self, pairs: impl IntoIterator<Item = (&'a str, f64)>) {
-        self.epoch = !self.epoch;
-        let epoch = self.epoch;
-        let mut written = 0;
-        for (name, value) in pairs {
-            match self.beans.get_mut(name) {
-                Some(slot) => {
-                    if slot.1 != epoch {
-                        written += 1;
-                    }
-                    *slot = (value, epoch);
-                }
-                None => {
-                    self.beans.insert(name.to_owned(), (value, epoch));
-                    written += 1;
-                }
+    /// gone. While the `i`-th name is slot `i`'s, its value is written in
+    /// place; from the first name that is not — new, moved, repeated or
+    /// following a vanished one — the layout is rebuilt. A control loop
+    /// sensing the same beans in the same order every cycle refills the
+    /// memory with no lookup and no allocation.
+    pub fn refill<S>(&mut self, pairs: impl IntoIterator<Item = (S, f64)>)
+    where
+        S: AsRef<str> + Into<String>,
+    {
+        let mut pairs = pairs.into_iter();
+        let mut kept = 0;
+        while let Some((name, value)) = pairs.next() {
+            if self.layout.names.get(kept).map(String::as_str) != Some(name.as_ref()) {
+                self.truncate(kept);
+                self.put(name, value);
+                pairs.for_each(|(name, value)| self.put(name, value));
+                return;
             }
+            self.values[kept] = value;
+            kept += 1;
         }
-        if written < self.beans.len() {
-            self.beans.retain(|_, slot| slot.1 == epoch);
+        self.truncate(kept);
+    }
+
+    /// Keeps the first `len` slots.
+    fn truncate(&mut self, len: usize) {
+        if len < self.values.len() {
+            let layout = Arc::make_mut(&mut self.layout);
+            layout.names.truncate(len);
+            layout.by_name.retain(|&s| (s as usize) < len);
+            self.values.truncate(len);
+        }
+    }
+
+    /// Writes `name`'s slot, appending one if it has none.
+    fn put<S: AsRef<str> + Into<String>>(&mut self, name: S, value: f64) {
+        match self.layout.find(name.as_ref()) {
+            Ok(slot) => self.values[slot] = value,
+            Err(at) => {
+                let layout = Arc::make_mut(&mut self.layout);
+                layout.by_name.insert(at, self.values.len() as u32);
+                layout.names.push(name.into());
+                self.values.push(value);
+            }
         }
     }
 
     /// Reads a bean.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.beans.get(name).map(|slot| slot.0)
+        self.layout.find(name).ok().map(|s| self.values[s])
     }
 
     /// Reads a bean as a boolean (missing counts as false).
@@ -88,22 +153,56 @@ impl WorkingMemory {
 
     /// Removes a bean, returning its previous value.
     pub fn remove(&mut self, name: &str) -> Option<f64> {
-        self.beans.remove(name).map(|slot| slot.0)
+        let slot = self.layout.find(name).ok()?;
+        let layout = Arc::make_mut(&mut self.layout);
+        layout.names.remove(slot);
+        layout
+            .by_name
+            .retain_mut(|s| match (*s as usize).cmp(&slot) {
+                Ordering::Less => true,
+                Ordering::Equal => false,
+                Ordering::Greater => {
+                    *s -= 1;
+                    true
+                }
+            });
+        Some(self.values.remove(slot))
     }
 
     /// Number of beans held.
     pub fn len(&self) -> usize {
-        self.beans.len()
+        self.values.len()
     }
 
     /// True when no beans are held.
     pub fn is_empty(&self) -> bool {
-        self.beans.is_empty()
+        self.values.is_empty()
     }
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.beans.iter().map(|(k, slot)| (k.as_str(), slot.0))
+        let layout = &*self.layout;
+        layout
+            .by_name
+            .iter()
+            .map(|&s| (layout.names[s as usize].as_str(), self.values[s as usize]))
+    }
+
+    /// The slot layout, which a [`RuleEngine`](crate::RuleEngine) binds
+    /// its operands to.
+    pub(crate) fn layout(&self) -> &Arc<Layout> {
+        &self.layout
+    }
+
+    /// The value in `slot` of [`WorkingMemory::layout`].
+    pub(crate) fn at(&self, slot: u32) -> f64 {
+        self.values[slot as usize]
+    }
+}
+
+impl fmt::Debug for WorkingMemory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -141,7 +240,8 @@ impl<S: Into<String>> FromIterator<(S, f64)> for WorkingMemory {
 /// serves any SLA.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParamTable {
-    params: BTreeMap<String, f64>,
+    /// Held in slots like beans, so an engine binds `$NAME`s the same way.
+    params: WorkingMemory,
 }
 
 impl ParamTable {
@@ -158,17 +258,22 @@ impl ParamTable {
 
     /// Sets a parameter.
     pub fn set(&mut self, name: impl Into<String>, value: f64) {
-        self.params.insert(name.into(), value);
+        self.params.insert(name, value);
     }
 
     /// Reads a parameter.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.params.get(name).copied()
+        self.params.get(name)
     }
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.params.iter().map(|(k, v)| (k.as_str(), *v))
+        self.params.iter()
+    }
+
+    /// The parameters' slots.
+    pub(crate) fn slots(&self) -> &WorkingMemory {
+        &self.params
     }
 
     /// Number of parameters held.
@@ -282,6 +387,27 @@ mod tests {
             &[("a", 4.0), ("a", 5.0), ("b", 6.0)],
             &[("b", 7.0), ("a", 8.0), ("b", 9.0), ("c", 0.0)],
         ]);
+    }
+
+    #[test]
+    fn refill_rewrites_a_steady_layout_in_place() {
+        let mut wm = WorkingMemory::from_beans([("b", 1.0), ("a", 2.0)]);
+        let layout = Arc::clone(wm.layout());
+        wm.refill([("b", 3.0), ("a", 4.0)]);
+        assert!(Arc::ptr_eq(&layout, wm.layout()));
+        assert_eq!(wm.to_string(), "{a=4, b=3}");
+        // A shared layout is never changed in place: a new name copies it.
+        wm.refill([("b", 5.0), ("c", 6.0)]);
+        assert_eq!(layout.names, ["b", "a"]);
+        assert_eq!(wm.to_string(), "{b=5, c=6}");
+    }
+
+    #[test]
+    fn remove_keeps_the_name_index() {
+        let mut wm = WorkingMemory::from_beans([("c", 1.0), ("a", 2.0), ("b", 3.0)]);
+        assert_eq!(wm.remove("a"), Some(2.0));
+        assert_eq!(wm, WorkingMemory::from_beans([("c", 1.0), ("b", 3.0)]));
+        assert_eq!(wm.get("b"), Some(3.0));
     }
 
     #[test]

@@ -316,6 +316,15 @@ impl<S: FarmSlot, Out: Send + 'static> FarmCore<S, Out> {
         (core, results_rx)
     }
 
+    /// Refuses to add workers once teardown has begun: nothing would
+    /// feed, close or reap them.
+    pub fn refuse_if_terminating(&self) -> Result<(), String> {
+        if self.terminating.load(Ordering::SeqCst) {
+            return Err(format!("farm {} is shutting down", self.name));
+        }
+        Ok(())
+    }
+
     /// Re-derives and publishes the dispatch table from the membership
     /// list.
     pub fn publish<M: Borrow<Arc<S>>>(&self, members: &[M]) {
@@ -921,16 +930,23 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
             std::thread::sleep(std::time::Duration::from_secs_f64(self.reconfig_delay));
         }
         let mut workers = self.workers.lock();
-        for _ in 0..n {
-            workers.push(self.spawn_worker());
+        // Teardown sets the flag before it takes the workers under this
+        // lock, so a worker pushed after this check is always reaped.
+        let refused = self.core.refuse_if_terminating();
+        if refused.is_ok() {
+            for _ in 0..n {
+                workers.push(self.spawn_worker());
+            }
+            self.core.publish(&workers);
+            // Tasks stranded by a total-failure episode resume here.
+            self.core.resume_parked(&workers);
         }
-        self.core.publish(&workers);
-        // Tasks stranded by a total-failure episode resume here.
-        self.core.resume_parked(&workers);
         drop(workers);
-        sensors.reconfigured(sensors.now());
+        if refused.is_ok() {
+            sensors.reconfigured(sensors.now());
+        }
         sensors.reconfiguring.store(false, Ordering::SeqCst);
-        Ok(n)
+        refused.map(|()| n)
     }
 
     fn remove_workers(&self, n: u32) -> Result<u32, String> {

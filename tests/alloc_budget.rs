@@ -2,7 +2,8 @@
 //! `AutonomicManager::control_cycle` allocates nothing, with or without a
 //! journal. A cycle that acts allocates only the operation vector it
 //! returns and its `addWorker` event's detail text, plus the journal's
-//! copy of that text when a journal is attached. The count comes from a
+//! copy of that text when a journal is attached. A bean appearing costs
+//! allocations in its own cycle only. The count comes from a
 //! global allocator that tallies per thread, so tests running in parallel
 //! cannot pollute each other's count.
 
@@ -11,8 +12,8 @@ use bskel_core::events::{EventKind, EventLog};
 use bskel_core::manager::{AutonomicManager, ManagerConfig};
 use bskel_core::ControllerKind;
 use bskel_monitor::{Journal, SensorSnapshot};
-use bskel_rules::stdlib::{farm_rules_with_ft, params};
-use bskel_rules::{op, parse_rules, RuleSet};
+use bskel_rules::stdlib::{farm_params, farm_rules_with_ft, hier_beans, params};
+use bskel_rules::{op, parse_rules, RuleEngine, RuleSet, WorkingMemory};
 use bskel_sim::ScriptedAbc;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -177,6 +178,39 @@ fn acting_rules_cycle_allocates_only_its_ops_and_event_detail() {
 fn acting_aimd_cycle_allocates_only_its_ops_and_event_detail() {
     assert!(worst_acting_cycle(ControllerKind::Aimd, false) <= 2);
     assert!(worst_acting_cycle(ControllerKind::Aimd, true) <= 3);
+}
+
+/// A layout change allocates on its own cycle only. An extra bean that
+/// appears mid-list in cycle `K` relays the working memory out and
+/// rebinds the engine in that cycle; from the next cycle on, refill plus
+/// rule evaluation allocate nothing again.
+#[test]
+fn an_extra_bean_allocates_only_on_the_cycle_it_appears() {
+    const K: usize = 10;
+    let snap = quiet_snapshot();
+    let table = farm_params(CONTRACT.0, CONTRACT.1, 1, 8, 4.0)
+        .with(params::FT_MIN_WORKERS, f64::from(FT_FLOOR));
+    let mut engine = RuleEngine::new(farm_rules_with_ft());
+    let mut wm = WorkingMemory::new();
+    let counts: Vec<u64> = (0..K + 20)
+        .map(|cycle| {
+            let extra = (cycle >= K).then_some(("nodeLoad", 0.5));
+            let before = allocations();
+            wm.refill(snap.beans().chain(extra).chain([
+                (hier_beans::VIOL_NOT_ENOUGH, 0.0),
+                (hier_beans::VIOL_TOO_MUCH, 0.0),
+                (hier_beans::END_STREAM, 0.0),
+            ]));
+            let ops = engine.cycle_ops(&wm, &table).expect("program evaluates");
+            assert!(ops.is_empty(), "cycle {cycle}: {ops:?}");
+            allocations() - before
+        })
+        .collect();
+    assert!(counts[K] > 0, "the new layout is built in cycle {K}");
+    assert!(
+        counts[1..K].iter().chain(&counts[K + 1..]).all(|&n| n == 0),
+        "{counts:?}"
+    );
 }
 
 /// The refilled working memory forgets a bean the plant stopped

@@ -1,7 +1,8 @@
 //! Property-based tests of the rule language: render → parse round-trips,
 //! engine semantics under random programs, the compiled `cycle_ops` path
-//! against `cycle`, and soundness of the static analyzer's verdicts
-//! against engine evaluation.
+//! against `cycle`, a refilled working memory and the slot-bound engine
+//! against a fresh memory and `Condition::eval`, and soundness of the
+//! static analyzer's verdicts against engine evaluation.
 
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -10,11 +11,12 @@ use bskel::core::standard_schema;
 use bskel::rules::analysis::{
     bind_params, satisfiable, Analyzer, BeanSchema, BeanType, LintCode, Proof,
 };
+use bskel::rules::ast::EvalError;
 use bskel::rules::op::OP_TABLE;
 use bskel::rules::stdlib::{self, viol};
 use bskel::rules::{
-    parse_rules, Action, Cmp, Condition, Expr, OpCall, ParamTable, Rule, RuleEngine, RuleSet,
-    WorkingMemory,
+    parse_rules, Action, Cmp, Condition, EngineError, Expr, Firing, OpCall, ParamTable, Rule,
+    RuleEngine, RuleSet, WorkingMemory,
 };
 
 fn ident() -> impl Strategy<Value = String> {
@@ -288,6 +290,200 @@ proptest! {
             prop_assert_eq!(&by_ops, &by_firings, "{}", name);
         }
     }
+}
+
+/// How one step's bean list differs from the previous step's.
+#[derive(Debug, Clone)]
+enum Change {
+    Same,
+    Reorder(usize),
+    Vanish(usize),
+    Extra(usize),
+    Repeat(usize),
+}
+
+fn change() -> impl Strategy<Value = Change> {
+    prop_oneof![
+        Just(Change::Same),
+        Just(Change::Same),
+        (0usize..1024).prop_map(Change::Reorder),
+        (0usize..1024).prop_map(Change::Vanish),
+        (0usize..1024).prop_map(Change::Extra),
+        (0usize..1024).prop_map(Change::Repeat),
+    ]
+}
+
+impl Change {
+    /// Applies the change to `names`, drawing a new name from `universe`.
+    fn apply(&self, names: &mut Vec<String>, universe: &[String]) {
+        let n = names.len();
+        match *self {
+            Change::Same => {}
+            Change::Reorder(k) if n > 1 => names.swap(k % n, k / n % n),
+            Change::Vanish(k) if n > 0 => {
+                names.remove(k % n);
+            }
+            Change::Extra(k) => {
+                let absent: Vec<&String> = universe.iter().filter(|u| !names.contains(u)).collect();
+                if !absent.is_empty() {
+                    names.insert(k % (n + 1), absent[k % absent.len()].clone());
+                }
+            }
+            Change::Repeat(k) if n > 0 => {
+                let name = names[k % n].clone();
+                names.insert(k / n % (n + 1), name);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// What an engine orders over `wm`, worked out with `Condition::eval`
+/// alone; `held` is the edge state, moved on only when every condition
+/// evaluates.
+fn reference_cycle(
+    set: &RuleSet,
+    held: &mut [bool],
+    wm: &WorkingMemory,
+    params: &ParamTable,
+) -> Result<Vec<OpCall>, EngineError> {
+    let mut holds = Vec::new();
+    for rule in set.rules() {
+        holds.push(
+            rule.when
+                .eval(wm, params)
+                .map_err(|source| EngineError::Eval {
+                    rule: rule.name.clone(),
+                    source,
+                })?,
+        );
+    }
+    let mut fired: Vec<&Rule> = Vec::new();
+    for ((rule, holds), held) in set.rules().iter().zip(holds).zip(held) {
+        let fires = holds && !(rule.edge_triggered && *held);
+        *held = holds;
+        if fires {
+            fired.push(rule);
+        }
+    }
+    fired.sort_by_key(|r| std::cmp::Reverse(r.salience));
+    Ok(fired.iter().flat_map(|r| r.execute()).collect())
+}
+
+proptest! {
+    /// A working memory refilled through a seeded sequence of bean lists —
+    /// kept, reordered, a bean vanishing, a new one appearing, a name
+    /// repeated — equals `from_beans` of each list. Over it, the engine of
+    /// every shipped program orders what `Condition::eval` over the fresh
+    /// memory says, fails where it fails with the same rule name, and
+    /// ends with the edge state of an engine fed the fresh memories.
+    #[test]
+    fn refill_and_bound_engine_match_a_fresh_memory(
+        params in proptest::collection::vec(engine_value(), 16),
+        steps in proptest::collection::vec(
+            (change(), proptest::collection::vec(engine_value(), 64)),
+            1..16,
+        ),
+    ) {
+        let programs = engine_programs();
+        let mut universe: Vec<String> = programs
+            .iter()
+            .flat_map(|(_, set)| set.required_beans())
+            .chain((0..3).map(|i| format!("extra{i}")))
+            .collect();
+        universe.sort();
+        universe.dedup();
+        let mut engines: Vec<_> = programs
+            .into_iter()
+            .map(|(name, set)| {
+                let table: ParamTable = set
+                    .required_params()
+                    .into_iter()
+                    .zip(params.iter().cycle())
+                    .fold(ParamTable::new(), |t, (p, v)| t.with(p, *v));
+                let held = vec![false; set.len()];
+                let engine = RuleEngine::new(set.clone());
+                (name, set, table, held, engine.clone(), engine)
+            })
+            .collect();
+        let mut names = universe.clone();
+        let mut refilled = WorkingMemory::new();
+        for (i, (change, values)) in steps.iter().enumerate() {
+            change.apply(&mut names, &universe);
+            let pairs = || names.iter().zip(values.iter().cycle()).map(|(n, v)| (n.as_str(), *v));
+            refilled.refill(pairs());
+            let fresh = WorkingMemory::from_beans(pairs());
+            prop_assert_eq!(&refilled, &fresh);
+            prop_assert_eq!(refilled.len(), fresh.len());
+            prop_assert!(refilled.iter().eq(fresh.iter()));
+            for name in &universe {
+                prop_assert_eq!(refilled.get(name), fresh.get(name), "{}", name);
+            }
+            for (name, set, table, held, by_refill, by_fresh) in &mut engines {
+                let want = reference_cycle(set, held, &fresh, table);
+                let flat =
+                    |fs: Vec<Firing>| -> Vec<OpCall> { fs.into_iter().flat_map(|f| f.ops).collect() };
+                let got = if i % 2 == 0 {
+                    by_refill.cycle_ops(&refilled, table)
+                } else {
+                    by_refill.cycle(&refilled, table).map(flat)
+                };
+                prop_assert_eq!(&got, &want, "{} step {}", name, i);
+                prop_assert_eq!(&by_fresh.cycle(&fresh, table).map(flat), &want);
+                prop_assert_eq!(&*by_refill, &*by_fresh, "{} step {}", name, i);
+            }
+        }
+    }
+}
+
+/// Two memories holding the same names in other slots, and a third of the
+/// same size with other names, fed in turn to one engine: every cycle
+/// reads its own memory.
+#[test]
+fn one_engine_over_alternating_layouts() {
+    let set = parse_rules(r#"rule "up" when a > b then fire(ADD_EXECUTOR); end"#).unwrap();
+    let params = ParamTable::new();
+    let ab = WorkingMemory::from_beans([("a", 2.0), ("b", 1.0)]);
+    let ba = WorkingMemory::from_beans([("b", 2.0), ("a", 1.0)]);
+    let ac = WorkingMemory::from_beans([("a", 2.0), ("c", 1.0)]);
+    let mut engine = RuleEngine::new(set);
+    for _ in 0..3 {
+        assert_eq!(engine.cycle_ops(&ab, &params).unwrap().len(), 1);
+        assert!(engine.cycle_ops(&ba, &params).unwrap().is_empty());
+        let err = engine.cycle_ops(&ac, &params).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Eval {
+                rule: "up".into(),
+                source: EvalError::UnknownBean("b".into()),
+            }
+        );
+    }
+}
+
+/// A parameter table replaced between cycles by one of the same size with
+/// another threshold changes what fires; so does one changed in place,
+/// and one of the same size naming another parameter fails.
+#[test]
+fn a_replaced_param_table_is_read_afresh() {
+    let set = parse_rules(r#"rule "low" when departureRate < $FLOOR then fire(ADD_EXECUTOR); end"#)
+        .unwrap();
+    let wm = WorkingMemory::from_beans([("departureRate", 5.0)]);
+    let mut engine = RuleEngine::new(set);
+    let mut params = ParamTable::new().with("FLOOR", 10.0);
+    assert_eq!(engine.cycle_ops(&wm, &params).unwrap().len(), 1);
+    params = ParamTable::new().with("FLOOR", 1.0);
+    assert!(engine.cycle_ops(&wm, &params).unwrap().is_empty());
+    params.set("FLOOR", 20.0);
+    assert_eq!(engine.cycle_ops(&wm, &params).unwrap().len(), 1);
+    params = ParamTable::new().with("CEIL", 10.0);
+    assert_eq!(
+        engine.cycle_ops(&wm, &params),
+        Err(EngineError::Eval {
+            rule: "low".into(),
+            source: EvalError::UnknownParam("FLOOR".into()),
+        })
+    );
 }
 
 /// The fixed analyzer environment matching [`rewrite`]: eight real-valued
