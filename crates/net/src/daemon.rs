@@ -259,36 +259,34 @@ fn handle_conn(stream: TcpStream) -> std::io::Result<()> {
     let mut reader = FrameReader::new(stream.try_clone()?);
     let mut writer = FrameWriter::new(stream.try_clone()?);
 
+    let refuse = |writer: &mut FrameWriter, error: String| {
+        let ack = HelloAck {
+            ok: false,
+            secure: false,
+            nonce: 0,
+            error,
+        };
+        writer.send(FrameType::HelloAck, 0, &encode_hello_ack(&ack))
+    };
     let hello = match reader.next_blocking()? {
         Some(f) if f.ftype == FrameType::Hello => decode_hello(&f.payload),
         _ => None,
     };
     let Some(hello) = hello else {
-        writer.send(
-            FrameType::HelloAck,
-            0,
-            &encode_hello_ack(&HelloAck {
-                ok: false,
-                secure: false,
-                nonce: 0,
-                error: "expected a Hello frame first".into(),
-            }),
-        )?;
-        return Ok(());
+        return refuse(&mut writer, "expected a Hello frame first".into());
     };
     let Some(workload) = Workload::parse(&hello.workload) else {
-        writer.send(
-            FrameType::HelloAck,
-            0,
-            &encode_hello_ack(&HelloAck {
-                ok: false,
-                secure: false,
-                nonce: 0,
-                error: format!("unknown workload {:?}", hello.workload),
-            }),
-        )?;
-        return Ok(());
+        return refuse(
+            &mut writer,
+            format!("unknown workload {:?}", hello.workload),
+        );
     };
+    if hello.secure && reader.buffered() > 0 {
+        // Bytes pipelined behind a secure Hello were sent in the clear but
+        // would be deciphered as keystream, i.e. silently skipped as
+        // garbage. Refuse, as the client refuses a residue behind the ack.
+        return refuse(&mut writer, "cleartext residue after a secure Hello".into());
+    }
 
     // Not a secret: the nonce only varies the toy session keys per
     // connection (see crate::secure for why that is fine here).
@@ -418,5 +416,53 @@ mod tests {
             8u64.to_le_bytes()
         );
         assert!(catch_unwind(|| Workload::PanicOn(7).apply(&7u64.to_le_bytes())).is_err());
+    }
+
+    /// Writes a `Hello` and a task in one write, then reads the ack. The
+    /// reader is returned for whatever the daemon sends after it.
+    fn pipelined_hello(secure: bool) -> (HelloAck, FrameReader) {
+        use crate::proto::{decode_hello_ack, encode_frame, encode_hello, Hello};
+        use std::io::Write;
+
+        let addr = spawn_local("127.0.0.1:0").expect("bind a loopback daemon");
+        let stream = TcpStream::connect(addr).expect("connect to the daemon");
+        let hello = Hello {
+            secure,
+            nonce: 7,
+            workload: "echo".into(),
+        };
+        let mut bytes = Vec::new();
+        encode_frame(&mut bytes, FrameType::Hello, 0, &encode_hello(&hello));
+        encode_frame(&mut bytes, FrameType::Task, 1, b"pipelined");
+        (&stream).write_all(&bytes).expect("one write");
+        let mut reader = FrameReader::new(stream);
+        let ack = reader
+            .next_blocking()
+            .expect("the daemon answers")
+            .expect("a frame before close");
+        assert_eq!(ack.ftype, FrameType::HelloAck);
+        let ack = decode_hello_ack(&ack.payload).expect("a well-formed HelloAck");
+        (ack, reader)
+    }
+
+    #[test]
+    fn a_task_pipelined_behind_a_secure_hello_is_refused() {
+        let (ack, _) = pipelined_hello(true);
+        assert!(!ack.ok, "{ack:?}");
+        assert!(ack.error.contains("cleartext residue"), "{ack:?}");
+    }
+
+    #[test]
+    fn a_task_pipelined_behind_a_plain_hello_is_served() {
+        let (ack, mut reader) = pipelined_hello(false);
+        assert!(ack.ok, "{ack:?}");
+        let result = reader
+            .next_blocking()
+            .expect("the daemon answers")
+            .expect("the echo comes back");
+        assert_eq!(
+            (result.ftype, result.seq, &result.payload[..]),
+            (FrameType::Result, 1, &b"pipelined"[..])
+        );
     }
 }

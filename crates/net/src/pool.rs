@@ -1502,47 +1502,41 @@ fn pump_conn<Out: Send + 'static>(
         match slot.queue.try_pop_batch(WIRE_BATCH, batch) {
             TryPop::Got => {
                 // Record in-flight BEFORE queueing bytes: there is no
-                // window in which a task exists only as wire bytes. The
+                // window in which a task exists only as wire bytes. Each
+                // payload is encoded, then moved into the map under the
+                // same lock, so it is never copied on this thread. The
                 // `dead` check mirrors the old writer-thread race guard;
                 // with the death path on this same thread it is merely
                 // defensive.
-                let fresh = {
-                    let mut inflight = slot.inflight.lock();
-                    if slot.dead.load(Ordering::SeqCst) {
-                        None
-                    } else {
-                        let now = Instant::now();
-                        // Count only *fresh* inserts: a recovery replay
-                        // can route the same sequence number back onto
-                        // this slot while a stale copy is still recorded,
-                        // and counting it twice would leak
-                        // `inflight_count` forever.
-                        let mut fresh = 0usize;
-                        for t in batch.iter() {
-                            let entry = InflightEntry {
-                                item: t.item.clone(),
-                                sent_at: now,
-                            };
-                            if inflight.insert(t.seq, entry).is_none() {
-                                fresh += 1;
-                            }
-                        }
-                        Some(fresh)
-                    }
-                };
-                let Some(fresh) = fresh else {
+                let mut inflight = slot.inflight.lock();
+                if slot.dead.load(Ordering::SeqCst) {
+                    drop(inflight);
                     // Died under us before these tasks were recorded
                     // anywhere a harvest could see: replay them directly.
                     let slots = shared.slots.lock();
                     shared.core.redistribute(&slots, std::mem::take(batch));
                     break;
-                };
-                slot.inflight_count.fetch_add(fresh, Ordering::SeqCst);
+                }
+                let now = Instant::now();
                 let mut buf = buffers.get();
                 let frames = batch.len();
+                // Count only *fresh* inserts: a recovery replay can route
+                // the same sequence number back onto this slot while a
+                // stale copy is still recorded, and counting it twice
+                // would leak `inflight_count` forever.
+                let mut fresh = 0usize;
                 for t in batch.drain(..) {
                     encode_frame(&mut buf, FrameType::Task, t.seq, &t.item);
+                    let entry = InflightEntry {
+                        item: t.item,
+                        sent_at: now,
+                    };
+                    if inflight.insert(t.seq, entry).is_none() {
+                        fresh += 1;
+                    }
                 }
+                drop(inflight);
+                slot.inflight_count.fetch_add(fresh, Ordering::SeqCst);
                 if let Some(c) = conn.cipher_out.as_mut() {
                     let t0 = Instant::now();
                     c.apply(&mut buf);

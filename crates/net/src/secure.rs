@@ -10,6 +10,27 @@
 //! per-byte streaming cost on every frame. The key-stretch loop in
 //! [`derive_session_keys`] exists purely to make the handshake cost
 //! visible on a loopback benchmark.
+//!
+//! # The keystream kernel
+//!
+//! Byte *n* of a direction's keystream comes from the xorshift64 state
+//! *n* + 1 steps after the key. Taken one byte at a time, every byte
+//! waits on the previous byte's step, so the loop is bound by latency.
+//! [`StreamCipher::apply`] instead ciphers each whole 1 KiB block as
+//! four 256-byte lanes and advances their four independent chains in
+//! one loop. Lane *j* must start from the state 256·*j* steps ahead.
+//! The xorshift step is linear over GF(2), so 256 steps are one 64×64
+//! bit matrix. `JUMP` holds it byte-sliced: for each of the state's 8
+//! bytes, the image of all 256 values of that byte. A jump is then 8
+//! lookups XORed together. A `const fn` builds the 16 KiB table at
+//! compile time, so there is no set-up cost and no lazy init. Each lane
+//! steps its own state exactly as the serial loop would, and the state
+//! after a block is the last lane's, 1 024 steps on. So the output and
+//! the state left behind are the serial loop's, byte for byte, whatever
+//! the buffer sizes: old and new peers interoperate. A tail under 1 KiB
+//! takes the serial step, and so do small frames such as heartbeats.
+//! Tests pin the keystream to a recorded golden vector and compare
+//! `apply` against the serial loop at random lengths and split points.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -46,6 +67,69 @@ pub fn derive_session_keys(client_nonce: u64, server_nonce: u64) -> (u64, u64) {
     (c2s, s2c)
 }
 
+/// Keystream bytes per lane of the four-lane kernel.
+const LANE: usize = 256;
+/// Bytes the kernel ciphers per round: four lanes side by side.
+const BLOCK: usize = 4 * LANE;
+
+/// One xorshift64 step: the cipher's state transition.
+#[inline]
+const fn xorshift(mut x: u64) -> u64 {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    x
+}
+
+/// The keystream byte a freshly stepped state yields: the xorshift64*
+/// multiply, whose high byte has good mixing.
+#[inline]
+fn keystream_byte(x: u64) -> u8 {
+    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+}
+
+/// [`LANE`] xorshift steps as a byte-sliced GF(2) matrix: `JUMP[k][b]` is
+/// where a state holding only byte value `b` at byte `k` lands after
+/// `LANE` steps.
+static JUMP: [[u64; 256]; 8] = jump_table();
+
+const fn jump_table() -> [[u64; 256]; 8] {
+    // Where each single-bit state lands: the matrix's columns.
+    let mut column = [0u64; 64];
+    let mut bit = 0;
+    while bit < 64 {
+        let mut x = 1u64 << bit;
+        let mut step = 0;
+        while step < LANE {
+            x = xorshift(x);
+            step += 1;
+        }
+        column[bit] = x;
+        bit += 1;
+    }
+    // By linearity, `b`'s image is its lowest set bit's column XOR the
+    // image of `b` without that bit, an entry already filled.
+    let mut table = [[0u64; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 1usize;
+        while b < 256 {
+            table[k][b] = table[k][b & (b - 1)] ^ column[8 * k + b.trailing_zeros() as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
+/// The state [`LANE`] xorshift steps after `x`.
+#[inline]
+fn jump(x: u64) -> u64 {
+    JUMP.iter()
+        .zip(x.to_le_bytes())
+        .fold(0, |y, (row, byte)| y ^ row[usize::from(byte)])
+}
+
 /// One direction of the toy stream cipher: an xorshift64* keystream XORed
 /// over the byte stream. Order-dependent — all bytes of a direction must
 /// pass through a single cipher instance in wire order.
@@ -57,9 +141,10 @@ pub struct StreamCipher {
 impl StreamCipher {
     /// A cipher keyed from one of the [`derive_session_keys`] outputs.
     pub fn new(key: u64) -> Self {
-        // Scramble once so a zero key doesn't produce a zero keystream.
+        // Scramble once so a zero key doesn't produce a zero keystream;
+        // only the advanced state is kept, not the step's output.
         let mut s = key ^ 0x6A09_E667_F3BC_C908;
-        let _ = splitmix64(&mut s);
+        splitmix64(&mut s);
         Self {
             state: if s == 0 { 1 } else { s },
         }
@@ -67,19 +152,39 @@ impl StreamCipher {
 
     #[inline]
     fn next_byte(&mut self) -> u8 {
-        // xorshift64* — the multiply output's high byte has good mixing.
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+        self.state = xorshift(self.state);
+        keystream_byte(self.state)
     }
 
     /// XORs the keystream over `buf` in place. Encryption and decryption
     /// are the same operation.
+    ///
+    /// Whole 1 KiB blocks run as four interleaved lanes (see the module
+    /// docs); a shorter tail takes one serial step per byte.
     pub fn apply(&mut self, buf: &mut [u8]) {
-        for b in buf.iter_mut() {
+        let mut blocks = buf.chunks_exact_mut(BLOCK);
+        for block in &mut blocks {
+            let (l0, rest) = block.split_at_mut(LANE);
+            let (l1, rest) = rest.split_at_mut(LANE);
+            let (l2, l3) = rest.split_at_mut(LANE);
+            let mut s0 = self.state;
+            let mut s1 = jump(s0);
+            let mut s2 = jump(s1);
+            let mut s3 = jump(s2);
+            for (((b0, b1), b2), b3) in l0.iter_mut().zip(l1).zip(l2).zip(l3) {
+                s0 = xorshift(s0);
+                s1 = xorshift(s1);
+                s2 = xorshift(s2);
+                s3 = xorshift(s3);
+                *b0 ^= keystream_byte(s0);
+                *b1 ^= keystream_byte(s1);
+                *b2 ^= keystream_byte(s2);
+                *b3 ^= keystream_byte(s3);
+            }
+            // The last lane ends exactly BLOCK steps past the start.
+            self.state = s3;
+        }
+        for b in blocks.into_remainder() {
             *b ^= self.next_byte();
         }
     }
@@ -197,6 +302,76 @@ mod tests {
         two.apply(&mut b[..20]);
         two.apply(&mut b[20..]);
         assert_eq!(a, b);
+    }
+
+    /// The byte-at-a-time keystream: the oracle `apply` must match.
+    fn serial_apply(c: &mut StreamCipher, buf: &mut [u8]) {
+        for b in buf {
+            *b ^= c.next_byte();
+        }
+    }
+
+    #[test]
+    fn keystream_matches_the_recorded_golden_vector() {
+        // The first 3 KiB of the client-to-server keystream for nonces
+        // (11, 22), recorded from the serial loop: peers built before and
+        // after the lane kernel must agree byte for byte.
+        let hex: Vec<u8> = include_str!("../tests/fixtures/keystream_11_22_c2s.hex")
+            .bytes()
+            .filter(|b| !b.is_ascii_whitespace())
+            .collect();
+        let golden: Vec<u8> = hex
+            .chunks(2)
+            .map(|pair| {
+                u8::from_str_radix(std::str::from_utf8(pair).expect("ASCII"), 16)
+                    .expect("a hex byte")
+            })
+            .collect();
+        assert_eq!(golden.len(), 3 * 1024);
+        let mut buf = vec![0u8; golden.len()];
+        StreamCipher::new(derive_session_keys(11, 22).0).apply(&mut buf);
+        assert_eq!(buf, golden);
+    }
+
+    #[test]
+    fn apply_equals_the_serial_keystream_at_any_length_and_split() {
+        let mut rng = 0x5EED_u64;
+        let mut lengths: Vec<usize> = (0..200)
+            .map(|_| (splitmix64(&mut rng) % (3 * 1024 + 1)) as usize)
+            .collect();
+        lengths.extend([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 65_552, 1 << 20]);
+        for len in lengths {
+            let key = splitmix64(&mut rng);
+            let data: Vec<u8> = (0..len).map(|_| splitmix64(&mut rng) as u8).collect();
+            let mut cuts: Vec<usize> = (0..splitmix64(&mut rng) % 4)
+                .map(|_| (splitmix64(&mut rng) % (len as u64 + 1)) as usize)
+                .collect();
+            cuts.push(len);
+            cuts.sort_unstable();
+
+            let mut lanes = StreamCipher::new(key);
+            let mut got = data.clone();
+            let mut from = 0;
+            for &cut in &cuts {
+                lanes.apply(&mut got[from..cut]);
+                from = cut;
+            }
+            let mut oracle = StreamCipher::new(key);
+            let mut want = data;
+            serial_apply(&mut oracle, &mut want);
+            assert!(got == want, "len {len}, cuts {cuts:?}");
+            assert_eq!(lanes.state, oracle.state, "len {len}, cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn jump_table_equals_lane_serial_steps() {
+        let mut rng = 7u64;
+        for _ in 0..256 {
+            let x = splitmix64(&mut rng);
+            let serial = (0..LANE).fold(x, |s, _| xorshift(s));
+            assert_eq!(jump(x), serial, "from {x:#018x}");
+        }
     }
 
     #[test]

@@ -114,11 +114,18 @@ impl FrameReader {
     ///
     /// Must be called once the decoder holds no buffered bytes from the
     /// clear phase — i.e. immediately after the handshake frames were
-    /// consumed and before any ciphered bytes arrive.
+    /// consumed and before any ciphered bytes arrive. A peer can break
+    /// that by pipelining bytes behind its handshake, so callers check
+    /// [`FrameReader::buffered`] first and refuse the connection.
     pub fn secure(&mut self, cipher: StreamCipher, meter: Arc<CostMeter>) {
         debug_assert_eq!(self.decoder.buffered(), 0, "secure() with clear residue");
         self.cipher = Some(cipher);
         self.meter = Some(meter);
+    }
+
+    /// Bytes read from the socket but not yet decoded into frames.
+    pub fn buffered(&self) -> usize {
+        self.decoder.buffered()
     }
 
     /// Pops the next frame already sitting in the decode buffer, without

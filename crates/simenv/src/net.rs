@@ -47,20 +47,23 @@ impl SslCostModel {
 
     /// A model calibrated against the real distributed substrate
     /// (`bskel-net`) on loopback TCP: the `net_farm` bench measures the
-    /// toy secure channel's key-stretch handshake at ~0.36 ms and its
-    /// keystream cipher at ~2 ns/byte, against ~3 µs/task of plain
-    /// loopback wire time for 8-byte payloads (see `BENCH_net_farm.json`
-    /// and EXPERIMENTS.md NET1). The `Default` model keeps the paper's
-    /// WAN/grid-scale magnitudes, where channel setup dominates; this one
-    /// is the measured LAN regime, where securing small messages is
-    /// nearly free and the simulator should predict accordingly.
+    /// toy secure channel's key-stretch handshake at ~0.36 ms, against
+    /// ~3 µs/task of plain loopback wire time for 8-byte payloads (see
+    /// `BENCH_net_farm.json` and EXPERIMENTS.md NET1). Its four-lane
+    /// keystream cipher costs ~1.5 ns/byte under load
+    /// (`net.cipher_ns_per_byte` on `bskel-perf`'s `pool_bulk_secure`,
+    /// traced). The `Default` model keeps
+    /// the paper's WAN/grid-scale magnitudes, where channel setup
+    /// dominates; this one is the measured LAN regime, where securing
+    /// small messages is nearly free and the simulator should predict
+    /// accordingly.
     pub fn calibrated_loopback() -> Self {
         Self {
             handshake: 3.6e-4,
             plain_comm: 3.0e-6,
-            // 48 wire bytes/task * 2 ns/byte ≈ 0.1 µs of cipher on top of
-            // ~3 µs of plain comm.
-            ssl_factor: 1.03,
+            // 48 wire bytes/task * 1.5 ns/byte ≈ 0.07 µs of cipher on
+            // top of ~3 µs of plain comm.
+            ssl_factor: 1.024,
         }
     }
 
