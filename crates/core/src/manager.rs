@@ -215,7 +215,10 @@ pub struct ManagerConfig {
     /// Seconds between control cycles.
     pub control_period: f64,
     /// Workers added per `ADD_EXECUTOR` firing (the paper's Fig. 4 adds
-    /// two at a time).
+    /// two at a time): the step of the performance laws. Below the
+    /// fault-tolerance floor (the `ftMinWorkers` bean) a firing recruits
+    /// the whole deficit instead when that is larger, so a mass loss is
+    /// healed by one actuation.
     pub add_batch: u32,
     /// Workers removed per `REMOVE_EXECUTOR` firing.
     pub remove_batch: u32,
@@ -391,7 +394,7 @@ impl AutonomicManager {
             wm: WorkingMemory::new(),
         };
         m.params = m.derive_params(&Contract::BestEffort);
-        m.lint_rules(None, 0.0)?;
+        m.check_rules()?;
         Ok(m)
     }
 
@@ -414,26 +417,38 @@ impl AutonomicManager {
     /// oscillation pairs, conflicting shadowing) reject the program.
     pub fn try_with_rules(mut self, rules: RuleSet) -> Result<Self, RuleLintError> {
         self.controller.set_rules(rules);
-        self.lint_rules(None, 0.0)?;
+        self.check_rules()?;
         Ok(self)
     }
 
-    /// Runs the rule-program analysis, logging findings; errors reject the
-    /// program under [`RuleCheck::Strict`]. With `params` bound (contract
-    /// adoption) the verdicts are sharper but only ever logged: a contract
-    /// making a rule dormant is a property of this contract, not of the
-    /// program.
+    /// Load-time check of the rule program: findings are logged, and
+    /// error-severity ones reject the program under [`RuleCheck::Strict`].
+    fn check_rules(&self) -> Result<(), RuleLintError> {
+        let mut errors = Vec::new();
+        self.lint_rules(None, 0.0, Some(&mut errors));
+        if self.cfg.rule_check == RuleCheck::Strict && !errors.is_empty() {
+            return Err(RuleLintError(errors));
+        }
+        Ok(())
+    }
+
+    /// Runs the rule-program analysis (and the opt-in model check),
+    /// logging every finding and collecting the error-severity ones into
+    /// `errors` when given. With `params` bound (contract adoption) the
+    /// verdicts are sharper but only ever logged: a contract making a rule
+    /// dormant is a property of this contract, not of the program.
     fn lint_rules(
         &self,
         params: Option<&bskel_rules::ParamTable>,
         now: Time,
-    ) -> Result<(), RuleLintError> {
+        errors: Option<&mut Vec<bskel_rules::Diagnostic>>,
+    ) {
         if self.cfg.rule_check == RuleCheck::Off {
-            return Ok(());
+            return;
         }
         // Laws without a rule program have nothing to lint or model-check.
         let Some(rules) = self.controller.rules() else {
-            return Ok(());
+            return;
         };
         let analyzer = Analyzer::new(self.abc.bean_schema());
         let mut diags = analyzer.analyze(rules, params, None);
@@ -445,14 +460,13 @@ impl AutonomicManager {
             );
         }
         diags.extend(self.model_check_rules(params, now));
-        let errors: Vec<_> = diags
-            .into_iter()
-            .filter(|d| d.severity == bskel_rules::Severity::Error)
-            .collect();
-        if self.cfg.rule_check == RuleCheck::Strict && params.is_none() && !errors.is_empty() {
-            return Err(RuleLintError(errors));
+        if let Some(errors) = errors {
+            errors.extend(
+                diags
+                    .into_iter()
+                    .filter(|d| d.severity == bskel_rules::Severity::Error),
+            );
         }
-        Ok(())
     }
 
     /// Opt-in exhaustive model check of the rule program
@@ -655,7 +669,7 @@ impl AutonomicManager {
         // decidable; re-lint (and model-check, if enabled) against the
         // adopted contract so dormant rules and parameter-induced
         // overlaps land in the event log (never a rejection).
-        let _ = self.lint_rules(Some(&self.params), now);
+        self.lint_rules(Some(&self.params), now, None);
         if self.cfg.model_initial_setup && self.cfg.kind == ManagerKind::Farm {
             self.needs_initial_setup = true;
         }
@@ -773,14 +787,19 @@ impl AutonomicManager {
 
         // Model-based initial parallelism-degree setup (paper §3, citing
         // [10]: the parallelism degree "can be initially set to some
-        // 'optimal' value and then adapted"). One shot per contract.
+        // 'optimal' value and then adapted"). One shot per contract; never
+        // lands below the fault-tolerance floor.
         if self.needs_initial_setup {
             self.needs_initial_setup = false;
             if let Some((lo, _)) = self.contract.throughput_bounds() {
                 if snap.service_time > 0.0 && lo > 0.0 {
                     let target = (lo * snap.service_time).ceil().max(1.0) as u32;
-                    if target > snap.num_workers {
-                        let add = target - snap.num_workers;
+                    let add = recruitment(
+                        target.saturating_sub(snap.num_workers),
+                        snap.ft_min_workers,
+                        snap.num_workers,
+                    );
+                    if add > 0 {
                         if let Ok(ActuationOutcome::Applied) =
                             self.actuate(&ManagerOp::AddWorkers(add), now)
                         {
@@ -871,6 +890,10 @@ impl AutonomicManager {
         let mut violated = false;
         let mut refused = false;
         let args = self.op_args();
+        // The par-degree once this cycle's applied resizes land: a second
+        // recruitment in the same cycle must not count the floor's deficit
+        // twice.
+        let mut planned = snap.num_workers;
         for call in &ops {
             if call.operation == op::RAISE_VIOLATION {
                 violated = true;
@@ -890,7 +913,12 @@ impl AutonomicManager {
                 self.raise(now, kind);
                 continue;
             }
-            let op_ = ManagerOp::from_rule(&call.operation, &args);
+            let op_ = match ManagerOp::from_rule(&call.operation, &args) {
+                ManagerOp::AddWorkers(step) => {
+                    ManagerOp::AddWorkers(recruitment(step, snap.ft_min_workers, planned))
+                }
+                op_ => op_,
+            };
             match &op_ {
                 // The pipeline drives its source with rate contracts, not
                 // through its own ABC.
@@ -909,6 +937,11 @@ impl AutonomicManager {
                 _ => match self.actuate(&op_, now) {
                     Ok(ActuationOutcome::Applied) => {
                         acted = true;
+                        match op_ {
+                            ManagerOp::AddWorkers(n) => planned += n,
+                            ManagerOp::RemoveWorkers(n) => planned = planned.saturating_sub(n),
+                            _ => {}
+                        }
                         let (kind, detail) = applied_event(&op_, &call.operation);
                         self.emit(now, kind, detail);
                     }
@@ -975,8 +1008,17 @@ impl AutonomicManager {
     }
 }
 
+/// Workers one recruitment orders: the law's `step`, or the whole deficit
+/// under the fault-tolerance `floor` (the `ftMinWorkers` bean, 0 = none)
+/// of a plant at `planned` workers when that is larger. Restoring the
+/// floor in one actuation keeps the repair from being split across the
+/// sensor blackout the first recruitment starts.
+fn recruitment(step: u32, floor: u32, planned: u32) -> u32 {
+    step.max(floor.saturating_sub(planned))
+}
+
 /// `op`'s journal form, rendered on its first actuation: the payloads are
-/// configuration constants, so a manager orders few distinct operations.
+/// a step or a floor deficit, so a manager orders few distinct operations.
 fn op_form(forms: &mut Vec<(ManagerOp, Arc<str>)>, op: &ManagerOp) -> Arc<str> {
     if let Some((_, form)) = forms.iter().find(|(known, _)| known == op) {
         return Arc::clone(form);
@@ -1588,6 +1630,110 @@ mod tests {
         slot.post(Contract::min_throughput(1.0));
         assert_eq!(slot.take(), Some(Contract::min_throughput(1.0)));
         assert!(slot.take().is_none());
+    }
+
+    /// A farm manager running the merged perf + FT program over `snap`
+    /// with fault-tolerance floor `floor` and the given `add_batch`.
+    fn ft_manager(
+        mut snap: SensorSnapshot,
+        floor: u32,
+        add_batch: u32,
+        controller: ControllerKind,
+    ) -> (AutonomicManager, Arc<Mutex<Vec<ManagerOp>>>) {
+        snap.ft_min_workers = floor;
+        let abc = MockAbc::new(vec![snap]);
+        let acts = Arc::clone(&abc.actuations);
+        let mut cfg = ManagerConfig::farm("AM_F");
+        cfg.add_batch = add_batch;
+        cfg.controller = controller;
+        cfg.extra_params
+            .push((stdlib::params::FT_MIN_WORKERS.to_owned(), f64::from(floor)));
+        let m = AutonomicManager::new(cfg, Box::new(abc), EventLog::new())
+            .with_rules(stdlib::farm_rules_with_ft());
+        (m, acts)
+    }
+
+    fn adds(acts: &Mutex<Vec<ManagerOp>>) -> Vec<u32> {
+        acts.lock()
+            .unwrap()
+            .iter()
+            .filter_map(|o| match o {
+                ManagerOp::AddWorkers(n) => Some(*n),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mass_loss_is_healed_by_one_recruitment_of_the_whole_deficit() {
+        // Best effort: only the FT rule can fire. Three of four workers
+        // died; the floor comes back in one actuation, not one per cycle.
+        let (mut m, acts) = ft_manager(farm_snap(0.5, 0.5, 1, 0.0), 4, 1, ControllerKind::Rules);
+        m.contract_slot().post(Contract::BestEffort);
+        m.control_cycle(0.0);
+        assert_eq!(adds(&acts), [3]);
+        let events = m.log().of_kind(&EventKind::AddWorker);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].detail.as_deref(), Some("3"));
+    }
+
+    #[test]
+    fn a_second_recruitment_in_the_cycle_does_not_count_the_deficit_twice() {
+        // Under-delivery and a mass loss at once: the FT rule and
+        // CheckRateLow both fire ADD_EXECUTOR. The first restores the
+        // floor, the second takes one performance step above it.
+        let (mut m, acts) = ft_manager(farm_snap(0.5, 0.1, 1, 0.0), 4, 1, ControllerKind::Rules);
+        m.contract_slot().post(Contract::throughput_range(0.3, 0.7));
+        m.control_cycle(0.0);
+        assert_eq!(adds(&acts), [3, 1]);
+    }
+
+    #[test]
+    fn at_or_without_a_floor_a_recruitment_is_one_step() {
+        for add_batch in [1, 2] {
+            // At the floor: the performance rule's step.
+            let (mut m, acts) = ft_manager(
+                farm_snap(0.5, 0.1, 4, 0.0),
+                4,
+                add_batch,
+                ControllerKind::Rules,
+            );
+            m.contract_slot().post(Contract::throughput_range(0.3, 0.7));
+            m.control_cycle(0.0);
+            assert_eq!(adds(&acts), [add_batch], "at the floor");
+            // No floor: a one-worker farm still grows by one step.
+            let (mut m, acts) = ft_manager(
+                farm_snap(0.5, 0.1, 1, 0.0),
+                0,
+                add_batch,
+                ControllerKind::Rules,
+            );
+            m.contract_slot().post(Contract::throughput_range(0.3, 0.7));
+            m.control_cycle(0.0);
+            assert_eq!(adds(&acts), [add_batch], "no floor");
+        }
+    }
+
+    #[test]
+    fn aimd_below_the_floor_recruits_the_deficit() {
+        let (mut m, acts) = ft_manager(farm_snap(0.5, 0.5, 1, 0.0), 4, 1, ControllerKind::Aimd);
+        m.contract_slot().post(Contract::BestEffort);
+        m.control_cycle(0.0);
+        assert_eq!(adds(&acts), [3]);
+    }
+
+    #[test]
+    fn model_initial_setup_never_lands_below_the_floor() {
+        // The model asks for ceil(0.3 × 2) = 1 worker; the floor wins.
+        let mut snap = farm_snap(0.5, 0.5, 1, 0.0);
+        snap.service_time = 2.0;
+        let (mut m, acts) = ft_manager(snap, 4, 1, ControllerKind::Rules);
+        m.cfg.model_initial_setup = true;
+        m.contract_slot().post(Contract::throughput_range(0.3, 0.7));
+        m.control_cycle(0.0);
+        assert_eq!(adds(&acts), [3]);
+        let events = m.log().of_kind(&EventKind::AddWorker);
+        assert_eq!(events[0].detail.as_deref(), Some("3 (model-init)"));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use bskel_core::contract::Contract;
 use bskel_core::events::{EventKind, EventLog};
 use bskel_core::manager::{AutonomicManager, ManagerConfig};
-use bskel_monitor::{Clock, ManualClock, RealClock};
+use bskel_monitor::{Clock, Journal, JournalEntry, ManualClock, RealClock};
 use bskel_net::proto::{decode_hello, encode_hello_ack, FrameType, HelloAck};
 use bskel_net::wire::{FrameReader, FrameWriter};
 use bskel_net::{spawn_local, Endpoint, RemotePoolBuilder, RemoteWorkerPool};
@@ -261,6 +261,82 @@ fn killing_a_workerd_mid_run_loses_zero_tasks_and_am_rebalances() {
     assert!(report.worker_panics.is_empty());
     survivor.kill().ok();
     survivor.wait().ok();
+}
+
+/// A mass loss is healed in one actuation: three of four slots die under
+/// a floor of four, and the next control cycle recruits all three at once
+/// instead of one slot per post-reconfiguration blackout.
+#[test]
+fn a_mass_loss_is_healed_by_one_recruitment() {
+    const FT_FLOOR: u32 = 4;
+    let clock = Arc::new(ManualClock::at(1.0));
+    let addr = spawn_local("127.0.0.1:0").expect("bind daemon");
+    let pool = RemotePoolBuilder::new("double", enc, dec)
+        .name("massheal")
+        .initial_workers(FT_FLOOR)
+        .max_workers(8)
+        .clock(clock.clone())
+        .rate_window(0.2)
+        // Injected kills are not endpoint faults: keep the circuit breaker
+        // from quarantining the one endpoint the replacements come from.
+        .breaker_threshold(1_000)
+        .heartbeat_period(Duration::from_millis(20))
+        .failure_timeout(Duration::from_secs(2))
+        .endpoint(Endpoint::plain(addr.to_string()))
+        .build()
+        .expect("daemon reachable");
+    let ctl = pool.control();
+
+    let journal = Journal::shared();
+    let log = EventLog::new();
+    log.attach_journal(Arc::clone(&journal));
+    let mut cfg = ManagerConfig::farm("AM_MASS");
+    cfg.extra_params.push((
+        bskel_rules::stdlib::params::FT_MIN_WORKERS.to_owned(),
+        f64::from(FT_FLOOR),
+    ));
+    let mut manager = AutonomicManager::new(
+        cfg,
+        Box::new(FarmAbc::new(Arc::clone(&ctl)).with_ft_floor(FT_FLOOR)),
+        log,
+    )
+    .with_rules(bskel_rules::stdlib::farm_rules_with_ft());
+    manager.contract_slot().post(Contract::BestEffort);
+    // Past the blackout the pool's initial recruitment started.
+    clock.advance(0.5);
+    manager.control_cycle(clock.now());
+
+    assert_eq!(ctl.kill_workers(3), Ok(3));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ctl.workers_lost() < 3 || ctl.num_workers() != 1 {
+        assert!(Instant::now() < deadline, "kill never took effect");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    manager.control_cycle(clock.now());
+    assert_eq!(ctl.num_workers(), FT_FLOOR as usize, "floor restored");
+
+    // Through the blackout the recruitment started and past it: no
+    // further add.
+    for _ in 0..4 {
+        clock.advance(0.1);
+        manager.control_cycle(clock.now());
+    }
+    assert_eq!(ctl.num_workers(), FT_FLOOR as usize);
+    let adds: Vec<String> = journal
+        .entries()
+        .into_iter()
+        .filter_map(|r| match r.entry {
+            JournalEntry::Actuation { op, .. } if op.starts_with("addWorkers") => Some(op),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(adds, ["addWorkers(3)"]);
+    // The healed pool serves.
+    assert_eq!(
+        feed_and_collect(&pool.input(), &pool.output(), 0..100).len(),
+        100
+    );
+    assert_eq!(pool.shutdown().workers_lost, 3);
 }
 
 /// A peer that completes the handshake and then goes silent (socket open,

@@ -108,7 +108,9 @@ op_table! {
     RAISE_VIOLATION { inert }
 
     /// Recruit resources and add workers to a functional-replication
-    /// skeleton (paper: `ADD_EXECUTOR`; Fig. 4 adds two at a time).
+    /// skeleton (paper: `ADD_EXECUTOR`; Fig. 4 adds two at a time). The
+    /// payload is the manager's `add_batch`, or the whole deficit under
+    /// the `ftMinWorkers` floor when that is larger.
     ADD_EXECUTOR => AddWorkers(add_batch: u32) = "addWorkers({})" {
         actuator "parDegree" Up;
         "numWorkers" Up, "remoteWorkers" Up, "departureRate" Up, "queuedTasks" Down,

@@ -134,6 +134,9 @@ pub fn producer_rules() -> RuleSet {
 }
 
 /// The fault-tolerance rule program (worker replacement after failures).
+/// Its one `ADD_EXECUTOR` recruits the whole deficit under
+/// `$FT_MIN_WORKERS`: the manager sizes a below-floor recruitment, so
+/// lost workers are replaced in one actuation.
 pub fn fault_rules() -> RuleSet {
     parse_rules(FAULT_RULES_TEXT).expect("embedded fault.rules must parse")
 }

@@ -747,6 +747,67 @@ mod tests {
     }
 
     #[test]
+    fn mass_loss_journal_replays_identically() {
+        use bskel_monitor::{Journal, JournalEntry};
+        // Record: three of four workers die under the FT floor; the
+        // manager orders the whole deficit at once, then the blackout and
+        // a healed plant follow.
+        let journal = Journal::shared();
+        let snap = |workers: u32, lost: u64, reconfiguring: bool| {
+            let mut s = SensorSnapshot::empty(0.0);
+            s.arrival_rate = 0.5;
+            s.departure_rate = 0.5;
+            s.num_workers = workers;
+            s.workers_lost = lost;
+            s.ft_min_workers = 4;
+            s.reconfiguring = reconfiguring;
+            s
+        };
+        let script = vec![
+            snap(4, 0, false),
+            snap(1, 3, false),
+            snap(4, 3, true),
+            snap(4, 3, false),
+        ];
+        let mut cfg = ManagerConfig::farm("AM_FT");
+        cfg.rule_check = RuleCheck::Off;
+        cfg.extra_params
+            .push((stdlib::params::FT_MIN_WORKERS.to_owned(), 4.0));
+        let log = EventLog::new();
+        log.attach_journal(Arc::clone(&journal));
+        let mut m = AutonomicManager::new(cfg.clone(), Box::new(ScriptedAbc::new(script)), log)
+            .with_rules(stdlib::farm_rules_with_ft());
+        m.contract_slot().post(Contract::BestEffort);
+        for i in 0..4 {
+            m.control_cycle(i as f64 * 0.5);
+        }
+        let records = journal.entries();
+        let adds: Vec<&str> = records
+            .iter()
+            .filter_map(|r| match &r.entry {
+                JournalEntry::Actuation { op, .. } if op.starts_with("addWorkers") => {
+                    Some(op.as_str())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(adds, ["addWorkers(3)"]);
+
+        let parsed = bskel_monitor::journal::parse_jsonl(&journal.to_jsonl()).unwrap();
+        assert_eq!(parsed, records);
+        let report = replay_journal(
+            &parsed,
+            vec![JournalReplayProgram {
+                cfg,
+                rules: stdlib::farm_rules_with_ft(),
+                contract: Some(Contract::BestEffort),
+            }],
+        );
+        assert_eq!(report.snapshots, 4);
+        assert!(report.identical(), "{:#?}", report.mismatches);
+    }
+
+    #[test]
     fn failed_actuation_journal_replays_identically() {
         use bskel_monitor::Journal;
         let journal = Journal::shared();

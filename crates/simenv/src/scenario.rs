@@ -913,6 +913,10 @@ mod tests {
             .run(13);
         assert_eq!(outcome.failed_workers, 2);
         assert_eq!(outcome.final_snapshot.num_workers, 3, "floor restored");
+        // In one recruitment of the whole deficit.
+        let adds = outcome.events_of(&EventKind::AddWorker);
+        assert_eq!(adds.len(), 1, "{adds:?}");
+        assert_eq!(adds[0].detail.as_deref(), Some("2"));
         // Without the floor, the degraded farm stays degraded.
         let bare = FarmScenario::builder()
             .contract(Contract::BestEffort)
