@@ -9,10 +9,10 @@
 //!   (first time the contract floor is reached), delivered throughput
 //!   and resource cost in worker-seconds;
 //! * **chaos soak** — a wall-clock distributed pool whose four endpoints
-//!   *all* sit behind seeded delay-only [`ChaosProxy`]s, with an
-//!   aggressive soft task deadline. Without a brake, every delayed task
-//!   is speculatively re-dispatched each sweep and the duplicate traffic
-//!   slows the proxies further — the classic self-amplifying retry
+//!   *all* sit behind seeded delay-only [`ChaosProxy`](bskel_net::ChaosProxy)s,
+//!   with an aggressive soft task deadline. Without a brake, every delayed
+//!   task is speculatively re-dispatched each sweep and the duplicate
+//!   traffic slows the proxies further — the classic self-amplifying retry
 //!   storm. The soak measures re-dispatch amplification
 //!   `(dispatches / tasks)` per controller.
 //!

@@ -12,7 +12,7 @@
 //!
 //! 1. samples the process footprint (fds, threads, RSS) as a baseline;
 //! 2. spawns `N` in-process `bskel-workerd` daemons on 127.0.0.1 and
-//!    builds a [`RemoteWorkerPool`] with one slot on each;
+//!    builds a [`RemoteWorkerPool`](bskel_net::RemoteWorkerPool) with one slot on each;
 //! 3. streams an `echo` workload through (substrate overhead only — no
 //!    compute), recording throughput and the peak footprint;
 //! 4. reports the per-slot deltas. Daemon-side costs (a listener thread

@@ -194,7 +194,8 @@ fn run_phase(duration: f64, contended: bool, journal: Option<&Journal>) -> Phase
         .count() as u64;
     if let Some(j) = journal {
         for e in &events {
-            j.manager_event(e.at, &e.manager, e.kind.label(), e.detail.as_deref());
+            let kind = e.kind.label().to_owned();
+            j.manager_event(e.at, Arc::clone(&e.manager), kind, e.detail.as_deref());
         }
     }
 

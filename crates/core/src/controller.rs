@@ -21,7 +21,7 @@
 //!   backoff is what prevents synchronized grow/shrink oscillation.
 //! * [`BudgetedRuleController`] — the rule program for the manager's kind,
 //!   plus a mirror of the plant-side retry-budget token bucket
-//!   (`bskel_net`'s [`RetryBudget`]; ratio-of-successful-work deposits, a
+//!   (`bskel_net`'s pool `RetryBudget`; ratio-of-successful-work deposits, a
 //!   min-tokens floor). The mirror exists for observability and replay: it
 //!   publishes `retryBudgetTokens` when the plant doesn't, and journals
 //!   `PAUSE_REDISPATCH`/`RESUME_REDISPATCH` transitions bracketing every

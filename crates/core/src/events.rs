@@ -190,12 +190,7 @@ impl EventLog {
                 Ok(label) => Text::Static(label),
                 Err(other) => Text::Shared(other.into()),
             };
-            journal.record_event(
-                at,
-                Text::Shared(Arc::clone(&manager)),
-                label,
-                detail.as_deref(),
-            );
+            journal.manager_event(at, Arc::clone(&manager), label, detail.as_deref());
         }
         self.inner
             .events

@@ -723,19 +723,17 @@ impl AutonomicManager {
             let outcome = match &result {
                 Ok(ActuationOutcome::Applied) => Text::Static("applied"),
                 Ok(ActuationOutcome::NoOp) => Text::Static("noop"),
-                Ok(ActuationOutcome::Refused { reason }) => {
-                    Text::Shared(format!("refused:{reason}").into())
-                }
+                Ok(ActuationOutcome::Refused { reason }) => format!("refused:{reason}").into(),
                 // The message alone: `AbcError`'s `Display` adds a prefix
                 // that replay would otherwise double.
-                Err(e) => Text::Shared(format!("error:{}", e.0).into()),
+                Err(e) => format!("error:{}", e.0).into(),
             };
-            journal.record_actuation(
+            journal.actuation(
                 now,
-                Text::Shared(Arc::clone(&self.name)),
-                Text::Shared(op_form(&mut self.op_forms, op)),
+                Arc::clone(&self.name),
+                op_form(&mut self.op_forms, op),
                 outcome,
-                Text::Static(self.controller.name()),
+                self.controller.name(),
             );
         }
         result
@@ -760,7 +758,7 @@ impl AutonomicManager {
         // is attached to the log), making the control loop's full input
         // durable and the run replayable offline.
         if let Some(journal) = self.log.journal() {
-            journal.record_snapshot(now, Text::Shared(Arc::clone(&self.name)), &snap);
+            journal.snapshot(now, Arc::clone(&self.name), &snap);
         }
         let reconfiguring = snap.reconfiguring;
         // Failure sensing: a rise in the cumulative `workersLost` bean is

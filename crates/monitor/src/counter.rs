@@ -1,4 +1,4 @@
-//! Hot-path counters and gauges.
+//! Hot-path counters.
 //!
 //! Skeleton workers increment these on every task; the manager's control
 //! loop reads them once per second. The write side must therefore be as
@@ -6,7 +6,7 @@
 //! Counters are monotone `u64` atomics padded to a cache line so that
 //! per-worker counters placed in a `Vec` do not false-share.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pads the wrapped value to (at least) a typical cache-line size.
 ///
@@ -60,53 +60,6 @@ impl Counter {
     }
 }
 
-/// A signed instantaneous-level gauge (queue length, workers in flight).
-///
-/// Signed because transient interleavings of `incr`/`decr` from different
-/// threads may be observed below zero by a concurrent reader; clamping is
-/// left to the consumer, which knows whether negative levels are meaningful.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: CachePadded<AtomicI64>,
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments the level.
-    #[inline]
-    pub fn incr(&self) {
-        self.value.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrements the level.
-    #[inline]
-    pub fn decr(&self) {
-        self.value.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Sets the level outright (reconfiguration, rebalancing).
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.value.0.load(Ordering::Relaxed)
-    }
-
-    /// Current level clamped at zero, as most queue-length consumers want.
-    #[inline]
-    pub fn get_clamped(&self) -> u64 {
-        self.get().max(0) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,20 +74,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         assert_eq!(c.take(), 5);
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn gauge_basics() {
-        let g = Gauge::new();
-        g.incr();
-        g.incr();
-        g.decr();
-        assert_eq!(g.get(), 1);
-        g.set(-3);
-        assert_eq!(g.get(), -3);
-        assert_eq!(g.get_clamped(), 0);
-        g.set(7);
-        assert_eq!(g.get_clamped(), 7);
     }
 
     #[test]
@@ -160,25 +99,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    fn gauge_concurrent_incr_decr_balances() {
-        let g = Arc::new(Gauge::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let g = Arc::clone(&g);
-                std::thread::spawn(move || {
-                    for _ in 0..5_000 {
-                        g.incr();
-                        g.decr();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(g.get(), 0);
     }
 }

@@ -12,13 +12,14 @@
 //! a file that re-runs step-for-step against the production manager.
 //!
 //! The ring holds compact records, so that recording costs no more than
-//! the decision it records: names and labels are [`Text`]s — interned
-//! symbols, names the caller holds, or static labels — and a snapshot is
-//! the bean table's value row plus its extras. Only free-form text (notes,
-//! details, refusal reasons) is copied per record, and it is never
-//! interned, so the symbol table cannot grow with traffic. [`JournalEntry`]
-//! is the read side, built from the compact records by
-//! [`Journal::entries`] and [`parse_jsonl`].
+//! the decision it records: names and labels are [`Text`]s — static
+//! labels or shared names the caller holds — and a snapshot is the bean
+//! table's value row plus its extras. Each record kind has one recorder,
+//! and each takes its names as `impl Into<Text>`: a `&'static str` is
+//! stored as is, an `Arc<str>` is shared, and a `String` is moved in.
+//! Free-form text (notes, details) and extra bean names are copied once
+//! per record. [`JournalEntry`] is the read side, built from the compact
+//! records by [`Journal::entries`] and [`parse_jsonl`].
 //!
 //! The encoding is a deliberately tiny hand-rolled JSON subset (the
 //! monitor crate stays dependency-light), with one extension: non-finite
@@ -31,18 +32,13 @@ use crate::clock::Time;
 use crate::snapshot::{SensorSnapshot, BEAN_TABLE};
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// Default ring capacity (entries) of [`Journal::new`].
 pub const DEFAULT_CAPACITY: usize = 65_536;
-
-/// Distinct names a journal interns at most. A name past it is stored
-/// uninterned, so a caller passing free text as a name (an
-/// `abcError:<message>` event kind) cannot grow the table without bound.
-const SYMBOL_CAP: usize = 4_096;
 
 /// A snapshot's table beans as values, in bean-table order.
 type Row = [f64; BEAN_TABLE.len()];
@@ -52,10 +48,27 @@ type Row = [f64; BEAN_TABLE.len()];
 pub enum Text {
     /// A label with static lifetime (`applied`, `addWorker`, `rules`).
     Static(&'static str),
-    /// A shared string: an interned name, a name the caller holds (a
-    /// manager's, a cached operation form), or free-form text allocated
-    /// once for its record.
+    /// A shared string: a name the caller holds (a manager's, a cached
+    /// operation form), or text allocated once for its record.
     Shared(Arc<str>),
+}
+
+impl From<&'static str> for Text {
+    fn from(s: &'static str) -> Self {
+        Text::Static(s)
+    }
+}
+
+impl From<Arc<str>> for Text {
+    fn from(s: Arc<str>) -> Self {
+        Text::Shared(s)
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text::Shared(s.into())
+    }
 }
 
 impl Deref for Text {
@@ -290,60 +303,16 @@ impl Slot {
     }
 }
 
-/// What the ring lock guards: the records and the symbol table their
-/// interned names come from.
+/// What the ring lock guards.
 #[derive(Debug, Default)]
 struct Ring {
     slots: VecDeque<Slot>,
     /// The rows of the table-layout snapshots among `slots`, in the same
     /// order: kept apart so that every other record stays small.
     rows: VecDeque<Row>,
-    symbols: HashSet<Arc<str>>,
-    /// The latest names interned, compared before `symbols` is hashed
-    /// into: a recorder names the same few components and labels again
-    /// and again.
-    recent: [Option<Arc<str>>; 8],
     /// The next record's `seq`, taken under the lock so that ring order
     /// is `seq` order.
     next_seq: u64,
-}
-
-impl Ring {
-    /// `name` as a shared symbol, interned while the table has room.
-    fn intern(&mut self, name: &str) -> Text {
-        if let Some(s) = self.recent.iter().flatten().find(|s| ***s == *name) {
-            return Text::Shared(Arc::clone(s));
-        }
-        let s = match self.symbols.get(name) {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s: Arc<str> = name.into();
-                if self.symbols.len() < SYMBOL_CAP {
-                    self.symbols.insert(Arc::clone(&s));
-                }
-                s
-            }
-        };
-        self.recent.rotate_right(1);
-        self.recent[0] = Some(Arc::clone(&s));
-        Text::Shared(s)
-    }
-
-    /// A snapshot record: the table beans as a value row, extras by
-    /// interned name.
-    fn snapshot(&mut self, source: Text, snap: &SensorSnapshot) -> Compact {
-        self.rows.push_back(snap.values());
-        let extra = snap
-            .extra
-            .iter()
-            .map(|(n, v)| (self.intern(n), *v))
-            .collect();
-        Compact::Snapshot {
-            source,
-            table: true,
-            extra,
-        }
-    }
 }
 
 /// A fixed-capacity, shared, append-only-until-full event ring.
@@ -354,8 +323,10 @@ impl Ring {
 /// unbounded memory. Handles are shared by cloning the `Arc` the journal
 /// is normally held in.
 ///
-/// The `&str` methods intern the names they are given; the `record_*`
-/// methods take [`Text`]s the caller holds and look nothing up.
+/// Each record kind has exactly one recorder — [`Journal::manager_event`],
+/// [`Journal::farm_event`], [`Journal::snapshot`], [`Journal::actuation`]
+/// and [`Journal::note`] — plus [`Journal::record`] for parsed entries.
+/// Names are taken as `impl Into<Text>` and stored without a lookup.
 #[derive(Debug)]
 pub struct Journal {
     capacity: usize,
@@ -386,19 +357,18 @@ impl Journal {
         Arc::new(Self::default())
     }
 
-    /// Appends the record `make` builds (interning through the ring),
-    /// dropping the oldest when the ring is full.
-    fn push(&self, at: Time, make: impl FnOnce(&mut Ring) -> Compact) {
+    /// Appends `rec` (with `row`, the table beans of a table-layout
+    /// snapshot), dropping the oldest record when the ring is full.
+    fn push(&self, at: Time, rec: Compact, row: Option<Row>) {
         let mut ring = self.ring.lock();
-        let rec = make(&mut ring);
         let seq = ring.next_seq;
         ring.next_seq += 1;
-        if ring.slots.len() == self.capacity {
-            // A new row, if any, went in behind the oldest one.
-            if ring.slots.pop_front().is_some_and(|old| old.has_row()) {
-                ring.rows.pop_front();
-            }
+        if ring.slots.len() == self.capacity
+            && ring.slots.pop_front().is_some_and(|old| old.has_row())
+        {
+            ring.rows.pop_front();
         }
+        ring.rows.extend(row);
         ring.slots.push_back(Slot { seq, at, rec });
     }
 
@@ -411,14 +381,14 @@ impl Journal {
                 manager,
                 kind,
                 detail,
-            } => self.manager_event(at, &manager, &kind, detail.as_deref()),
+            } => self.manager_event(at, manager, kind, detail.as_deref()),
             JournalEntry::Farm {
                 at,
                 source,
                 kind,
                 detail,
-            } => self.farm_event(at, &source, &kind, &detail),
-            JournalEntry::Snapshot { at, source, beans } => self.push(at, |ring| {
+            } => self.farm_event(at, source, kind, &detail),
+            JournalEntry::Snapshot { at, source, beans } => {
                 // Only the table's layout has a row; a foreign snapshot
                 // keeps every bean by name.
                 let table = beans.len() >= BEAN_TABLE.len()
@@ -427,120 +397,101 @@ impl Journal {
                         .zip(BEAN_TABLE)
                         .all(|((n, _), def)| n == def.name);
                 let mut rest = beans.iter();
-                if table {
+                let row = table.then(|| {
                     let mut row = [0.0; BEAN_TABLE.len()];
                     for (v, (_, bean)) in row.iter_mut().zip(&mut rest) {
                         *v = *bean;
                     }
-                    ring.rows.push_back(row);
-                }
-                Compact::Snapshot {
-                    source: ring.intern(&source),
+                    row
+                });
+                let rec = Compact::Snapshot {
+                    source: source.into(),
                     table,
-                    extra: rest.map(|(n, v)| (ring.intern(n), *v)).collect(),
-                }
-            }),
-            JournalEntry::Note { at, source, text } => self.note(at, &source, &text),
+                    extra: rest.map(|(n, v)| (text(n), *v)).collect(),
+                };
+                self.push(at, rec, row);
+            }
+            JournalEntry::Note { at, source, text } => self.note(at, source, &text),
             JournalEntry::Actuation {
                 at,
                 manager,
                 op,
                 outcome,
                 controller,
-            } => self.actuation_by(at, &manager, &op, &outcome, &controller),
+            } => self.actuation(at, manager, op, outcome, controller),
         }
     }
 
-    /// Records a manager event.
-    pub fn manager_event(&self, at: Time, manager: &str, kind: &str, detail: Option<&str>) {
-        let detail = detail.map(text);
-        self.push(at, |ring| Compact::Manager {
-            manager: ring.intern(manager),
-            kind: ring.intern(kind),
-            detail,
-        });
-    }
-
-    /// Records a manager event under names the caller holds; only the
-    /// detail is copied.
-    pub fn record_event(&self, at: Time, manager: Text, kind: Text, detail: Option<&str>) {
-        let detail = detail.map(text);
-        self.push(at, |_| Compact::Manager {
-            manager,
-            kind,
-            detail,
-        });
-    }
-
-    /// Records a substrate fault event.
-    pub fn farm_event(&self, at: Time, source: &str, kind: &str, detail: &str) {
-        let detail = text(detail);
-        self.push(at, |ring| Compact::Farm {
-            source: ring.intern(source),
-            kind: ring.intern(kind),
-            detail,
-        });
-    }
-
-    /// Records a sensor snapshot (flattened to beans).
-    pub fn snapshot(&self, at: Time, source: &str, snap: &SensorSnapshot) {
-        self.push(at, |ring| {
-            let source = ring.intern(source);
-            ring.snapshot(source, snap)
-        });
-    }
-
-    /// Records a sensor snapshot under a source name the caller holds;
-    /// without extras nothing is allocated.
-    pub fn record_snapshot(&self, at: Time, source: Text, snap: &SensorSnapshot) {
-        self.push(at, |ring| ring.snapshot(source, snap));
-    }
-
-    /// Records an ordered actuation and the plant's response.
-    pub fn actuation(&self, at: Time, manager: &str, op: &str, outcome: &str) {
-        self.actuation_by(at, manager, op, outcome, "rules");
-    }
-
-    /// Records an ordered actuation attributed to a specific control law.
-    pub fn actuation_by(&self, at: Time, manager: &str, op: &str, outcome: &str, controller: &str) {
-        // The two labels are static; a refusal or error is free text.
-        let outcome = match outcome {
-            "applied" => Text::Static("applied"),
-            "noop" => Text::Static("noop"),
-            other => text(other),
-        };
-        self.push(at, |ring| Compact::Actuation {
-            manager: ring.intern(manager),
-            op: ring.intern(op),
-            outcome,
-            controller: ring.intern(controller),
-        });
-    }
-
-    /// Records an ordered actuation under names the caller holds.
-    pub fn record_actuation(
+    /// Records a manager event; only the detail is copied.
+    pub fn manager_event(
         &self,
         at: Time,
-        manager: Text,
-        op: Text,
-        outcome: Text,
-        controller: Text,
+        manager: impl Into<Text>,
+        kind: impl Into<Text>,
+        detail: Option<&str>,
     ) {
-        self.push(at, |_| Compact::Actuation {
-            manager,
-            op,
-            outcome,
-            controller,
-        });
+        let rec = Compact::Manager {
+            manager: manager.into(),
+            kind: kind.into(),
+            detail: detail.map(text),
+        };
+        self.push(at, rec, None);
     }
 
-    /// Records a free-form operational note.
-    pub fn note(&self, at: Time, source: &str, text: &str) {
-        let text = self::text(text);
-        self.push(at, |ring| Compact::Note {
-            source: ring.intern(source),
-            text,
-        });
+    /// Records a substrate fault event; only the detail is copied.
+    pub fn farm_event(
+        &self,
+        at: Time,
+        source: impl Into<Text>,
+        kind: impl Into<Text>,
+        detail: &str,
+    ) {
+        let rec = Compact::Farm {
+            source: source.into(),
+            kind: kind.into(),
+            detail: text(detail),
+        };
+        self.push(at, rec, None);
+    }
+
+    /// Records a sensor snapshot: its table beans as a value row, its
+    /// extras copied by name. Without extras nothing is allocated.
+    pub fn snapshot(&self, at: Time, source: impl Into<Text>, snap: &SensorSnapshot) {
+        let rec = Compact::Snapshot {
+            source: source.into(),
+            table: true,
+            extra: snap.extra.iter().map(|(n, v)| (text(n), *v)).collect(),
+        };
+        self.push(at, rec, Some(snap.values()));
+    }
+
+    /// Records an actuation ordered by `controller` (`rules`, `aimd`, …)
+    /// and the plant's response (`applied`, `noop`, `refused:<reason>` or
+    /// `error:<message>`).
+    pub fn actuation(
+        &self,
+        at: Time,
+        manager: impl Into<Text>,
+        op: impl Into<Text>,
+        outcome: impl Into<Text>,
+        controller: impl Into<Text>,
+    ) {
+        let rec = Compact::Actuation {
+            manager: manager.into(),
+            op: op.into(),
+            outcome: outcome.into(),
+            controller: controller.into(),
+        };
+        self.push(at, rec, None);
+    }
+
+    /// Records a free-form operational note; the text is copied.
+    pub fn note(&self, at: Time, source: impl Into<Text>, text: &str) {
+        let rec = Compact::Note {
+            source: source.into(),
+            text: self::text(text),
+        };
+        self.push(at, rec, None);
     }
 
     /// Entries currently held (≤ capacity).
@@ -1050,7 +1001,13 @@ mod tests {
         j.farm_event(2.0, "rfarm", "worker:lost", "slot 3 died: \"refused\"\n");
         j.snapshot(2.5, "AM_F", &sample_snapshot());
         j.note(3.0, "pool", "poller escalation");
-        j.actuation(3.5, "AM_F", "addWorkers(2)", "refused:no resources");
+        j.actuation(
+            3.5,
+            "AM_F",
+            "addWorkers(2)",
+            "refused:no resources",
+            "rules",
+        );
         let text = j.to_jsonl();
         let parsed = parse_jsonl(&text).expect("parse back");
         assert_eq!(parsed, j.entries());
@@ -1146,7 +1103,7 @@ mod tests {
             match i % 5 {
                 0 => j.snapshot(at, "AM_F", &odd),
                 1 => j.manager_event(at, "AM_F", "addWorker", Some(&i.to_string())),
-                2 => j.actuation(at, "AM_F", "addWorkers(1)", &format!("refused:{i}")),
+                2 => j.actuation(at, "AM_F", "addWorkers(1)", format!("refused:{i}"), "rules"),
                 3 => j.note(at, "pool", "escalation"),
                 _ => j.record(foreign.clone()),
             }
@@ -1160,52 +1117,45 @@ mod tests {
         assert_eq!(format!("{got:?}"), format!("{:?}", &want[6..]));
     }
 
+    /// Every recorder, each with a `&'static str`, an `Arc<str>` and a
+    /// `String` for its names, re-records byte for byte.
     #[test]
     fn recording_methods_and_record_agree() {
         let fast = Journal::new(64);
-        let manager = Text::Shared("AM_F".into());
+        let arc = |s: &str| -> Arc<str> { s.into() };
+        let own = |s: &str| s.to_owned();
         fast.manager_event(1.0, "AM_F", "addWorker", Some("2"));
-        fast.record_event(1.0, manager.clone(), Text::Static("contrLow"), None);
+        fast.manager_event(1.0, arc("AM_F"), arc("contrLow"), None);
+        fast.manager_event(1.0, own("AM_F"), own("abcError:gone"), Some("3"));
         fast.farm_event(2.0, "rfarm", "worker:lost", "slot 3 died");
+        fast.farm_event(2.0, arc("rfarm"), arc("worker:panic"), "slot 1");
+        fast.farm_event(2.0, own("rfarm"), own("worker:lost"), "slot 2");
         fast.snapshot(2.5, "AM_F", &sample_snapshot());
-        fast.record_snapshot(2.5, manager.clone(), &SensorSnapshot::empty(2.5));
-        fast.actuation(3.5, "AM_F", "addWorkers(2)", "applied");
-        fast.actuation_by(3.5, "AM_F", "balanceLoad", "error:gone", "aimd");
-        fast.record_actuation(
+        fast.snapshot(2.5, arc("AM_F"), &SensorSnapshot::empty(2.5));
+        fast.snapshot(2.5, own("AM_F"), &sample_snapshot());
+        fast.actuation(3.5, "AM_F", "addWorkers(2)", "applied", "rules");
+        fast.actuation(
             3.5,
-            manager,
-            Text::Shared("removeWorkers(1)".into()),
-            Text::Static("noop"),
-            Text::Static("rules"),
+            arc("AM_F"),
+            arc("balanceLoad"),
+            arc("error:gone"),
+            arc("aimd"),
+        );
+        fast.actuation(
+            3.5,
+            own("AM_F"),
+            own("removeWorkers(1)"),
+            own("noop"),
+            own("hedge"),
         );
         fast.note(4.0, "pool", "poller escalation");
+        fast.note(4.0, arc("pool"), "escalated");
+        fast.note(4.0, own("pool"), "shut down");
         let replayed = Journal::new(64);
         for r in fast.entries() {
             replayed.record(r.entry);
         }
         assert_eq!(replayed.to_jsonl(), fast.to_jsonl());
-    }
-
-    #[test]
-    fn free_text_never_grows_the_symbol_table() {
-        let j = Journal::new(16);
-        let cycle = |i: u32| {
-            j.note(f64::from(i), "pool", &format!("note {i}"));
-            j.manager_event(f64::from(i), "AM_F", "addWorker", Some(&format!("{i}")));
-            j.farm_event(f64::from(i), "rfarm", "worker:lost", &format!("slot {i}"));
-            j.actuation(
-                f64::from(i),
-                "AM_F",
-                "addWorkers(1)",
-                &format!("refused:{i}"),
-            );
-        };
-        cycle(0);
-        let symbols = j.ring.lock().symbols.len();
-        for i in 1..10_000 {
-            cycle(i);
-        }
-        assert_eq!(j.ring.lock().symbols.len(), symbols);
     }
 
     #[test]

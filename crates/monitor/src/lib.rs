@@ -43,9 +43,9 @@ pub mod stats;
 
 pub use atomic_rate::AtomicRateEstimator;
 pub use clock::{Clock, ManualClock, RealClock, Time};
-pub use counter::{Counter, Gauge};
+pub use counter::Counter;
 pub use expo::ScrapeSeries;
 pub use journal::{Journal, JournalEntry, JournalRecord};
 pub use rate::{Ewma, RateEstimator};
 pub use snapshot::{beans, SensorSnapshot};
-pub use stats::{queue_variance, LocalStats, Welford, WelfordCell, WindowStats};
+pub use stats::{queue_variance, LocalStats, Welford, WelfordCell};

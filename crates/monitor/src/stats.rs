@@ -1,12 +1,11 @@
-//! Online and windowed statistics.
+//! Online statistics.
 //!
 //! The `CheckLoadBalance` rule of the paper (Fig. 5) fires on a
 //! `QueueVarianceBean`: the dispersion of per-worker queue lengths in a
 //! farm. This module provides the [`queue_variance`] helper computing that
-//! bean, plus general online ([`Welford`]) and windowed ([`WindowStats`])
-//! accumulators used for service-time and rate smoothing.
+//! bean, plus the online ([`Welford`]) accumulator used for service-time
+//! smoothing.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -246,77 +245,6 @@ impl LocalStats {
     }
 }
 
-/// Mean/variance over the most recent `capacity` samples.
-#[derive(Debug, Clone)]
-pub struct WindowStats {
-    capacity: usize,
-    samples: VecDeque<f64>,
-}
-
-impl WindowStats {
-    /// Creates a window holding up to `capacity` samples.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be non-zero");
-        Self {
-            capacity,
-            samples: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Pushes a sample, evicting the oldest if the window is full.
-    pub fn push(&mut self, x: f64) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(x);
-    }
-
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no samples are held.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean of the window (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Population variance of the window.
-    pub fn variance(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        self.samples
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / n as f64
-    }
-
-    /// Most recent sample, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.samples.back().copied()
-    }
-
-    /// Clears the window.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-    }
-}
-
 /// Population variance of per-worker queue lengths — the paper's
 /// `QueueVarianceBean`.
 ///
@@ -336,22 +264,6 @@ pub fn queue_variance(queue_lengths: &[u64]) -> f64 {
         })
         .sum::<f64>()
         / n as f64
-}
-
-/// Maximum absolute deviation of queue lengths from their mean.
-///
-/// An alternative unbalance metric exposed to rule authors; less sensitive
-/// to farm size than variance.
-pub fn queue_max_deviation(queue_lengths: &[u64]) -> f64 {
-    let n = queue_lengths.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mean = queue_lengths.iter().sum::<u64>() as f64 / n as f64;
-    queue_lengths
-        .iter()
-        .map(|&q| (q as f64 - mean).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -429,35 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn window_stats_evicts_oldest() {
-        let mut w = WindowStats::new(3);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            w.push(x);
-        }
-        assert_eq!(w.len(), 3);
-        assert!((w.mean() - 3.0).abs() < 1e-12); // window is [2,3,4]
-        assert_eq!(w.last(), Some(4.0));
-    }
-
-    #[test]
-    fn window_stats_variance() {
-        let mut w = WindowStats::new(10);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            w.push(x);
-        }
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn window_stats_empty() {
-        let w = WindowStats::new(4);
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.last(), None);
-    }
-
-    #[test]
     fn queue_variance_balanced_is_zero() {
         assert_eq!(queue_variance(&[5, 5, 5, 5]), 0.0);
         assert_eq!(queue_variance(&[]), 0.0);
@@ -468,13 +351,6 @@ mod tests {
     fn queue_variance_unbalanced() {
         // mean 5, deviations [-5, +5] => variance 25
         assert!((queue_variance(&[0, 10]) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn queue_max_deviation_metric() {
-        assert_eq!(queue_max_deviation(&[4, 4, 4]), 0.0);
-        assert!((queue_max_deviation(&[0, 10]) - 5.0).abs() < 1e-12);
-        assert_eq!(queue_max_deviation(&[3]), 0.0);
     }
 
     #[test]

@@ -57,10 +57,7 @@ pub use chaos::{
 };
 pub use daemon::{serve, spawn_local, Workload};
 pub use metrics::{count_kinds, parse_exposition, Exposition, MetricsHub, MetricsServer, Sample};
-pub use pool::{
-    DecodeFn, EncodeFn, Endpoint, RemotePoolBuilder, RemoteWorkerPool, ResilienceConfig,
-    RetryBudgetConfig,
-};
+pub use pool::{DecodeFn, EncodeFn, Endpoint, RemotePoolBuilder, RemoteWorkerPool};
 pub use proto::{
     encode_frame, Decoder, Frame, FrameType, FrameView, ProtoError, MAGIC, MAX_PAYLOAD, VERSION,
 };

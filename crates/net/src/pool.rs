@@ -47,8 +47,8 @@
 //! resolves answers and runs the death path: once a connection is
 //! finished no result for a harvested task can ever be forwarded.
 //!
-//! **Resilience policies** (see [`ResilienceConfig`]) sit between the
-//! death/recovery machinery and the endpoints:
+//! **Resilience policies** (set on the [`RemotePoolBuilder`]) sit
+//! between the death/recovery machinery and the endpoints:
 //!
 //! * every endpoint carries a **circuit breaker** (Closed → Open →
 //!   Half-Open): repeated connect failures or slot deaths inside a
@@ -58,7 +58,7 @@
 //!   longer backoff;
 //! * reconnect attempts back off exponentially with **decorrelated
 //!   jitter** (seeded, so schedules replay under a fixed
-//!   [`ResilienceConfig::seed`]);
+//!   [`RemotePoolBuilder::resilience_seed`]);
 //! * an optional **soft task deadline** speculatively re-executes
 //!   overdue in-flight tasks on a second slot. The speculation registry
 //!   resolves the race: the first copy home wins, every other copy's
@@ -108,6 +108,9 @@ const WIRE_BATCH: usize = 32;
 /// one slot may speculate per deadline sweep, so a stalled slot with a
 /// deep in-flight map cannot flood the survivors.
 const SPEC_SWEEP_LIMIT: usize = 16;
+/// How long a connect + handshake may take before the endpoint is
+/// declared unreachable.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Rolling enqueue-to-delivery latency samples kept for hedging.
 const LATENCY_WINDOW: usize = 512;
 /// Delivery samples required before the hedge quantile is trusted (a
@@ -178,7 +181,7 @@ impl Endpoint {
 /// All durations are clamped (never panicking) into `[1ms, 1h]` when the
 /// pool is built; `reconnect_cap` is raised to at least `reconnect_base`.
 #[derive(Debug, Clone)]
-pub struct ResilienceConfig {
+pub(crate) struct ResilienceConfig {
     /// First reconnect backoff step after an endpoint failure.
     pub reconnect_base: Duration,
     /// Upper bound the jittered backoff saturates at.
@@ -219,7 +222,7 @@ pub struct ResilienceConfig {
 /// storm damping — but they are charged (down to zero), so a recovery
 /// storm still suppresses discretionary speculation afterwards.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryBudgetConfig {
+pub(crate) struct RetryBudgetConfig {
     /// Tokens deposited per successfully delivered result.
     pub ratio: f64,
     /// Bucket floor: tokens held when the pool has done no recent work.
@@ -658,9 +661,6 @@ struct PoolShared<Out> {
     workload: String,
     meter: Arc<CostMeter>,
     max_workers: u32,
-    /// How long a connect + handshake may take before the endpoint is
-    /// declared unreachable (builder-configurable, clamped non-zero).
-    handshake_timeout: Duration,
     resilience: ResilienceConfig,
     /// Plant-side retry budget, when configured (see `ResilienceConfig`).
     budget: Option<RetryBudget>,
@@ -720,7 +720,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
             .map_err(|e| err(&e))?;
         let mut decoder = Decoder::new();
         let mut chunk = vec![0u8; 8192];
-        let deadline = Instant::now() + self.handshake_timeout;
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let ack = loop {
             match decoder.next_frame() {
                 Ok(Some(f)) if f.ftype == FrameType::HelloAck => {
@@ -1973,7 +1973,6 @@ pub struct RemotePoolBuilder<In, Out> {
     rate_window: f64,
     heartbeat_period: Duration,
     failure_timeout: Duration,
-    handshake_timeout: Duration,
     resilience: ResilienceConfig,
     journal: Option<Arc<Journal>>,
 }
@@ -1999,7 +1998,6 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
             rate_window: 2.0,
             heartbeat_period: Duration::from_millis(50),
             failure_timeout: Duration::from_millis(500),
-            handshake_timeout: Duration::from_secs(5),
             resilience: ResilienceConfig::default(),
             journal: None,
         }
@@ -2075,20 +2073,6 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
         self
     }
 
-    /// How long a connect + handshake may take before the endpoint is
-    /// declared unreachable. Clamped (not panicking) into `[1ms, 1h]` at
-    /// build time, like every other duration knob.
-    pub fn handshake_timeout(mut self, d: Duration) -> Self {
-        self.handshake_timeout = d;
-        self
-    }
-
-    /// Replaces the whole resilience policy (backoff, breaker, deadline).
-    pub fn resilience(mut self, cfg: ResilienceConfig) -> Self {
-        self.resilience = cfg;
-        self
-    }
-
     /// Reconnect backoff bounds: first step and saturation cap for the
     /// decorrelated-jitter schedule.
     pub fn reconnect_backoff(mut self, base: Duration, cap: Duration) -> Self {
@@ -2124,15 +2108,9 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
         self
     }
 
-    /// Most overdue tasks one slot may re-dispatch per deadline sweep
-    /// (raised to ≥ 1 at build time).
-    pub fn spec_sweep_limit(mut self, n: usize) -> Self {
-        self.resilience.spec_sweep_limit = n;
-        self
-    }
-
-    /// Enables the retry budget gating every re-dispatch path (see
-    /// [`RetryBudgetConfig`]).
+    /// Enables the retry budget gating every re-dispatch path: each
+    /// delivered result deposits `ratio` tokens, each re-dispatch
+    /// withdraws one, and the bucket idles at `min_tokens`.
     pub fn retry_budget(mut self, ratio: f64, min_tokens: f64) -> Self {
         self.resilience.retry_budget = Some(RetryBudgetConfig { ratio, min_tokens });
         self
@@ -2156,7 +2134,6 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
         let resilience = self.resilience.sanitize();
         let heartbeat_period = clamp_duration(self.heartbeat_period);
         let failure_timeout = clamp_duration(self.failure_timeout);
-        let handshake_timeout = clamp_duration(self.handshake_timeout);
         // One jitter stream per endpoint, derived from the policy seed,
         // so a fixed seed replays the whole reconnect schedule.
         let endpoint_states: Vec<EndpointState> = self
@@ -2207,7 +2184,6 @@ impl<In: Send + 'static, Out: Send + 'static> RemotePoolBuilder<In, Out> {
             workload: self.workload.clone(),
             meter: Arc::new(CostMeter::new()),
             max_workers: self.max_workers,
-            handshake_timeout,
             budget: resilience.retry_budget.map(RetryBudget::new),
             resilience,
             latency: Mutex::new(LatencyWindow::new()),

@@ -253,6 +253,11 @@ impl RuleEngine {
         Ok(())
     }
 
+    /// The rules that fire this cycle, in salience order.
+    fn fired(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order.iter().copied().filter(|&i| self.fires[i])
+    }
+
     /// Runs one control cycle: evaluates every rule against `wm`/`params`,
     /// selects the fireable ones, orders them by salience (descending,
     /// definition order within equal salience) and executes their actions.
@@ -266,22 +271,12 @@ impl RuleEngine {
         params: &ParamTable,
     ) -> Result<Vec<Firing>, EngineError> {
         self.select(wm, params)?;
-
-        let mut fireable: Vec<&Rule> = self
-            .rules
-            .rules()
-            .iter()
-            .zip(&self.fires)
-            .filter_map(|(rule, &fires)| fires.then_some(rule))
-            .collect();
-        fireable.sort_by_key(|r| std::cmp::Reverse(r.salience));
-
-        let firings: Vec<Firing> = fireable
-            .iter()
-            .map(|rule| Firing {
-                rule: rule.name.clone(),
-                salience: rule.salience,
-                ops: rule.execute(),
+        let firings: Vec<Firing> = self
+            .fired()
+            .map(|i| Firing {
+                rule: self.rules.rules()[i].name.clone(),
+                salience: self.rules.rules()[i].salience,
+                ops: self.calls[i].clone(),
             })
             .collect();
         self.firings += firings.len() as u64;
@@ -298,17 +293,11 @@ impl RuleEngine {
         params: &ParamTable,
     ) -> Result<Vec<OpCall>, EngineError> {
         self.select(wm, params)?;
-        let fired = || {
-            self.order
-                .iter()
-                .filter(|&&i| self.fires[i])
-                .map(|&i| &self.calls[i])
-        };
-        let mut ops = Vec::with_capacity(fired().map(Vec::len).sum());
-        for calls in fired() {
-            ops.extend_from_slice(calls);
+        let mut ops = Vec::with_capacity(self.fired().map(|i| self.calls[i].len()).sum());
+        for i in self.fired() {
+            ops.extend_from_slice(&self.calls[i]);
         }
-        self.firings += fired().count() as u64;
+        self.firings += self.fired().count() as u64;
         Ok(ops)
     }
 }

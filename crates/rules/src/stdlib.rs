@@ -211,13 +211,6 @@ pub fn tenancy_params(
         .with(params::FARM_MAX_NUM_WORKERS, f64::from(max_workers))
 }
 
-/// Fig. 5 farm rules + migration rules.
-pub fn farm_rules_with_migration() -> RuleSet {
-    let mut set = farm_rules();
-    set.extend(migrate_rules());
-    set
-}
-
 /// Builds the migration parameter table.
 pub fn migrate_params(min_gain: f64) -> ParamTable {
     ParamTable::new().with(params::MIGRATE_MIN_GAIN, min_gain)

@@ -21,7 +21,7 @@
 //!   handle (one atomic load per batch; reconfiguration *publishes* a new
 //!   table instead of mutating a locked one);
 //! * task hand-off is batched ([`crate::queue::WorkerQueue`]): the
-//!   emitter drains up to [`DISPATCH_BATCH`] inputs per wake-up and pays
+//!   emitter drains up to `DISPATCH_BATCH` (32) inputs per wake-up and pays
 //!   one per-worker queue lock per batch, workers pop in batches
 //!   symmetrically and return results as one message per batch;
 //! * every sensor on the task path is lock-free: windowed rates are
@@ -262,7 +262,7 @@ impl StreamSensors {
 /// serialisation point — and calls the `members`/`survivors` methods
 /// below with that list's lock held. Its death path stays its own.
 pub struct FarmCore<S: FarmSlot, Out> {
-    name: String,
+    name: Arc<str>,
     /// The stream sensors.
     pub sensors: StreamSensors,
     /// The RCU-published dispatch table: reconfigurations replace it
@@ -293,7 +293,7 @@ impl<S: FarmSlot, Out: Send + 'static> FarmCore<S, Out> {
     /// A core with an empty dispatch table, plus the receiving end of
     /// its collector channel (hand it to [`FarmCore::collector`]).
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         clock: Arc<dyn Clock>,
         rate_window: f64,
         journal: Option<Arc<Journal>>,
@@ -449,7 +449,8 @@ impl<S: FarmSlot, Out: Send + 'static> FarmCore<S, Out> {
     /// is attached.
     pub fn record_event(&self, event: FarmEvent) {
         if let Some(j) = &self.journal {
-            j.farm_event(event.at, &self.name, event.kind.label(), &event.detail);
+            let (name, kind) = (Arc::clone(&self.name), event.kind.label());
+            j.farm_event(event.at, name, kind, &event.detail);
         }
         self.events.lock().push(event);
     }
@@ -481,7 +482,7 @@ impl<S: FarmSlot, Out: Send + 'static> FarmCore<S, Out> {
 
     fn journal_note(&self, text: &str) {
         if let Some(j) = &self.journal {
-            j.note(self.sensors.now(), &self.name, text);
+            j.note(self.sensors.now(), Arc::clone(&self.name), text);
         }
     }
 

@@ -234,10 +234,10 @@ fn engine_value() -> impl Strategy<Value = f64> {
 
 proptest! {
     /// `cycle_ops` orders exactly the calls of `cycle`'s firings, in the
-    /// same order, and leaves the engine (edge state, counters) as `cycle`
-    /// does — over every shipped program and a sequence of random working
-    /// memories. Names from the table and data from `viol` are borrowed,
-    /// others owned.
+    /// same order, both equal `reference_cycle`'s, and `cycle_ops` leaves
+    /// the engine (edge state, counters) as `cycle` does — over every
+    /// shipped program and a sequence of random working memories. Names
+    /// from the table and data from `viol` are borrowed, others owned.
     #[test]
     fn cycle_ops_equals_flattened_cycle(
         params in proptest::collection::vec(engine_value(), 16),
@@ -253,6 +253,8 @@ proptest! {
                 .zip(params.iter().cycle())
                 .fold(ParamTable::new(), |t, (p, v)| t.with(p, *v));
             let beans = set.required_beans();
+            let mut held = vec![false; set.len()];
+            let reference = set.clone();
             let mut by_firings = RuleEngine::new(set);
             let mut by_ops = by_firings.clone();
             for values in &memories {
@@ -267,6 +269,11 @@ proptest! {
                     .collect();
                 let got = by_ops.cycle_ops(&wm, &table).expect("closed program");
                 prop_assert_eq!(&got, &want, "{}", name);
+                // An oracle of its own: `cycle` and `cycle_ops` share the
+                // engine's salience order and compiled calls.
+                let oracle = reference_cycle(&reference, &mut held, &wm, &table)
+                    .expect("closed program");
+                prop_assert_eq!(&want, &oracle, "{}", name);
                 for call in &got {
                     let known = OP_TABLE.iter().any(|d| d.name == call.operation);
                     prop_assert_eq!(
