@@ -6,6 +6,7 @@
 //! (rather than a Rust programmer) would touch.
 
 use bskel_core::contract::Contract;
+use bskel_core::ControllerKind;
 use bskel_sim::models::SecureMode;
 use bskel_sim::{FarmScenario, PipelineScenario, SslCostModel};
 use serde::{Deserialize, Serialize};
@@ -257,21 +258,34 @@ fn count_violations(events: &[bskel_core::EventRecord]) -> u64 {
         .count() as u64
 }
 
-/// Parses an optional controller-name field; `None` means rules.
-fn parse_controller(c: &Option<String>) -> bskel_core::ControllerKind {
-    c.as_deref().map_or(bskel_core::ControllerKind::Rules, |s| {
-        s.parse().expect("valid controller name in scenario config")
-    })
-}
-
 impl ScenarioConfig {
-    /// Parses a config from JSON text.
+    /// Parses a config from JSON text, rejecting an unknown controller
+    /// name.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
+        let cfg: Self = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        cfg.controller()?;
+        Ok(cfg)
+    }
+
+    /// The control law named by the `controller` field (rules when unset),
+    /// or why the name is unknown.
+    pub fn controller(&self) -> Result<ControllerKind, String> {
+        let (ScenarioConfig::Farm { controller, .. }
+        | ScenarioConfig::Pipeline { controller, .. }
+        | ScenarioConfig::MultiTenant { controller, .. }) = self;
+        controller
+            .as_deref()
+            .map_or(Ok(ControllerKind::Rules), str::parse)
     }
 
     /// Runs the scenario; returns the report and the trace CSV.
+    ///
+    /// # Panics
+    ///
+    /// On an unknown controller name, which [`ScenarioConfig::from_json`]
+    /// rejects.
     pub fn run(&self) -> (RunReport, String) {
+        let law = self.controller().expect("known controller name");
         match self.clone() {
             ScenarioConfig::Farm {
                 service_time,
@@ -286,8 +300,8 @@ impl ScenarioConfig {
                 ft_min_workers,
                 migrate_min_gain,
                 model_initial_setup,
-                controller,
                 seed,
+                ..
             } => {
                 let mut b = FarmScenario::builder()
                     .service_time(service_time)
@@ -295,7 +309,7 @@ impl ScenarioConfig {
                     .initial_workers(initial_workers)
                     .contract(contract)
                     .horizon(horizon)
-                    .controller(parse_controller(&controller))
+                    .controller(law)
                     .model_initial_setup(model_initial_setup);
                 if let Some((trusted, untrusted)) = nodes {
                     b = b.nodes(trusted, untrusted);
@@ -336,8 +350,8 @@ impl ScenarioConfig {
                 add_batch,
                 count,
                 horizon,
-                controller,
                 seed,
+                ..
             } => {
                 let outcome = PipelineScenario::builder()
                     .initial_rate(initial_rate)
@@ -347,7 +361,7 @@ impl ScenarioConfig {
                     .add_batch(add_batch)
                     .count(count)
                     .horizon(horizon)
-                    .controller(parse_controller(&controller))
+                    .controller(law)
                     .build()
                     .run(seed);
                 let lo = contract.throughput_bounds().map_or(0.0, |(lo, _)| lo);
@@ -373,8 +387,8 @@ impl ScenarioConfig {
                 max_workers,
                 duration,
                 control_period,
-                controller,
                 seed,
+                ..
             } => run_multi_tenant(
                 &tenants,
                 service_time,
@@ -382,7 +396,7 @@ impl ScenarioConfig {
                 max_workers,
                 duration,
                 control_period,
-                parse_controller(&controller),
+                law,
                 seed,
             ),
         }
@@ -400,7 +414,7 @@ fn run_multi_tenant(
     max_workers: u32,
     duration: f64,
     control_period: f64,
-    controller: bskel_core::ControllerKind,
+    controller: ControllerKind,
     seed: u64,
 ) -> (RunReport, String) {
     use bskel_tenancy::{build_managers_with, TenantFrontEnd, TenantSpec};

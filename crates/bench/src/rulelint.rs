@@ -12,16 +12,11 @@
 
 use crate::config::ScenarioConfig;
 use bskel_core::contract::Contract;
-use bskel_core::ControllerKind;
+use bskel_core::{ControllerKind, ManagerConfig};
 use bskel_rules::analysis::{Analyzer, Diagnostic, Severity};
 use bskel_rules::{parse_rules_spanned, stdlib, ParamTable, RuleSet};
 use bskel_sim::sim_bean_schema;
-
-/// Resolves a scenario's optional controller name; an unknown name is a
-/// configuration error the lint must surface, not a panic.
-pub(crate) fn controller_of(c: &Option<String>) -> Result<ControllerKind, String> {
-    c.as_deref().map_or(Ok(ControllerKind::Rules), str::parse)
-}
+use bskel_tenancy::arbiter_config;
 
 /// Lint results for one input file.
 #[derive(Debug)]
@@ -107,56 +102,37 @@ pub fn lint_rules_text(path: &str, src: &str) -> FileReport {
 /// Lints the rule programs a scenario JSON implies, with the parameter
 /// tables its managers would derive from the configured contract.
 pub fn lint_scenario(path: &str, json: &str) -> FileReport {
-    let cfg: ScenarioConfig = match serde_json::from_str(json) {
-        Ok(c) => c,
-        Err(e) => {
-            return FileReport {
-                path: path.to_string(),
-                parse_error: Some(format!("bad scenario config: {e}")),
-                diagnostics: Vec::new(),
-            }
-        }
+    let (parse_error, diagnostics) = match ScenarioConfig::from_json(json) {
+        Ok(cfg) => (None, lint_scenario_config(&cfg)),
+        Err(e) => (Some(format!("bad scenario config: {e}")), Vec::new()),
     };
-    let controller = match &cfg {
-        ScenarioConfig::Farm { controller, .. }
-        | ScenarioConfig::Pipeline { controller, .. }
-        | ScenarioConfig::MultiTenant { controller, .. } => controller,
-    };
-    if let Err(e) = controller_of(controller) {
-        return FileReport {
-            path: path.to_string(),
-            parse_error: Some(format!("bad scenario config: {e}")),
-            diagnostics: Vec::new(),
-        };
-    }
     FileReport {
         path: path.to_string(),
-        parse_error: None,
-        diagnostics: lint_scenario_config(&cfg),
+        parse_error,
+        diagnostics,
     }
 }
 
-/// Default farm parameter derivation, mirroring
-/// `AutonomicManager::derive_kind_params` with the stock `ManagerConfig`
-/// knobs (`min_workers` 1, `max_workers` 64, `max_unbalance` 4.0).
-pub(crate) fn farm_params_for(contract: &Contract) -> ParamTable {
-    let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-    let (min_w, max_w) = contract.par_degree_bounds().unwrap_or((1, 64));
-    stdlib::farm_params(lo, hi, min_w, max_w, 4.0)
+/// The farm manager a farm scenario deploys (as `FarmScenario::run`
+/// builds it): its merged program and the parameters it derives from
+/// `contract`.
+pub(crate) fn farm_deployment(
+    contract: &Contract,
+    ft_min_workers: Option<u32>,
+    migrate_min_gain: Option<f64>,
+) -> (RuleSet, ParamTable) {
+    let (rules, extra) = stdlib::farm_program(ft_min_workers, migrate_min_gain);
+    let mut cfg = ManagerConfig::farm("AM_F");
+    cfg.extra_params = extra.iter().map(|(n, v)| (n.to_owned(), v)).collect();
+    (rules, cfg.params(contract))
 }
 
-/// Default tenant-manager parameter derivation, mirroring
-/// `AutonomicManager::derive_kind_params` for `ManagerKind::Tenant`
-/// (share bounds 0.05..0.8, shed budget 64).
-pub(crate) fn tenant_params_for(contract: &Contract, max_workers: u32) -> ParamTable {
-    let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-    stdlib::tenancy_params(lo, hi, 0.05, 0.8, 64, max_workers)
-}
-
-/// The pool arbiter's parameters: same program, share pinned to 1.0 so
-/// only the pool-growth, shed, and escalation guards stay live.
-pub(crate) fn arbiter_params_for(max_workers: u32) -> ParamTable {
-    stdlib::tenancy_params(0.0, f64::INFINITY, 1.0, 1.0, 64, max_workers)
+/// The parameters a tenant manager of `bskel_tenancy::build_managers`
+/// derives from its tenant's contract.
+pub(crate) fn tenant_params(contract: &Contract, max_workers: u32) -> ParamTable {
+    let mut cfg = ManagerConfig::tenant("AM_T");
+    cfg.max_workers = max_workers;
+    cfg.params(contract)
 }
 
 /// Analyzes the rule programs implied by a scenario configuration.
@@ -164,7 +140,7 @@ pub(crate) fn arbiter_params_for(max_workers: u32) -> ParamTable {
 /// Controller-aware: a manager whose configured control law runs **no**
 /// rule program (`aimd`) contributes nothing to lint — there is no
 /// program to analyze, and findings against a program that never loads
-/// would be noise. The budget-mirroring laws (`retry_budget`, `hedge`)
+/// would be noise. The budget laws (`retry_budget`, `hedge`)
 /// wrap the standard programs and are linted exactly like `rules`.
 pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
     let analyzer = Analyzer::new(sim_bean_schema());
@@ -174,10 +150,9 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             contract,
             ft_min_workers,
             migrate_min_gain,
-            controller,
             ..
         } => {
-            if controller_of(controller) == Ok(ControllerKind::Aimd) {
+            if cfg.controller() == Ok(ControllerKind::Aimd) {
                 // The farm manager is the scenario's only manager, and
                 // AIMD loads no rules.
                 return out;
@@ -185,21 +160,12 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             // The farm manager loads one merged program; the analysis of
             // the merge catches intra-set problems, and the per-concern
             // pairings catch TR-09-10-style contradictions.
-            let mut params = farm_params_for(contract);
-            let mut merged = stdlib::farm_rules();
+            let (merged, params) = farm_deployment(contract, *ft_min_workers, *migrate_min_gain);
             let mut concerns: Vec<(&str, RuleSet)> = Vec::new();
-            if let Some(ft) = ft_min_workers {
-                for (name, value) in stdlib::fault_params(*ft).iter() {
-                    params.set(name.to_string(), value);
-                }
-                merged.extend(stdlib::fault_rules());
+            if ft_min_workers.is_some() {
                 concerns.push(("fault-tolerance", stdlib::fault_rules()));
             }
-            if let Some(gain) = migrate_min_gain {
-                for (name, value) in stdlib::migrate_params(*gain).iter() {
-                    params.set(name.to_string(), value);
-                }
-                merged.extend(stdlib::migrate_rules());
+            if migrate_min_gain.is_some() {
                 concerns.push(("migration", stdlib::migrate_rules()));
             }
             out.extend(analyzer.analyze(&merged, Some(&params), None));
@@ -214,7 +180,6 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
         ScenarioConfig::Pipeline {
             initial_rate,
             contract,
-            controller,
             ..
         } => {
             // AM_A drives the source with output-rate contracts around the
@@ -222,20 +187,19 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             // Only the farm stage honours the controller selection, so an
             // AIMD farm drops out of the lint while the coordinator and
             // producer programs stay checked.
-            let farm_is_ruled = controller_of(controller) != Ok(ControllerKind::Aimd);
-            let (floor, ceil) = Contract::output_rate(*initial_rate)
-                .output_rate_bounds()
-                .unwrap_or((0.0, f64::INFINITY));
+            let farm_is_ruled = cfg.controller() != Ok(ControllerKind::Aimd);
             let mut programs: Vec<(&str, RuleSet, ParamTable)> = vec![
                 ("pipeline", stdlib::pipeline_rules(), ParamTable::new()),
                 (
                     "producer",
                     stdlib::producer_rules(),
-                    stdlib::producer_params(floor, ceil),
+                    ManagerConfig::producer("producer")
+                        .params(&Contract::output_rate(*initial_rate)),
                 ),
             ];
             if farm_is_ruled {
-                programs.push(("farm", stdlib::farm_rules(), farm_params_for(contract)));
+                let params = ManagerConfig::farm("farm").params(contract);
+                programs.push(("farm", stdlib::farm_rules(), params));
             }
             for (_, set, params) in &programs {
                 out.extend(analyzer.analyze(set, Some(params), None));
@@ -255,7 +219,6 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
         ScenarioConfig::MultiTenant {
             tenants,
             max_workers,
-            controller,
             ..
         } => {
             // One tenancy program per tenant, under the parameters its
@@ -267,16 +230,16 @@ pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
             for t in tenants {
                 out.extend(analyzer.analyze(
                     &stdlib::tenancy_rules(),
-                    Some(&tenant_params_for(&t.contract, *max_workers)),
+                    Some(&tenant_params(&t.contract, *max_workers)),
                     None,
                 ));
             }
             // The arbiter runs the same program with its share pinned —
             // unless it was handed to the AIMD law, which takes no rules.
-            if controller_of(controller) != Ok(ControllerKind::Aimd) {
+            if cfg.controller() != Ok(ControllerKind::Aimd) {
                 out.extend(analyzer.analyze(
                     &stdlib::tenancy_rules(),
-                    Some(&arbiter_params_for(*max_workers)),
+                    Some(&arbiter_config(*max_workers).params(&Contract::BestEffort)),
                     None,
                 ));
             }

@@ -25,15 +25,16 @@
 //! and checks each loop with the deployment's actual thresholds.
 
 use crate::config::ScenarioConfig;
-use crate::rulelint::{arbiter_params_for, controller_of, farm_params_for, tenant_params_for};
+use crate::rulelint::{farm_deployment, tenant_params};
 use bskel_core::contract::Contract;
-use bskel_core::ControllerKind;
+use bskel_core::{ControllerKind, ManagerConfig};
 use bskel_rules::analysis::Severity;
 use bskel_rules::{
     parse_rules, stdlib, throughput_violation, Cmp, Condition, Counterexample, EnvMove, McError,
     McReport, ModelChecker, ParamTable, Spec,
 };
 use bskel_sim::sim_bean_schema;
+use bskel_tenancy::arbiter_config;
 
 /// One model-checking run: a program (or composition) label plus the
 /// checker's outcome for it.
@@ -300,11 +301,15 @@ pub fn check_rules_text(path: &str, src: &str) -> FileReport {
 
 /// The farm property spec implied by a scenario's contract: violation
 /// and plant from the throughput bounds, initial pool from the
-/// parallelism-degree bounds (defaults mirror `ManagerConfig`).
-fn farm_spec_for(contract: &Contract) -> Spec {
+/// parallelism-degree bounds in the manager's derived `params`.
+fn farm_spec_for(contract: &Contract, params: &ParamTable) -> Spec {
     let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-    let (min_w, max_w) = contract.par_degree_bounds().unwrap_or((1, 64));
-    let mut spec = Spec::default().initial("numWorkers", f64::from(min_w), f64::from(max_w));
+    let workers = |name| params.get(name).expect("farm parameters bound");
+    let mut spec = Spec::default().initial(
+        "numWorkers",
+        workers(stdlib::params::FARM_MIN_NUM_WORKERS),
+        workers(stdlib::params::FARM_MAX_NUM_WORKERS),
+    );
     if let Some(v) = throughput_violation(lo, hi) {
         spec = spec.violation(v).throughput_plant();
     }
@@ -313,32 +318,14 @@ fn farm_spec_for(contract: &Contract) -> Spec {
 
 /// Model-checks the control loops a scenario JSON implies.
 pub fn check_scenario(path: &str, json: &str) -> FileReport {
-    let cfg: ScenarioConfig = match serde_json::from_str(json) {
-        Ok(c) => c,
-        Err(e) => {
-            return FileReport {
-                path: path.to_string(),
-                parse_error: Some(format!("bad scenario config: {e}")),
-                checks: Vec::new(),
-            }
-        }
+    let (parse_error, checks) = match ScenarioConfig::from_json(json) {
+        Ok(cfg) => (None, check_scenario_config(&cfg)),
+        Err(e) => (Some(format!("bad scenario config: {e}")), Vec::new()),
     };
-    let controller = match &cfg {
-        ScenarioConfig::Farm { controller, .. }
-        | ScenarioConfig::Pipeline { controller, .. }
-        | ScenarioConfig::MultiTenant { controller, .. } => controller,
-    };
-    if let Err(e) = controller_of(controller) {
-        return FileReport {
-            path: path.to_string(),
-            parse_error: Some(format!("bad scenario config: {e}")),
-            checks: Vec::new(),
-        };
-    }
     FileReport {
         path: path.to_string(),
-        parse_error: None,
-        checks: check_scenario_config(&cfg),
+        parse_error,
+        checks,
     }
 }
 
@@ -346,7 +333,7 @@ pub fn check_scenario(path: &str, json: &str) -> FileReport {
 ///
 /// Controller-aware: a manager handed to the `aimd` law runs no rule
 /// program, so there is no rule × effect-table loop to model — its
-/// checks are skipped. The budget-mirroring laws (`retry_budget`,
+/// checks are skipped. The budget laws (`retry_budget`,
 /// `hedge`) execute the standard programs unchanged and are checked
 /// exactly like `rules`.
 pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
@@ -357,10 +344,9 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
             contract,
             ft_min_workers,
             migrate_min_gain,
-            controller,
             ..
         } => {
-            if controller_of(controller) == Ok(ControllerKind::Aimd) {
+            if cfg.controller() == Ok(ControllerKind::Aimd) {
                 // The farm manager is the scenario's only manager, and
                 // AIMD loads no rules.
                 return out;
@@ -369,30 +355,17 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
             // not the concerns in isolation — interaction bugs (an FT
             // floor fighting the performance ceiling) only exist in the
             // product.
-            let mut params = farm_params_for(contract);
-            let mut merged = stdlib::farm_rules();
-            let mut spec = farm_spec_for(contract);
-            if let Some(ft) = ft_min_workers {
-                for (name, value) in stdlib::fault_params(*ft).iter() {
-                    params.set(name.to_string(), value);
-                }
-                merged.extend(stdlib::fault_rules());
-                // Under a best-effort throughput contract the FT floor
-                // *is* the contract: losing workers below it must be
-                // repaired within k firings.
-                if spec.violation.is_none() {
-                    spec = spec.violation(Condition::bean_vs_const(
-                        "numWorkers",
-                        Cmp::Lt,
-                        f64::from(*ft),
-                    ));
-                }
-            }
-            if let Some(gain) = migrate_min_gain {
-                for (name, value) in stdlib::migrate_params(*gain).iter() {
-                    params.set(name.to_string(), value);
-                }
-                merged.extend(stdlib::migrate_rules());
+            let (merged, params) = farm_deployment(contract, *ft_min_workers, *migrate_min_gain);
+            let mut spec = farm_spec_for(contract, &params);
+            // Under a best-effort throughput contract the FT floor *is*
+            // the contract: losing workers below it must be repaired
+            // within k firings.
+            if let (Some(ft), None) = (ft_min_workers, &spec.violation) {
+                spec = spec.violation(Condition::bean_vs_const(
+                    "numWorkers",
+                    Cmp::Lt,
+                    f64::from(*ft),
+                ));
             }
             out.push(CheckOutcome {
                 program: "farm".to_string(),
@@ -402,17 +375,15 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
         ScenarioConfig::Pipeline {
             initial_rate,
             contract,
-            controller,
             ..
         } => {
             // Only the farm stage honours the controller selection; the
             // coordinator and producer loops stay rule-driven regardless.
-            let farm_is_ruled = controller_of(controller) != Ok(ControllerKind::Aimd);
+            let farm_is_ruled = cfg.controller() != Ok(ControllerKind::Aimd);
             // Leaf loops first: the producer under its own output-rate
             // contract, the farm stage under the application SLA.
-            let (floor, ceil) = Contract::output_rate(*initial_rate)
-                .output_rate_bounds()
-                .unwrap_or((0.0, f64::INFINITY));
+            let source = Contract::output_rate(*initial_rate);
+            let (floor, ceil) = source.output_rate_bounds().unwrap_or((0.0, f64::INFINITY));
             let producer_spec = {
                 let mut s = Spec::default()
                     .waiver(Condition::flag("endOfStream"))
@@ -427,26 +398,26 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
                 result: checker.check(
                     "producer",
                     &stdlib::producer_rules(),
-                    &stdlib::producer_params(floor, ceil),
+                    &ManagerConfig::producer("producer").params(&source),
                     &producer_spec,
                 ),
             });
             if farm_is_ruled {
-                let farm_params = farm_params_for(contract);
+                let farm_params = ManagerConfig::farm("farm").params(contract);
                 out.push(CheckOutcome {
                     program: "farm".to_string(),
                     result: checker.check(
                         "farm",
                         &stdlib::farm_rules(),
                         &farm_params,
-                        &farm_spec_for(contract),
+                        &farm_spec_for(contract, &farm_params),
                     ),
                 });
                 // The hierarchy composition: farm child escalates, pipeline
                 // parent retunes the source. Escalation no longer discharges
                 // recovery — the parent is in the model, so the obligation is
                 // that the *closed* loop actually recovers.
-                let composed_spec = farm_spec_for(contract)
+                let composed_spec = farm_spec_for(contract, &farm_params)
                     .waiver(Condition::flag("endStream"))
                     .env("endStream", EnvMove::UpOnly)
                     .escalation_discharges(false)
@@ -464,7 +435,6 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
         ScenarioConfig::MultiTenant {
             tenants,
             max_workers,
-            controller,
             ..
         } => {
             // One loop per tenant, under the parameters its manager
@@ -480,7 +450,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
                     result: checker.check(
                         "tenancy",
                         &stdlib::tenancy_rules(),
-                        &tenant_params_for(&t.contract, *max_workers),
+                        &tenant_params(&t.contract, *max_workers),
                         &tenant_spec_for(&t.contract, *max_workers),
                     ),
                 });
@@ -498,7 +468,7 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
             // An AIMD arbiter runs no rules, so there is no child+arbiter
             // rule composition to check — the per-tenant loops above
             // (always rule-driven) remain the checked surface.
-            let arbiter_is_ruled = controller_of(controller) != Ok(ControllerKind::Aimd);
+            let arbiter_is_ruled = cfg.controller() != Ok(ControllerKind::Aimd);
             if let Some(t) = demanding.filter(|_| arbiter_is_ruled) {
                 out.push(CheckOutcome {
                     program: format!("{}+arbiter", t.name),
@@ -506,12 +476,12 @@ pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
                         (
                             "tenant",
                             &stdlib::tenancy_rules(),
-                            &tenant_params_for(&t.contract, *max_workers),
+                            &tenant_params(&t.contract, *max_workers),
                         ),
                         (
                             "arbiter",
                             &stdlib::tenancy_rules(),
-                            &arbiter_params_for(*max_workers),
+                            &arbiter_config(*max_workers).params(&Contract::BestEffort),
                         ),
                         &tenant_spec_for(&t.contract, *max_workers),
                     ),

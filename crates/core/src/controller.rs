@@ -98,7 +98,7 @@ impl std::fmt::Display for ControllerKind {
 /// The manager owns the loop (sense, journal, blackout, hierarchy beans,
 /// op interpretation, mode derivation); the controller owns only the
 /// *analyse/plan* step. Laws with no rule program return `None` from
-/// [`Controller::rules`], which disables rule linting/model-checking for
+/// [`Controller::rules`], which disables rule linting for
 /// that manager — there is nothing to lint.
 pub trait Controller: Send {
     /// Law name as journaled on every actuation (`rules`, `aimd`, …).

@@ -29,14 +29,13 @@
 //! [`AutonomicManager::control_cycle`] at each control period.
 
 use crate::abc::{Abc, AbcError, ActuationOutcome, ManagerOp};
-use crate::concern::Concern;
 use crate::contract::Contract;
 use crate::controller::{build_controller, Controller, ControllerKind};
 use crate::events::{EventKind, EventLog};
 use bskel_monitor::journal::Text;
 use bskel_monitor::{SensorSnapshot, Time};
 use bskel_rules::stdlib::{self, hier_beans, viol};
-use bskel_rules::{op, Analyzer, OpArgs, OpCall, RuleSet, WorkingMemory};
+use bskel_rules::{op, Analyzer, OpArgs, OpCall, ParamTable, RuleSet, WorkingMemory};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -207,9 +206,6 @@ impl std::error::Error for RuleLintError {}
 pub struct ManagerConfig {
     /// Manager name (e.g. `AM_F`).
     pub name: String,
-    /// The concern managed. The built-in kinds manage
-    /// [`Concern::Performance`].
-    pub concern: Concern,
     /// Pattern kind.
     pub kind: ManagerKind,
     /// Seconds between control cycles.
@@ -220,19 +216,13 @@ pub struct ManagerConfig {
     /// the whole deficit instead when that is larger, so a mass loss is
     /// healed by one actuation.
     pub add_batch: u32,
-    /// Workers removed per `REMOVE_EXECUTOR` firing.
-    pub remove_batch: u32,
     /// Parallelism-degree floor when the contract does not constrain it.
     pub min_workers: u32,
     /// Parallelism-degree ceiling when the contract does not constrain it.
     pub max_workers: u32,
-    /// Queue-variance threshold for rebalancing.
-    pub max_unbalance: f64,
     /// Multiplicative step of an `incRate` contract (paper: the producer
     /// emits "more and more frequently").
     pub rate_inc_factor: f64,
-    /// Multiplicative step of a `decRate` contract ("slightly decrease").
-    pub rate_dec_factor: f64,
     /// Initial target rate assumed for a source child before the first
     /// incRate (tasks/s).
     pub initial_source_rate: f64,
@@ -248,14 +238,6 @@ pub struct ManagerConfig {
     pub model_initial_setup: bool,
     /// Load-time rule-program checking policy (see [`RuleCheck`]).
     pub rule_check: RuleCheck,
-    /// Opt-in model checking of the rule program at load/adoption time:
-    /// `Some(k)` runs `bskel_rules::mc` with recovery bound `k` beside
-    /// the static analysis, reporting findings as `rulemc:*` events
-    /// (property failures are error-severity and reject the program
-    /// under [`RuleCheck::Strict`], like any other lint error). `None`
-    /// (the default) skips it — exhaustive exploration costs more than a
-    /// lint pass and belongs at deploy time, not in every unit test.
-    pub model_check: Option<usize>,
     /// The control law this manager runs (see
     /// [`crate::controller::ControllerKind`]). Defaults to the rule
     /// engine; `Aimd` replaces the scaling rules with a congestion-control
@@ -268,21 +250,16 @@ impl ManagerConfig {
     fn base(name: &str, kind: ManagerKind) -> Self {
         Self {
             name: name.to_owned(),
-            concern: Concern::Performance,
             kind,
             control_period: 1.0,
             add_batch: 1,
-            remove_batch: 1,
             min_workers: 1,
             max_workers: 64,
-            max_unbalance: 4.0,
             rate_inc_factor: 1.25,
-            rate_dec_factor: 0.92,
             initial_source_rate: 0.2,
             extra_params: Vec::new(),
             model_initial_setup: false,
             rule_check: RuleCheck::default(),
-            model_check: None,
             controller: ControllerKind::Rules,
         }
     }
@@ -311,7 +288,48 @@ impl ManagerConfig {
     pub fn tenant(name: &str) -> Self {
         Self::base(name, ManagerKind::Tenant)
     }
+
+    /// The rule parameters a manager so configured derives from
+    /// `contract`: its kind's table, with [`ManagerConfig::extra_params`]
+    /// merged over it.
+    pub fn params(&self, contract: &Contract) -> ParamTable {
+        let mut params = match self.kind {
+            ManagerKind::Farm => {
+                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
+                let (min_w, max_w) = contract
+                    .par_degree_bounds()
+                    .unwrap_or((self.min_workers, self.max_workers));
+                stdlib::farm_params(lo, hi, min_w, max_w, MAX_UNBALANCE)
+            }
+            ManagerKind::Producer => {
+                let (floor, ceil) = contract
+                    .output_rate_bounds()
+                    .or_else(|| contract.throughput_bounds())
+                    .unwrap_or((0.0, f64::INFINITY));
+                stdlib::producer_params(floor, ceil)
+            }
+            ManagerKind::Tenant => {
+                // Contract stripe → delivered-throughput thresholds; the
+                // share/admission knobs default conservatively and are
+                // tuned per tenant via `extra_params`.
+                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
+                stdlib::tenancy_params(lo, hi, 0.05, 0.8, 64, self.max_workers)
+            }
+            ManagerKind::Pipeline | ManagerKind::Sequential => ParamTable::new(),
+        };
+        for (name, value) in &self.extra_params {
+            params.set(name.clone(), *value);
+        }
+        params
+    }
 }
+
+/// Workers removed per `REMOVE_EXECUTOR` firing.
+const REMOVE_BATCH: u32 = 1;
+/// Queue-variance threshold for rebalancing (`$FARM_MAX_UNBALANCE`).
+const MAX_UNBALANCE: f64 = 4.0;
+/// Multiplicative step of a `decRate` contract ("slightly decrease").
+const RATE_DEC_FACTOR: f64 = 0.92;
 
 /// An autonomic manager bound to a computation through an ABC.
 pub struct AutonomicManager {
@@ -323,7 +341,7 @@ pub struct AutonomicManager {
     state: AmState,
     contract: Contract,
     controller: Box<dyn Controller>,
-    params: bskel_rules::ParamTable,
+    params: ParamTable,
     abc: Box<dyn Abc>,
     log: EventLog,
     contract_slot: ContractSlot,
@@ -379,7 +397,7 @@ impl AutonomicManager {
             state: AmState::Active,
             contract: Contract::BestEffort,
             controller,
-            params: bskel_rules::ParamTable::new(),
+            params: ParamTable::new(),
             abc,
             log,
             contract_slot: ContractSlot::new(),
@@ -393,7 +411,7 @@ impl AutonomicManager {
             last_snapshot: None,
             wm: WorkingMemory::new(),
         };
-        m.params = m.derive_params(&Contract::BestEffort);
+        m.params = m.cfg.params(&Contract::BestEffort);
         m.check_rules()?;
         Ok(m)
     }
@@ -432,26 +450,25 @@ impl AutonomicManager {
         Ok(())
     }
 
-    /// Runs the rule-program analysis (and the opt-in model check),
-    /// logging every finding and collecting the error-severity ones into
+    /// Runs the rule-program analysis, logging every finding and collecting the error-severity ones into
     /// `errors` when given. With `params` bound (contract adoption) the
     /// verdicts are sharper but only ever logged: a contract making a rule
     /// dormant is a property of this contract, not of the program.
     fn lint_rules(
         &self,
-        params: Option<&bskel_rules::ParamTable>,
+        params: Option<&ParamTable>,
         now: Time,
         errors: Option<&mut Vec<bskel_rules::Diagnostic>>,
     ) {
         if self.cfg.rule_check == RuleCheck::Off {
             return;
         }
-        // Laws without a rule program have nothing to lint or model-check.
+        // Laws without a rule program have nothing to lint.
         let Some(rules) = self.controller.rules() else {
             return;
         };
         let analyzer = Analyzer::new(self.abc.bean_schema());
-        let mut diags = analyzer.analyze(rules, params, None);
+        let diags = analyzer.analyze(rules, params, None);
         for d in &diags {
             self.emit(
                 now,
@@ -459,7 +476,6 @@ impl AutonomicManager {
                 Some(d.to_string()),
             );
         }
-        diags.extend(self.model_check_rules(params, now));
         if let Some(errors) = errors {
             errors.extend(
                 diags
@@ -467,100 +483,6 @@ impl AutonomicManager {
                     .filter(|d| d.severity == bskel_rules::Severity::Error),
             );
         }
-    }
-
-    /// Opt-in exhaustive model check of the rule program
-    /// ([`ManagerConfig::model_check`]); findings flow through the same
-    /// diagnostic path as the static analysis, under `rulemc:*` events.
-    fn model_check_rules(
-        &self,
-        params: Option<&bskel_rules::ParamTable>,
-        now: Time,
-    ) -> Vec<bskel_rules::Diagnostic> {
-        use bskel_rules::mc::{throughput_violation, EnvMove, ModelChecker, Spec};
-        let Some(k) = self.cfg.model_check else {
-            return Vec::new();
-        };
-        let Some(rules) = self.controller.rules() else {
-            return Vec::new();
-        };
-        if rules.rules().is_empty() {
-            return Vec::new();
-        }
-        let bound = params.unwrap_or(&self.params);
-        let (lo, hi) = match self.cfg.kind {
-            ManagerKind::Producer => self
-                .contract
-                .output_rate_bounds()
-                .or_else(|| self.contract.throughput_bounds()),
-            _ => self.contract.throughput_bounds(),
-        }
-        .unwrap_or((0.0, f64::INFINITY));
-        let (min_w, max_w) = self
-            .contract
-            .par_degree_bounds()
-            .unwrap_or((self.cfg.min_workers, self.cfg.max_workers));
-        let mut spec = Spec::default()
-            .recovery_k(k)
-            .initial(
-                bskel_monitor::snapshot::beans::NUM_WORKERS,
-                f64::from(min_w),
-                f64::from(max_w),
-            )
-            .env(hier_beans::END_STREAM, EnvMove::UpOnly)
-            .waiver(bskel_rules::Condition::flag(
-                bskel_monitor::snapshot::beans::END_OF_STREAM,
-            ));
-        if let Some(v) = throughput_violation(lo, hi) {
-            spec = spec.violation(v).throughput_plant();
-        }
-        let report = match ModelChecker::new(self.abc.bean_schema()).check(
-            &self.cfg.name,
-            rules,
-            bound,
-            &spec,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                // Unbound params / unknown beans are already surfaced by
-                // the static analysis; a budget overrun is news.
-                self.emit(now, EventKind::Other(format!("rulemcError:{e}")), None);
-                return Vec::new();
-            }
-        };
-        self.emit(
-            now,
-            EventKind::Other("rulemc".to_string()),
-            Some(format!(
-                "states={} transitions={} recovery={} livelock={} dead={} wall={:?}",
-                report.states,
-                report.transitions,
-                report
-                    .recovery
-                    .as_ref()
-                    .map_or("skipped", |v| if v.proved() {
-                        "proved"
-                    } else {
-                        "violated"
-                    }),
-                if report.livelock.proved() {
-                    "proved"
-                } else {
-                    "violated"
-                },
-                report.dead_rules.len(),
-                report.wall,
-            )),
-        );
-        let diags = report.to_diagnostics();
-        for d in &diags {
-            self.emit(
-                now,
-                EventKind::Other(format!("rulemc:{}", d.code)),
-                Some(d.to_string()),
-            );
-        }
-        diags
     }
 
     /// Sets the parent mailbox violations are reported to.
@@ -623,51 +545,14 @@ impl AutonomicManager {
         self.log.push(at, Arc::clone(&self.name), kind, detail);
     }
 
-    /// Derives the rule parameters implied by a contract for this kind.
-    fn derive_params(&self, contract: &Contract) -> bskel_rules::ParamTable {
-        let mut params = self.derive_kind_params(contract);
-        for (name, value) in &self.cfg.extra_params {
-            params.set(name.clone(), *value);
-        }
-        params
-    }
-
-    fn derive_kind_params(&self, contract: &Contract) -> bskel_rules::ParamTable {
-        match self.cfg.kind {
-            ManagerKind::Farm => {
-                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-                let (min_w, max_w) = contract
-                    .par_degree_bounds()
-                    .unwrap_or((self.cfg.min_workers, self.cfg.max_workers));
-                stdlib::farm_params(lo, hi, min_w, max_w, self.cfg.max_unbalance)
-            }
-            ManagerKind::Producer => {
-                let (floor, ceil) = contract
-                    .output_rate_bounds()
-                    .or_else(|| contract.throughput_bounds())
-                    .unwrap_or((0.0, f64::INFINITY));
-                stdlib::producer_params(floor, ceil)
-            }
-            ManagerKind::Tenant => {
-                // Contract stripe → delivered-throughput thresholds; the
-                // share/admission knobs default conservatively and are
-                // tuned per tenant via `extra_params`.
-                let (lo, hi) = contract.throughput_bounds().unwrap_or((0.0, f64::INFINITY));
-                stdlib::tenancy_params(lo, hi, 0.05, 0.8, 64, self.cfg.max_workers)
-            }
-            ManagerKind::Pipeline | ManagerKind::Sequential => bskel_rules::ParamTable::new(),
-        }
-    }
-
     /// Adopts a new contract: recomputes rule parameters, propagates
     /// sub-contracts to children, (re-)enters active mode.
     fn adopt_contract(&mut self, contract: Contract, now: Time) {
-        self.params = self.derive_params(&contract);
+        self.params = self.cfg.params(&contract);
         self.emit(now, EventKind::NewContract, Some(contract.to_string()));
         self.contract = contract;
         // Binding the contract's parameters makes cross-rule reasoning
-        // decidable; re-lint (and model-check, if enabled) against the
-        // adopted contract so dormant rules and parameter-induced
+        // decidable; re-lint against the adopted contract so dormant rules and parameter-induced
         // overlaps land in the event log (never a rejection).
         self.lint_rules(Some(&self.params), now, None);
         if self.cfg.model_initial_setup && self.cfg.kind == ManagerKind::Farm {
@@ -988,9 +873,9 @@ impl AutonomicManager {
     fn op_args(&self) -> OpArgs {
         OpArgs {
             add_batch: self.cfg.add_batch,
-            remove_batch: self.cfg.remove_batch,
+            remove_batch: REMOVE_BATCH,
             rate_inc_factor: self.cfg.rate_inc_factor,
-            rate_dec_factor: self.cfg.rate_dec_factor,
+            rate_dec_factor: RATE_DEC_FACTOR,
         }
     }
 
@@ -1171,45 +1056,6 @@ mod tests {
             let m = AutonomicManager::try_new(cfg, Box::new(MockAbc::new(vec![])), EventLog::new());
             assert!(m.is_ok());
         }
-    }
-
-    #[test]
-    fn model_check_proves_standard_farm_on_contract_adoption() {
-        let mut cfg = ManagerConfig::farm("AM_F");
-        cfg.model_check = Some(8);
-        let mut m = AutonomicManager::new(cfg, Box::new(MockAbc::new(vec![])), EventLog::new());
-        m.contract_slot().post(Contract::throughput_range(0.4, 0.8));
-        m.control_cycle(0.0);
-        let events = m.log().of_kind(&EventKind::Other("rulemc".into()));
-        assert!(!events.is_empty(), "{:?}", m.log().snapshot());
-        let last = events.last().unwrap().detail.clone().unwrap();
-        assert!(last.contains("recovery=proved"), "{last}");
-        assert!(last.contains("livelock=proved"), "{last}");
-        assert!(m
-            .log()
-            .of_kind(&EventKind::Other("rulemc:no-recovery".into()))
-            .is_empty());
-    }
-
-    #[test]
-    fn strict_mode_with_model_check_rejects_livelocking_program() {
-        // A single self-re-enabling rule: no pair for the W-oscillation
-        // heuristic to catch, but the lasso search proves the livelock.
-        let mut cfg = ManagerConfig::farm("AM_F");
-        cfg.rule_check = RuleCheck::Strict;
-        cfg.model_check = Some(4);
-        let m = AutonomicManager::new(cfg, Box::new(MockAbc::new(vec![])), EventLog::new());
-        let rules = bskel_rules::parse_rules(
-            r#"rule "grow" when numWorkers > 0 then fire(ADD_EXECUTOR) end"#,
-        )
-        .unwrap();
-        let err = m.try_with_rules(rules).unwrap_err();
-        assert!(
-            err.0
-                .iter()
-                .any(|d| d.code == bskel_rules::LintCode::Livelock),
-            "{err}"
-        );
     }
 
     #[test]

@@ -186,6 +186,28 @@ impl RuleEngine {
         self.firings
     }
 
+    /// The edge state: for each edge-triggered rule, in definition order,
+    /// whether its condition held last cycle.
+    pub(crate) fn held(&self) -> impl Iterator<Item = bool> + '_ {
+        self.rules
+            .rules()
+            .iter()
+            .zip(&self.held_before)
+            .filter(|(rule, _)| rule.edge_triggered)
+            .map(|(_, &held)| held)
+    }
+
+    /// Restores the edge state [`RuleEngine::held`] reports: one bit per
+    /// edge-triggered rule, in definition order.
+    pub(crate) fn set_held(&mut self, held: &[bool]) {
+        let mut bits = held.iter().copied();
+        for (rule, slot) in self.rules.rules().iter().zip(&mut self.held_before) {
+            if rule.edge_triggered {
+                *slot = bits.next().expect("one bit per edge-triggered rule");
+            }
+        }
+    }
+
     /// Binds every operand to its slot in `wm`'s or `params`' layout,
     /// unless the layouts bound last have the same names in the same
     /// slots. The engine holds the layouts it bound, and a memory never
@@ -388,6 +410,41 @@ mod tests {
         assert_eq!(e.cycle(&on, &p).unwrap().len(), 0, "held level suppressed");
         assert_eq!(e.cycle(&off, &p).unwrap().len(), 0, "falling edge silent");
         assert_eq!(e.cycle(&on, &p).unwrap().len(), 1, "re-arms after reset");
+    }
+
+    #[test]
+    fn restored_edge_state_decides_whether_a_held_condition_refires() {
+        let rules = || {
+            engine(vec![
+                Rule::new("level", Condition::True, fire("L")),
+                Rule::new("edge", Condition::flag("cond"), fire("A")).edge_triggered(),
+            ])
+        };
+        let p = ParamTable::new();
+        let on = WorkingMemory::from_beans([("cond", 1.0)]);
+        let names = |e: &mut RuleEngine| -> Vec<String> {
+            e.cycle(&on, &p)
+                .unwrap()
+                .into_iter()
+                .map(|f| f.rule)
+                .collect()
+        };
+
+        let mut seen = rules();
+        assert_eq!(names(&mut seen), ["level", "edge"]);
+        assert_eq!(seen.held().collect::<Vec<_>>(), [true]);
+
+        // A fresh engine restored to the state where the condition held
+        // keeps the rule suppressed while it still holds.
+        let mut restored = rules();
+        restored.set_held(&seen.held().collect::<Vec<_>>());
+        assert_eq!(names(&mut restored), ["level"]);
+        assert_eq!(names(&mut restored), ["level"]);
+
+        // Restored to the all-false state, the held condition is a rising
+        // edge again.
+        restored.set_held(&[false]);
+        assert_eq!(names(&mut restored), ["level", "edge"]);
     }
 
     #[test]

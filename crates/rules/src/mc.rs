@@ -33,16 +33,17 @@
 //! regions, so strict and non-strict comparisons stay exact). Count beans
 //! keep only regions containing an integer. A state is the vector of
 //! region indices plus the engine's edge-trigger bits; each region carries
-//! a concrete *representative* value, so guards are evaluated by the same
-//! [`Condition::eval`] the production engine uses — the abstract controller
-//! is the real controller.
+//! a concrete *representative* value, which the production
+//! [`crate::engine::RuleEngine`] evaluates — the abstract controller is
+//! the real controller.
 //!
 //! Transitions:
 //!
-//! * **Control edges** (deterministic): fire the fireable rules in
-//!   salience order exactly as [`crate::engine::RuleEngine::cycle`] would,
-//!   then move every affected bean one region in the net direction of the
-//!   fired operations' [`EffectTable`] entries. This folds the plant
+//! * **Control edges** (deterministic): each program's production
+//!   engine, restored to the state's edge bits, runs
+//!   [`crate::engine::RuleEngine::cycle`] on the representative values;
+//!   every affected bean then moves one region in the net direction of
+//!   the fired operations' [`EffectTable`] entries. This folds the plant
 //!   response into the firing step: `ADD_EXECUTOR` *eventually* raises
 //!   `departureRate`, and in the abstraction "eventually" is the next
 //!   region.
@@ -67,12 +68,13 @@
 use crate::analysis::{
     bind_params, BeanSchema, BeanType, Diagnostic, Dir, EffectTable, LintCode, Severity,
 };
-use crate::ast::{Condition, Expr, Rule, RuleSet};
-use crate::engine::Firing;
+use crate::ast::{Condition, Expr, RuleSet};
+use crate::engine::{Firing, RuleEngine};
 use crate::op;
 use crate::stdlib::{hier_beans, viol};
 use crate::wm::{ParamTable, WorkingMemory};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -529,26 +531,21 @@ struct Prog<'a> {
     label: &'a str,
     rules: &'a RuleSet,
     params: &'a ParamTable,
-    /// Rule indices in firing order (salience desc, stable).
-    fire_order: Vec<usize>,
-    /// Rule indices that are edge-triggered, in definition order; each
-    /// owns one trailing bit of the state vector.
-    edge_rules: Vec<usize>,
+    /// The production engine that runs this program's control cycles.
+    engine: RefCell<RuleEngine>,
+    /// Edge-triggered rules: each owns one trailing bit of the state
+    /// vector, in definition order (`RuleEngine::held`).
+    edges: usize,
 }
 
 impl<'a> Prog<'a> {
     fn new(label: &'a str, rules: &'a RuleSet, params: &'a ParamTable) -> Self {
-        let mut fire_order: Vec<usize> = (0..rules.rules().len()).collect();
-        fire_order.sort_by_key(|&i| std::cmp::Reverse(rules.rules()[i].salience));
-        let edge_rules = (0..rules.rules().len())
-            .filter(|&i| rules.rules()[i].edge_triggered)
-            .collect();
         Prog {
             label,
             rules,
             params,
-            fire_order,
-            edge_rules,
+            engine: RefCell::new(RuleEngine::new(rules.clone())),
+            edges: rules.rules().iter().filter(|r| r.edge_triggered).count(),
         }
     }
 }
@@ -796,7 +793,7 @@ impl<'a> Model<'a> {
         let mut state_len = domains.len();
         for prog in &progs {
             edge_offset.push(state_len);
-            state_len += prog.edge_rules.len();
+            state_len += prog.edges;
         }
 
         Ok(Model {
@@ -894,39 +891,23 @@ impl<'a> Model<'a> {
         self.renorm(state);
     }
 
-    /// One cycle of program `pi` on `state`: evaluate → select → fire →
-    /// apply effects → update edge bits. Mirrors `RuleEngine::cycle`.
+    /// One cycle of program `pi` on `state`: load the state's edge bits
+    /// into the production engine, run [`RuleEngine::cycle`], apply the
+    /// firings' effects and write the engine's edge bits back.
     fn prog_cycle(&self, pi: usize, state: &mut State, out: &mut StepOut) {
         let prog = &self.progs[pi];
         let wm = self.wm_of(state);
-        let rules = prog.rules.rules();
-        let truth: Vec<bool> = rules
-            .iter()
-            .map(|r| {
-                r.when
-                    .eval(&wm, prog.params)
-                    .expect("cone beans and params validated at build time")
-            })
-            .collect();
-        let off = self.edge_offset[pi];
-        let mut fired: Vec<&Rule> = Vec::new();
-        for &i in &prog.fire_order {
-            if !truth[i] {
-                continue;
-            }
-            let suppressed = rules[i].edge_triggered && {
-                let bit = prog.edge_rules.iter().position(|&e| e == i).expect("edge");
-                state[off + bit] != 0
-            };
-            if !suppressed {
-                fired.push(&rules[i]);
-            }
-        }
+        let edge_bits = self.edge_offset[pi]..self.edge_offset[pi] + prog.edges;
+        let held: Vec<bool> = state[edge_bits.clone()].iter().map(|&b| b != 0).collect();
+        let mut engine = prog.engine.borrow_mut();
+        engine.set_held(&held);
+        let fired = engine
+            .cycle(&wm, prog.params)
+            .expect("cone beans and params validated at build time");
         let mut deltas: BTreeMap<usize, i32> = BTreeMap::new();
         let mut raised: Vec<Option<Cow<'static, str>>> = Vec::new();
-        for rule in &fired {
-            let ops = rule.execute();
-            for call in &ops {
+        for firing in fired {
+            for call in &firing.ops {
                 if call.operation == op::RAISE_VIOLATION {
                     out.fired_raise = true;
                     raised.push(call.data.clone());
@@ -947,14 +928,7 @@ impl<'a> Model<'a> {
                     }
                 }
             }
-            out.firings.push((
-                prog.label.to_string(),
-                Firing {
-                    rule: rule.name.clone(),
-                    salience: rule.salience,
-                    ops,
-                },
-            ));
+            out.firings.push((prog.label.to_string(), firing));
         }
         self.apply_deltas(state, &deltas);
         // Hierarchy coupling: the child's RAISE_VIOLATION data sets the
@@ -973,8 +947,8 @@ impl<'a> Model<'a> {
                 state[p] = u8::from(too_much);
             }
         }
-        for (bit, &i) in prog.edge_rules.iter().enumerate() {
-            state[off + bit] = u8::from(truth[i]);
+        for (bit, held) in state[edge_bits].iter_mut().zip(engine.held()) {
+            *bit = u8::from(held);
         }
     }
 

@@ -149,6 +149,28 @@ pub fn farm_rules_with_ft() -> RuleSet {
     set
 }
 
+/// The farm manager's program for the concerns a deployment enables: the
+/// Fig. 5 rules, merged with the fault-tolerance rules when a worker floor
+/// `ft_min_workers` is set and with the migration rules when a gain
+/// threshold `migrate_min_gain` is set, plus the parameters those concerns
+/// add to the contract-derived ones.
+pub fn farm_program(
+    ft_min_workers: Option<u32>,
+    migrate_min_gain: Option<f64>,
+) -> (RuleSet, ParamTable) {
+    let mut rules = farm_rules();
+    let mut extra = ParamTable::new();
+    if let Some(n) = ft_min_workers {
+        rules.extend(fault_rules());
+        extra.set(params::FT_MIN_WORKERS, f64::from(n));
+    }
+    if let Some(gain) = migrate_min_gain {
+        rules.extend(migrate_rules());
+        extra.set(params::MIGRATE_MIN_GAIN, gain);
+    }
+    (rules, extra)
+}
+
 /// Builds the fault-tolerance parameter table.
 pub fn fault_params(min_workers: u32) -> ParamTable {
     ParamTable::new().with(params::FT_MIN_WORKERS, f64::from(min_workers))

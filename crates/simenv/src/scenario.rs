@@ -116,8 +116,6 @@ pub struct FarmScenario {
     pub add_batch: u32,
     /// Rate-estimator window, seconds.
     pub rate_window: f64,
-    /// Recruitment preference.
-    pub recruit_policy: RecruitPolicy,
     /// Emitter dispatch policy.
     pub dispatch: Dispatch,
     /// External-load windows applied to the first `n` trusted nodes:
@@ -158,7 +156,6 @@ impl FarmScenario {
             ssl: SslCostModel::free(),
             add_batch: 1,
             rate_window: 10.0,
-            recruit_policy: RecruitPolicy::TrustedFirst,
             dispatch: Dispatch::ShortestQueue,
             load_windows: Vec::new(),
             failures: Vec::new(),
@@ -184,8 +181,7 @@ impl FarmScenario {
         for i in 0..self.untrusted_nodes {
             pool.push(nodes.add(Node::untrusted(format!("u{i}"), "untrusted_ip_domain_A")));
         }
-        let resources =
-            ResourceManager::new(pool, self.recruit_latency).with_policy(self.recruit_policy);
+        let resources = ResourceManager::new(pool, self.recruit_latency);
         let count = if self.count == 0 {
             (2.0 * self.arrival_rate * self.horizon).ceil() as u64
         } else {
@@ -221,24 +217,10 @@ impl FarmScenario {
         cfg.add_batch = self.add_batch;
         cfg.model_initial_setup = self.model_initial_setup;
         cfg.controller = self.controller;
-        let mut rules = bskel_rules::stdlib::farm_rules();
-        let mut custom_rules = false;
-        if let Some(ft_min) = self.ft_min_workers {
-            cfg.extra_params.push((
-                bskel_rules::stdlib::params::FT_MIN_WORKERS.to_owned(),
-                f64::from(ft_min),
-            ));
-            rules.extend(bskel_rules::stdlib::fault_rules());
-            custom_rules = true;
-        }
-        if let Some(gain) = self.migrate_min_gain {
-            cfg.extra_params.push((
-                bskel_rules::stdlib::params::MIGRATE_MIN_GAIN.to_owned(),
-                gain,
-            ));
-            rules.extend(bskel_rules::stdlib::migrate_rules());
-            custom_rules = true;
-        }
+        let (rules, extra) =
+            bskel_rules::stdlib::farm_program(self.ft_min_workers, self.migrate_min_gain);
+        let custom_rules = self.ft_min_workers.is_some() || self.migrate_min_gain.is_some();
+        cfg.extra_params = extra.iter().map(|(n, v)| (n.to_owned(), v)).collect();
         let mut manager = AutonomicManager::new(
             cfg,
             Box::new(SimAbc::new(Arc::clone(&state), SimRole::Farm)),
@@ -370,12 +352,6 @@ impl FarmScenarioBuilder {
     /// Workers per `ADD_EXECUTOR` firing.
     pub fn add_batch(mut self, n: u32) -> Self {
         self.0.add_batch = n.max(1);
-        self
-    }
-
-    /// Recruitment preference.
-    pub fn recruit_policy(mut self, p: RecruitPolicy) -> Self {
-        self.0.recruit_policy = p;
         self
     }
 
@@ -642,12 +618,6 @@ impl PipelineScenarioBuilder {
     /// Farm per-task cost, seconds (deterministic).
     pub fn farm_service_time(mut self, secs: f64) -> Self {
         self.0.farm_service = ServiceDist::det(secs);
-        self
-    }
-
-    /// Arbitrary farm service distribution.
-    pub fn farm_service(mut self, d: ServiceDist) -> Self {
-        self.0.farm_service = d;
         self
     }
 

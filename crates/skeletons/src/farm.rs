@@ -751,7 +751,6 @@ struct Shared<In, Out> {
     next_worker_id: AtomicU64,
     factory: WorkerFactory<In, Out>,
     max_workers: u32,
-    reconfig_delay: f64,
 }
 
 impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
@@ -924,12 +923,6 @@ impl<In: Send + 'static, Out: Send + 'static> Shared<In, Out> {
         }
         let sensors = &self.core.sensors;
         sensors.reconfiguring.store(true, Ordering::SeqCst);
-        if self.reconfig_delay > 0.0 {
-            // Models node recruitment + component deployment latency; the
-            // manager observes `reconfiguring` and skips its cycles — the
-            // paper's Fig. 4 sensor blackout.
-            std::thread::sleep(std::time::Duration::from_secs_f64(self.reconfig_delay));
-        }
         let mut workers = self.workers.lock();
         // Teardown sets the flag before it takes the workers under this
         // lock, so a worker pushed after this check is always reaped.
@@ -1073,7 +1066,6 @@ pub struct FarmBuilder<In, Out> {
     gather: GatherPolicy,
     clock: Arc<dyn Clock>,
     max_workers: u32,
-    reconfig_delay: f64,
     rate_window: f64,
     journal: Option<Arc<Journal>>,
 }
@@ -1093,7 +1085,6 @@ impl<In: Send + 'static, Out: Send + 'static> FarmBuilder<In, Out> {
             gather: GatherPolicy::default(),
             clock: Arc::new(RealClock::new()),
             max_workers: 1024,
-            reconfig_delay: 0.0,
             rate_window: 2.0,
             journal: None,
         }
@@ -1146,13 +1137,6 @@ impl<In: Send + 'static, Out: Send + 'static> FarmBuilder<In, Out> {
         self
     }
 
-    /// Artificial worker-deployment delay in seconds (models recruitment
-    /// latency; produces the Fig. 4 sensor blackout).
-    pub fn reconfig_delay(mut self, secs: f64) -> Self {
-        self.reconfig_delay = secs.max(0.0);
-        self
-    }
-
     /// Window length of the rate estimators, seconds.
     pub fn rate_window(mut self, secs: f64) -> Self {
         self.rate_window = secs;
@@ -1187,7 +1171,6 @@ impl<In: Send + 'static, Out: Send + 'static> FarmBuilder<In, Out> {
             next_worker_id: AtomicU64::new(0),
             factory: self.factory,
             max_workers: self.max_workers,
-            reconfig_delay: self.reconfig_delay,
         });
 
         {

@@ -113,15 +113,27 @@ impl TenancyManagers {
     }
 }
 
+/// The pool arbiter `AM_POOL`: a tenant manager over the whole pool,
+/// growing it up to `max_workers`, with its share parameters pinned to 1.0
+/// so only the pool-growth, shed and escalation rules of `tenancy.rules`
+/// stay live.
+pub fn arbiter_config(max_workers: u32) -> ManagerConfig {
+    let mut cfg = ManagerConfig::tenant("AM_POOL");
+    cfg.max_workers = max_workers;
+    cfg.extra_params = vec![
+        (params::TENANT_MIN_SHARE.to_owned(), 1.0),
+        (params::TENANT_MAX_SHARE.to_owned(), 1.0),
+    ];
+    cfg
+}
+
 /// Builds the arbiter + per-tenant managers for `front`:
 ///
 /// - one `ManagerConfig::tenant` child per handle, named `AM_T_<tenant>`,
 ///   its contract posted from the tenant's spec (deriving the rule
 ///   parameters: the contract floor/ceiling become `$TENANT_RATE_FLOOR` /
 ///   `$TENANT_RATE_CEIL`);
-/// - an arbiter named `AM_POOL` whose share parameters are pinned to 1.0
-///   so only the pool-level rules stay live, with `max_workers` bounding
-///   `ADD_EXECUTOR`.
+/// - the arbiter of [`arbiter_config`].
 pub fn build_managers<In: Send + 'static, Out: Send + 'static>(
     front: &TenantFrontEnd<In, Out>,
     handles: &[&TenantHandle<In, Out>],
@@ -148,13 +160,8 @@ pub fn build_managers_with<In: Send + 'static, Out: Send + 'static>(
     max_workers: u32,
     controller: ControllerKind,
 ) -> TenancyManagers {
-    let mut cfg = ManagerConfig::tenant("AM_POOL");
-    cfg.max_workers = max_workers;
+    let mut cfg = arbiter_config(max_workers);
     cfg.controller = controller;
-    cfg.extra_params = vec![
-        (params::TENANT_MIN_SHARE.to_owned(), 1.0),
-        (params::TENANT_MAX_SHARE.to_owned(), 1.0),
-    ];
     if controller == ControllerKind::Aimd {
         let (floor, ceil) = handles.iter().fold((0.0_f64, 0.0_f64), |(lo, hi), h| {
             match h.contract().throughput_bounds() {

@@ -43,7 +43,9 @@ pub mod frontend;
 pub mod server;
 pub mod spec;
 
-pub use abc::{build_managers, build_managers_with, ArbiterAbc, TenancyManagers, TenantAbc};
+pub use abc::{
+    arbiter_config, build_managers, build_managers_with, ArbiterAbc, TenancyManagers, TenantAbc,
+};
 pub use aimd::InFlightAimd;
 pub use drr::Drr;
 pub use frontend::{
