@@ -31,7 +31,7 @@ pub struct FileReport {
 
 impl FileReport {
     /// Number of error-severity findings (a parse failure counts as one).
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         self.parse_error.iter().len()
             + self
                 .diagnostics
@@ -41,7 +41,7 @@ impl FileReport {
     }
 
     /// Number of warning-severity findings.
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Warning)
@@ -84,7 +84,7 @@ pub fn lint_content(path: &str, content: &str) -> FileReport {
 
 /// Lints a `.rules` program against the standard ABC bean schema (plus
 /// the simulator extras), with parameters left symbolic.
-pub fn lint_rules_text(path: &str, src: &str) -> FileReport {
+pub(crate) fn lint_rules_text(path: &str, src: &str) -> FileReport {
     match parse_rules_spanned(src) {
         Ok((set, spans)) => FileReport {
             path: path.to_string(),
@@ -101,7 +101,7 @@ pub fn lint_rules_text(path: &str, src: &str) -> FileReport {
 
 /// Lints the rule programs a scenario JSON implies, with the parameter
 /// tables its managers would derive from the configured contract.
-pub fn lint_scenario(path: &str, json: &str) -> FileReport {
+pub(crate) fn lint_scenario(path: &str, json: &str) -> FileReport {
     let (parse_error, diagnostics) = match ScenarioConfig::from_json(json) {
         Ok(cfg) => (None, lint_scenario_config(&cfg)),
         Err(e) => (Some(format!("bad scenario config: {e}")), Vec::new()),
@@ -142,7 +142,7 @@ pub(crate) fn tenant_params(contract: &Contract, max_workers: u32) -> ParamTable
 /// program to analyze, and findings against a program that never loads
 /// would be noise. The budget laws (`retry_budget`, `hedge`)
 /// wrap the standard programs and are linted exactly like `rules`.
-pub fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
+pub(crate) fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
     let analyzer = Analyzer::new(sim_bean_schema());
     let mut out = Vec::new();
     match cfg {

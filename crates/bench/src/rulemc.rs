@@ -49,7 +49,7 @@ pub struct CheckOutcome {
 impl CheckOutcome {
     /// Error-severity findings: property violations, or a model-build
     /// failure (an unexplored program proves nothing).
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         match &self.result {
             Ok(r) => r
                 .to_diagnostics()
@@ -61,7 +61,7 @@ impl CheckOutcome {
     }
 
     /// Warning-severity findings (dead rules).
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         match &self.result {
             Ok(r) => r
                 .to_diagnostics()
@@ -86,7 +86,7 @@ pub struct FileReport {
 
 impl FileReport {
     /// Number of error-severity findings (a parse failure counts as one).
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         self.parse_error.iter().len()
             + self
                 .checks
@@ -96,7 +96,7 @@ impl FileReport {
     }
 
     /// Number of warning-severity findings.
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.checks.iter().map(CheckOutcome::warning_count).sum()
     }
 
@@ -242,7 +242,7 @@ pub fn check_content(path: &str, content: &str) -> FileReport {
 
 /// Model-checks a `.rules` program under its canonical deployment (see
 /// module docs).
-pub fn check_rules_text(path: &str, src: &str) -> FileReport {
+pub(crate) fn check_rules_text(path: &str, src: &str) -> FileReport {
     let set = match parse_rules(src) {
         Ok(s) => s,
         Err(e) => {
@@ -317,7 +317,7 @@ fn farm_spec_for(contract: &Contract, params: &ParamTable) -> Spec {
 }
 
 /// Model-checks the control loops a scenario JSON implies.
-pub fn check_scenario(path: &str, json: &str) -> FileReport {
+pub(crate) fn check_scenario(path: &str, json: &str) -> FileReport {
     let (parse_error, checks) = match ScenarioConfig::from_json(json) {
         Ok(cfg) => (None, check_scenario_config(&cfg)),
         Err(e) => (Some(format!("bad scenario config: {e}")), Vec::new()),
@@ -336,7 +336,7 @@ pub fn check_scenario(path: &str, json: &str) -> FileReport {
 /// checks are skipped. The budget laws (`retry_budget`,
 /// `hedge`) execute the standard programs unchanged and are checked
 /// exactly like `rules`.
-pub fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
+pub(crate) fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
     let checker = ModelChecker::new(sim_bean_schema());
     let mut out = Vec::new();
     match cfg {

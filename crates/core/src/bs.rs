@@ -102,15 +102,6 @@ impl BsExpr {
         }
     }
 
-    /// Number of nodes in the tree (managers + leaves).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
-            BsExpr::Seq { .. } => 0,
-            BsExpr::Farm { worker, .. } => worker.node_count(),
-            BsExpr::Pipe { stages, .. } => stages.iter().map(BsExpr::node_count).sum(),
-        }
-    }
-
     /// Number of *managed* nodes — nodes that get an autonomic manager:
     /// every farm and pipe, plus sequential stages that are direct pipeline
     /// stages (the paper's AM_P / AM_C).
@@ -314,6 +305,7 @@ impl BsExpr {
     /// Returns the rewritten tree, or an error if the stage is missing or
     /// is not a sequential pipeline stage (farms/pipes already carry their
     /// own parallelism; a farm worker is not independently promotable).
+    // Public: paper feature in README §4.2 (stage-to-farm promotion).
     pub fn promote_stage_to_farm(&self, stage: &str, workers: u32) -> Result<BsExpr, String> {
         fn rewrite(node: &BsExpr, stage: &str, workers: u32, hits: &mut u32) -> BsExpr {
             match node {
@@ -370,6 +362,7 @@ impl BsExpr {
     /// second-slowest stage. Returns `None` when no sequential stage is
     /// the bottleneck (the pipeline model: throughput is bounded by the
     /// slowest stage, so only promoting the bottleneck helps).
+    // Public: paper feature in README §4.2 (stage-to-farm promotion).
     pub fn promotion_advice(stage_service: &[(String, f64)]) -> Option<(String, u32)> {
         if stage_service.len() < 2 {
             return None;
@@ -426,7 +419,6 @@ mod tests {
         let e = fig2_right();
         assert_eq!(e.name(), "app");
         assert_eq!(e.children().len(), 3);
-        assert_eq!(e.node_count(), 5);
         assert_eq!(e.depth(), 3);
         assert!((e.weight() - 3.0).abs() < 1e-12);
     }

@@ -25,19 +25,11 @@ pub enum Concern {
 }
 
 impl Concern {
-    /// Whether the concern is *boolean* in the paper's sense (§3.2):
-    /// "data and code communication is either secure or it is not".
-    /// Boolean concerns are given priority over quantitative ones when a
-    /// general manager arbitrates between per-concern managers.
-    pub fn is_boolean(&self) -> bool {
-        matches!(self, Concern::Security)
-    }
-
     /// Arbitration priority for multi-concern coordination: higher wins.
     /// Boolean concerns outrank quantitative ones; among our built-ins,
     /// security > fault tolerance > performance > power, with custom
     /// concerns lowest (they can be re-ranked by wrapping the manager).
-    pub fn priority(&self) -> u8 {
+    pub(crate) fn priority(&self) -> u8 {
         match self {
             Concern::Security => 100,
             Concern::FaultTolerance => 80,
@@ -63,13 +55,6 @@ impl fmt::Display for Concern {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn security_is_boolean() {
-        assert!(Concern::Security.is_boolean());
-        assert!(!Concern::Performance.is_boolean());
-        assert!(!Concern::Custom("x".into()).is_boolean());
-    }
 
     #[test]
     fn priorities_rank_boolean_first() {

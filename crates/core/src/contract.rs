@@ -222,15 +222,6 @@ impl Contract {
         }
     }
 
-    /// Whether the contract is pure best-effort (no enforceable goal).
-    pub fn is_best_effort(&self) -> bool {
-        match self {
-            Contract::BestEffort => true,
-            Contract::All(parts) => parts.iter().all(Contract::is_best_effort),
-            _ => false,
-        }
-    }
-
     /// Evaluates the *performance* goals of this contract against a sensor
     /// snapshot. Returns `None` when the contract carries no goal checkable
     /// from a snapshot (e.g. pure security contracts — those are checked by
@@ -292,6 +283,17 @@ impl fmt::Display for Contract {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Contract {
+        /// Whether the contract is pure best-effort (no enforceable goal).
+        pub(crate) fn is_best_effort(&self) -> bool {
+            match self {
+                Contract::BestEffort => true,
+                Contract::All(parts) => parts.iter().all(Contract::is_best_effort),
+                _ => false,
+            }
+        }
+    }
 
     fn snap(departure: f64, workers: u32) -> SensorSnapshot {
         let mut s = SensorSnapshot::empty(0.0);

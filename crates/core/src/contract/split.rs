@@ -119,7 +119,7 @@ pub fn pipeline_throughput(stage_throughputs: &[f64]) -> f64 {
 
 /// The farm performance model: `n` workers of per-worker service time `ts`
 /// deliver up to `n / ts` tasks/s, capped by the input arrival rate.
-pub fn farm_throughput(workers: u32, service_time: f64, arrival_rate: f64) -> f64 {
+pub(crate) fn farm_throughput(workers: u32, service_time: f64, arrival_rate: f64) -> f64 {
     if service_time <= 0.0 {
         return arrival_rate;
     }
@@ -129,7 +129,7 @@ pub fn farm_throughput(workers: u32, service_time: f64, arrival_rate: f64) -> f6
 /// The minimum parallelism degree a farm needs to sustain `rate` tasks/s at
 /// per-worker service time `ts` — the "optimal initial value" heuristic the
 /// paper cites from its earlier work (ref. \[10\]).
-pub fn optimal_farm_workers(rate: f64, service_time: f64) -> u32 {
+pub(crate) fn optimal_farm_workers(rate: f64, service_time: f64) -> u32 {
     if rate <= 0.0 || service_time <= 0.0 {
         return 1;
     }

@@ -2,7 +2,7 @@
 //!
 //! The paper expresses management policy as JBoss-style rule programs; the
 //! ninelives roadmap (and the RL-skeleton line of work in PAPERS.md) treat
-//! the controller as a swappable policy instead. [`Controller`] is that
+//! the controller as a swappable policy instead. `Controller` is that
 //! seam: the manager's MAPE loop senses, builds working memory, and hands
 //! both to whatever law is plugged in — the rule engine, an AIMD
 //! congestion-control law, or a budget-mirroring wrapper — then interprets
@@ -10,16 +10,16 @@
 //! substrate-agnostic: a controller only ever sees sensed beans and emits
 //! symbolic operations.
 //!
-//! Three non-rule laws ship beside [`RuleController`]:
+//! Three non-rule laws ship beside `RuleController`:
 //!
-//! * [`AimdController`] — additive-increase/multiplicative-decrease of the
+//! * `AimdController` — additive-increase/multiplicative-decrease of the
 //!   par-degree ceiling: contract pressure (backlogged delivery below the
 //!   floor) adds one worker's headroom per cycle; contract headroom
 //!   (delivery above the ceiling) cuts the ceiling multiplicatively
 //!   (×0.75). The asymmetry is the classic congestion-control argument:
 //!   probing up is cheap, overshoot is expensive, and the multiplicative
 //!   backoff is what prevents synchronized grow/shrink oscillation.
-//! * [`BudgetedRuleController`] — the rule program for the manager's kind,
+//! * `BudgetedRuleController` — the rule program for the manager's kind,
 //!   plus a mirror of the plant-side retry-budget token bucket
 //!   (`bskel_net`'s pool `RetryBudget`; ratio-of-successful-work deposits, a
 //!   min-tokens floor). The mirror exists for observability and replay: it
@@ -100,7 +100,7 @@ impl std::fmt::Display for ControllerKind {
 /// *analyse/plan* step. Laws with no rule program return `None` from
 /// [`Controller::rules`], which disables rule linting for
 /// that manager — there is nothing to lint.
-pub trait Controller: Send {
+pub(crate) trait Controller: Send {
     /// Law name as journaled on every actuation (`rules`, `aimd`, …).
     fn name(&self) -> &'static str;
 
@@ -130,7 +130,7 @@ pub trait Controller: Send {
 
 /// Constructs the controller for a kind, over the given rule program
 /// (used by the rule-based laws; AIMD ignores it).
-pub fn build_controller(kind: ControllerKind, rules: RuleSet) -> Box<dyn Controller> {
+pub(crate) fn build_controller(kind: ControllerKind, rules: RuleSet) -> Box<dyn Controller> {
     match kind {
         ControllerKind::Rules => Box::new(RuleController::new(rules)),
         ControllerKind::Aimd => Box::new(AimdController::new()),
@@ -140,7 +140,7 @@ pub fn build_controller(kind: ControllerKind, rules: RuleSet) -> Box<dyn Control
 }
 
 /// The existing rule engine behind the [`Controller`] seam.
-pub struct RuleController {
+pub(crate) struct RuleController {
     engine: RuleEngine,
 }
 
@@ -200,7 +200,7 @@ impl Controller for RuleController {
 /// The fault-tolerance floor rides the `ftMinWorkers` bean (published by
 /// substrates running with an FT policy), so AIMD composes with worker
 /// loss without any merged rule program.
-pub struct AimdController {
+pub(crate) struct AimdController {
     ceiling: f64,
 }
 
@@ -209,11 +209,6 @@ impl AimdController {
     /// observed par-degree.
     pub fn new() -> Self {
         Self { ceiling: 0.0 }
-    }
-
-    /// Current ceiling (0.0 before the first cycle).
-    pub fn ceiling(&self) -> f64 {
-        self.ceiling
     }
 }
 
@@ -309,7 +304,7 @@ const MIRROR_MIN_TOKENS: f64 = 5.0;
 /// pair around every exhaustion window. Substrates treat the pair as a
 /// no-op (the plant bucket is authoritative); the journal gains an
 /// explicit, replayable record of *when* the storm brake held.
-pub struct BudgetedRuleController {
+pub(crate) struct BudgetedRuleController {
     engine: RuleEngine,
     law: &'static str,
     tokens: f64,
@@ -330,11 +325,6 @@ impl BudgetedRuleController {
             last_redispatched: 0.0,
             paused: false,
         }
-    }
-
-    /// Current mirror-bucket level.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
     }
 }
 
@@ -399,6 +389,18 @@ impl Controller for BudgetedRuleController {
 mod tests {
     use super::*;
     use bskel_rules::stdlib;
+
+    impl AimdController {
+        fn ceiling(&self) -> f64 {
+            self.ceiling
+        }
+    }
+
+    impl BudgetedRuleController {
+        fn tokens(&self) -> f64 {
+            self.tokens
+        }
+    }
 
     fn snap_at(at: f64) -> SensorSnapshot {
         SensorSnapshot::empty(at)

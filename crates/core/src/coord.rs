@@ -105,17 +105,19 @@ impl EnvView {
 
     /// Marks a node occupied (after the caller actuates a committed
     /// worker-placement intent).
+    // Public: paper feature S13 in DESIGN.md (power concern).
     pub fn occupy(&mut self, node: &str) {
         self.in_use.insert(node.to_owned());
     }
 
     /// Marks a node free again.
+    // Public: paper feature S13 in DESIGN.md (power concern).
     pub fn vacate(&mut self, node: &str) {
         self.in_use.remove(node);
     }
 
     /// Nodes currently in use.
-    pub fn in_use_count(&self) -> usize {
+    pub(crate) fn in_use_count(&self) -> usize {
         self.in_use.len()
     }
 }
@@ -469,6 +471,7 @@ impl ConcernManager for PerformanceConcern {
 /// lists it among the classic concerns); unlike security it does not veto
 /// structurally — it vetoes only past its budget.
 #[derive(Debug, Clone)]
+// Public: paper feature S13 in DESIGN.md (power concern).
 pub struct PowerConcern {
     /// Maximum nodes that may be occupied simultaneously.
     pub max_nodes: usize,
@@ -520,6 +523,8 @@ impl ConcernManager for PowerConcern {
 /// [`tradeoff::choose_par_degree`] returns the `n` maximising `U` — the parallelism
 /// degree a combined perf+power manager would adopt as its working target.
 pub mod tradeoff {
+    use crate::contract::split::farm_throughput;
+
     /// Inputs of the summary-contract optimisation.
     #[derive(Debug, Clone, Copy)]
     pub struct TradeoffModel {
@@ -533,17 +538,9 @@ pub mod tradeoff {
         pub max_workers: u32,
     }
 
-    /// Farm throughput model (same as `contract::split::farm_throughput`).
-    fn throughput(m: &TradeoffModel, n: u32) -> f64 {
-        if m.service_time <= 0.0 {
-            return m.arrival_rate;
-        }
-        (f64::from(n) / m.service_time).min(m.arrival_rate)
-    }
-
     /// The linear-combination utility of `n` workers.
     pub fn utility(m: &TradeoffModel, n: u32, w_perf: f64, w_power: f64) -> f64 {
-        let perf = (throughput(m, n) / m.target_rate).min(1.5);
+        let perf = (farm_throughput(n, m.service_time, m.arrival_rate) / m.target_rate).min(1.5);
         let power = f64::from(n) / f64::from(m.max_workers.max(1));
         w_perf * perf - w_power * power
     }

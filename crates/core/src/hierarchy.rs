@@ -138,7 +138,6 @@ fn build_node(
 
     out.push(manager);
     Some(ChildLink {
-        name: format!("AM_{}", expr.name()),
         slot,
         is_source: role == NodeRole::PipeSource,
     })
@@ -179,21 +178,9 @@ impl Hierarchy {
         self.managers.last().expect("hierarchy has a root manager")
     }
 
-    /// Mutable root access.
-    pub fn root_mut(&mut self) -> &mut AutonomicManager {
-        self.managers
-            .last_mut()
-            .expect("hierarchy has a root manager")
-    }
-
     /// Looks a manager up by name (`AM_<node>`).
     pub fn manager(&self, name: &str) -> Option<&AutonomicManager> {
         self.managers.iter().find(|m| m.name() == name)
-    }
-
-    /// Mutable lookup by name.
-    pub fn manager_mut(&mut self, name: &str) -> Option<&mut AutonomicManager> {
-        self.managers.iter_mut().find(|m| m.name() == name)
     }
 
     /// Posts the user's top-level SLA to the root manager.

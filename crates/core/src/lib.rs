@@ -47,11 +47,6 @@ pub mod manager;
 pub use abc::{standard_schema, Abc, AbcError, ActuationOutcome, ManagerOp};
 pub use concern::Concern;
 pub use contract::Contract;
-pub use controller::{
-    build_controller, AimdController, BudgetedRuleController, Controller, ControllerKind,
-    RuleController,
-};
+pub use controller::ControllerKind;
 pub use events::{EventKind, EventLog, EventRecord};
-pub use manager::{
-    AmState, AutonomicManager, ManagerConfig, ManagerKind, RuleCheck, RuleLintError,
-};
+pub use manager::{AmState, AutonomicManager, ManagerConfig, ManagerKind, RuleCheck};

@@ -29,6 +29,7 @@
 //! [`AutonomicManager::control_cycle`] at each control period.
 
 use crate::abc::{Abc, AbcError, ActuationOutcome, ManagerOp};
+use crate::contract::split::optimal_farm_workers;
 use crate::contract::Contract;
 use crate::controller::{build_controller, Controller, ControllerKind};
 use crate::events::{EventKind, EventLog};
@@ -135,9 +136,7 @@ impl ContractSlot {
 
 /// A parent's handle on one child manager.
 #[derive(Debug, Clone)]
-pub struct ChildLink {
-    /// Child manager name.
-    pub name: String,
+pub(crate) struct ChildLink {
     /// Slot to post sub-contracts into.
     pub slot: ContractSlot,
     /// Whether this child is the stream *source* (a producer stage): the
@@ -187,7 +186,7 @@ pub enum RuleCheck {
 
 /// A rule program rejected at load time under [`RuleCheck::Strict`].
 #[derive(Debug, Clone)]
-pub struct RuleLintError(pub Vec<bskel_rules::Diagnostic>);
+pub(crate) struct RuleLintError(pub Vec<bskel_rules::Diagnostic>);
 
 impl fmt::Display for RuleLintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -366,9 +365,7 @@ impl AutonomicManager {
     /// # Panics
     ///
     /// Under [`RuleCheck::Strict`], if the standard rule program for this
-    /// kind fails the static analysis (it doesn't; use
-    /// [`AutonomicManager::try_new`] for fallible construction with
-    /// custom-schema ABCs).
+    /// kind fails the static analysis (it doesn't).
     pub fn new(cfg: ManagerConfig, abc: Box<dyn Abc>, log: EventLog) -> Self {
         Self::try_new(cfg, abc, log).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -376,7 +373,7 @@ impl AutonomicManager {
     /// Fallible [`AutonomicManager::new`]: returns the `rulelint`
     /// diagnostics instead of panicking when the standard rule program is
     /// rejected under [`RuleCheck::Strict`].
-    pub fn try_new(
+    pub(crate) fn try_new(
         cfg: ManagerConfig,
         abc: Box<dyn Abc>,
         log: EventLog,
@@ -421,8 +418,7 @@ impl AutonomicManager {
     /// # Panics
     ///
     /// Under [`RuleCheck::Strict`], if the program fails the static
-    /// analysis — use [`AutonomicManager::try_with_rules`] to handle the
-    /// rejection.
+    /// analysis.
     pub fn with_rules(self, rules: RuleSet) -> Self {
         self.try_with_rules(rules).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -433,7 +429,7 @@ impl AutonomicManager {
     /// `rulelint` events, and under [`RuleCheck::Strict`] error-severity
     /// findings (unknown beans, unsatisfiable guards, undamped
     /// oscillation pairs, conflicting shadowing) reject the program.
-    pub fn try_with_rules(mut self, rules: RuleSet) -> Result<Self, RuleLintError> {
+    pub(crate) fn try_with_rules(mut self, rules: RuleSet) -> Result<Self, RuleLintError> {
         self.controller.set_rules(rules);
         self.check_rules()?;
         Ok(self)
@@ -492,7 +488,7 @@ impl AutonomicManager {
     }
 
     /// Registers a child manager link.
-    pub fn add_child(&mut self, link: ChildLink) {
+    pub(crate) fn add_child(&mut self, link: ChildLink) {
         self.children.push(link);
     }
 
@@ -676,7 +672,7 @@ impl AutonomicManager {
             self.needs_initial_setup = false;
             if let Some((lo, _)) = self.contract.throughput_bounds() {
                 if snap.service_time > 0.0 && lo > 0.0 {
-                    let target = (lo * snap.service_time).ceil().max(1.0) as u32;
+                    let target = optimal_farm_workers(lo, snap.service_time);
                     let add = recruitment(
                         target.saturating_sub(snap.num_workers),
                         snap.ft_min_workers,
@@ -1274,7 +1270,6 @@ mod tests {
         );
         let source_slot = ContractSlot::new();
         am_a.add_child(ChildLink {
-            name: "AM_P".into(),
             slot: source_slot.clone(),
             is_source: true,
         });
@@ -1301,7 +1296,6 @@ mod tests {
         );
         let source_slot = ContractSlot::new();
         am_a.add_child(ChildLink {
-            name: "AM_P".into(),
             slot: source_slot.clone(),
             is_source: true,
         });
@@ -1330,7 +1324,6 @@ mod tests {
         );
         let source_slot = ContractSlot::new();
         am_a.add_child(ChildLink {
-            name: "AM_P".into(),
             slot: source_slot.clone(),
             is_source: true,
         });
@@ -1358,17 +1351,14 @@ mod tests {
         let farm = ContractSlot::new();
         let cons = ContractSlot::new();
         am_a.add_child(ChildLink {
-            name: "AM_P".into(),
             slot: prod.clone(),
             is_source: true,
         });
         am_a.add_child(ChildLink {
-            name: "AM_F".into(),
             slot: farm.clone(),
             is_source: false,
         });
         am_a.add_child(ChildLink {
-            name: "AM_C".into(),
             slot: cons.clone(),
             is_source: false,
         });
@@ -1421,7 +1411,6 @@ mod tests {
         let (mut m, _) = farm_manager(vec![farm_snap(0.5, 0.5, 2, 0.0)]);
         let w0 = ContractSlot::new();
         m.add_child(ChildLink {
-            name: "AM_W0".into(),
             slot: w0.clone(),
             is_source: false,
         });

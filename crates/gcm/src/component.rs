@@ -59,7 +59,7 @@ impl InterfaceDecl {
     }
 
     /// Marks the interface optional (contingent).
-    pub fn optional(mut self) -> Self {
+    pub(crate) fn optional(mut self) -> Self {
         self.mandatory = false;
         self
     }

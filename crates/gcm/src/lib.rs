@@ -28,10 +28,9 @@
 #![deny(unsafe_code)]
 
 pub mod component;
-pub mod membrane;
+mod membrane;
 pub mod model;
 pub mod templates;
 
 pub use component::{CompId, ComponentKind, InterfaceDecl, LcState, Role};
-pub use membrane::{nf, Membrane};
 pub use model::{Gcm, GcmError};

@@ -11,31 +11,31 @@
 use std::collections::BTreeSet;
 
 /// Well-known non-functional controller names.
-pub mod nf {
+pub(crate) mod nf {
     /// Lifecycle controller (always present).
-    pub const LIFECYCLE: &str = "lifecycle-controller";
+    pub(crate) const LIFECYCLE: &str = "lifecycle-controller";
     /// Binding controller (always present).
-    pub const BINDING: &str = "binding-controller";
+    pub(crate) const BINDING: &str = "binding-controller";
     /// Content controller (composites only).
-    pub const CONTENT: &str = "content-controller";
+    pub(crate) const CONTENT: &str = "content-controller";
     /// Name controller (always present).
     pub const NAME: &str = "name-controller";
     /// Autonomic manager membrane component (behavioural skeletons).
-    pub const AUTONOMIC_MANAGER: &str = "autonomic-manager";
+    pub(crate) const AUTONOMIC_MANAGER: &str = "autonomic-manager";
     /// Autonomic behaviour controller: monitoring + actuation mechanisms.
     pub const ABC: &str = "autonomic-behaviour-controller";
 }
 
 /// The set of non-functional controllers a component's membrane hosts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Membrane {
+pub(crate) struct Membrane {
     controllers: BTreeSet<String>,
 }
 
 impl Membrane {
     /// The minimal membrane every component carries: lifecycle, binding and
     /// name controllers.
-    pub fn basic() -> Self {
+    pub(crate) fn basic() -> Self {
         let mut controllers = BTreeSet::new();
         controllers.insert(nf::LIFECYCLE.to_owned());
         controllers.insert(nf::BINDING.to_owned());
@@ -51,7 +51,7 @@ impl Membrane {
     }
 
     /// The membrane of a behavioural skeleton: composite + AM + ABC.
-    pub fn behavioural_skeleton() -> Self {
+    pub(crate) fn behavioural_skeleton() -> Self {
         let mut m = Self::composite();
         m.attach(nf::AUTONOMIC_MANAGER);
         m.attach(nf::ABC);
@@ -63,33 +63,13 @@ impl Membrane {
         self.controllers.insert(name.into());
     }
 
-    /// Detaches an NF controller. Returns whether it was present.
-    ///
-    /// The three basic controllers cannot be detached; attempting to do so
-    /// is a programming error.
-    ///
-    /// # Panics
-    /// Panics when asked to detach lifecycle/binding/name controllers.
-    pub fn detach(&mut self, name: &str) -> bool {
-        assert!(
-            ![nf::LIFECYCLE, nf::BINDING, nf::NAME].contains(&name),
-            "basic controller `{name}` cannot be detached"
-        );
-        self.controllers.remove(name)
-    }
-
     /// Whether the membrane hosts the named controller.
     pub fn has(&self, name: &str) -> bool {
         self.controllers.contains(name)
     }
 
-    /// Controller names, sorted.
-    pub fn controllers(&self) -> impl Iterator<Item = &str> {
-        self.controllers.iter().map(String::as_str)
-    }
-
     /// Whether this membrane makes its component autonomic (hosts an AM).
-    pub fn is_autonomic(&self) -> bool {
+    pub(crate) fn is_autonomic(&self) -> bool {
         self.has(nf::AUTONOMIC_MANAGER)
     }
 }
@@ -97,6 +77,12 @@ impl Membrane {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Membrane {
+        fn controllers(&self) -> impl Iterator<Item = &str> {
+            self.controllers.iter().map(String::as_str)
+        }
+    }
 
     #[test]
     fn basic_membrane_contents() {
@@ -123,26 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn attach_detach_custom_controller() {
-        let mut m = Membrane::basic();
-        m.attach("metrics-exporter");
-        assert!(m.has("metrics-exporter"));
-        assert!(m.detach("metrics-exporter"));
-        assert!(!m.has("metrics-exporter"));
-        assert!(!m.detach("metrics-exporter"));
-    }
-
-    #[test]
     fn attach_is_idempotent() {
         let mut m = Membrane::basic();
         let before = m.controllers().count();
         m.attach(nf::LIFECYCLE);
         assert_eq!(m.controllers().count(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be detached")]
-    fn basic_controllers_protected() {
-        Membrane::basic().detach(nf::LIFECYCLE);
     }
 }

@@ -162,7 +162,7 @@ impl Gcm {
     }
 
     /// Registers a primitive component.
-    pub fn primitive(&mut self, name: impl Into<String>) -> CompId {
+    pub(crate) fn primitive(&mut self, name: impl Into<String>) -> CompId {
         self.insert(name.into(), ComponentKind::Primitive, Membrane::basic())
     }
 
@@ -172,7 +172,7 @@ impl Gcm {
     }
 
     /// Registers a behavioural-skeleton composite (membrane hosts AM+ABC).
-    pub fn behavioural_skeleton(&mut self, name: impl Into<String>) -> CompId {
+    pub(crate) fn behavioural_skeleton(&mut self, name: impl Into<String>) -> CompId {
         self.insert(
             name.into(),
             ComponentKind::Composite,
@@ -235,20 +235,14 @@ impl Gcm {
         self.node(id).state
     }
 
-    /// The component's membrane.
-    pub fn membrane(&self, id: CompId) -> &Membrane {
-        &self.node(id).membrane
-    }
-
-    /// Mutable access to the membrane (attaching custom NF controllers).
-    pub fn membrane_mut(&mut self, id: CompId) -> &mut Membrane {
-        &mut self.node_mut(id).membrane
-    }
-
     // ---- interface declaration ----
 
     /// Declares an interface on a component.
-    pub fn add_interface(&mut self, id: CompId, decl: InterfaceDecl) -> Result<(), GcmError> {
+    pub(crate) fn add_interface(
+        &mut self,
+        id: CompId,
+        decl: InterfaceDecl,
+    ) -> Result<(), GcmError> {
         if self.node(id).interfaces.iter().any(|i| i.name == decl.name) {
             return Err(GcmError::DuplicateInterface(id, decl.name));
         }
@@ -263,11 +257,6 @@ impl Gcm {
             .iter()
             .find(|i| i.name == name)
             .ok_or_else(|| GcmError::UnknownInterface(id, name.to_owned()))
-    }
-
-    /// All interfaces of a component.
-    pub fn interfaces(&self, id: CompId) -> &[InterfaceDecl] {
-        &self.node(id).interfaces
     }
 
     // ---- content controller ----
@@ -309,7 +298,7 @@ impl Gcm {
 
     /// Removes `child` from the content of `parent`. The child must not
     /// participate in any of the composite's bindings.
-    pub fn remove_child(&mut self, parent: CompId, child: CompId) -> Result<(), GcmError> {
+    pub(crate) fn remove_child(&mut self, parent: CompId, child: CompId) -> Result<(), GcmError> {
         if self.node(parent).kind != ComponentKind::Composite {
             return Err(GcmError::NotComposite(parent));
         }
@@ -403,7 +392,11 @@ impl Gcm {
     }
 
     /// Removes the binding whose client side is `from`.
-    pub fn unbind(&mut self, composite: CompId, from: &Endpoint) -> Result<Binding, GcmError> {
+    pub(crate) fn unbind(
+        &mut self,
+        composite: CompId,
+        from: &Endpoint,
+    ) -> Result<Binding, GcmError> {
         if self.node(composite).state == LcState::Started {
             return Err(GcmError::MutationWhileStarted(composite));
         }
@@ -504,6 +497,13 @@ impl Gcm {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Gcm {
+        /// The component's membrane.
+        pub(crate) fn membrane(&self, id: CompId) -> &Membrane {
+            &self.node(id).membrane
+        }
+    }
 
     /// Builds the composite of the paper's Fig. 2 (left): a farm BS with a
     /// scheduler S, workers W, and a collector C.

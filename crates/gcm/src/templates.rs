@@ -2,10 +2,7 @@
 //!
 //! [`functional_replication`] builds the composite of Fig. 2 (left): a
 //! behavioural skeleton with a scheduler/emitter `S`, `n` workers `W_i` and
-//! a collector `C`, plus the membrane AM/ABC. [`three_stage_pipeline`]
-//! builds the application of Fig. 2 (right): a pipeline BS whose second
-//! stage is a farm BS — the structure used by the hierarchical-management
-//! experiment (Fig. 4).
+//! a collector `C`, plus the membrane AM/ABC.
 
 use crate::component::{CompId, Endpoint, InterfaceDecl};
 use crate::model::{Gcm, GcmError};
@@ -102,60 +99,6 @@ pub fn remove_worker(
     Ok(Some(w))
 }
 
-/// Ids of the parts of the Fig. 2 (right) application.
-#[derive(Debug, Clone)]
-pub struct ThreeStagePipeline {
-    /// The pipeline behavioural skeleton.
-    pub pipeline: CompId,
-    /// First (sequential) stage: the producer.
-    pub producer: CompId,
-    /// Second stage: a farm behavioural skeleton.
-    pub farm: FunctionalReplication,
-    /// Third (sequential) stage: the consumer.
-    pub consumer: CompId,
-}
-
-/// Builds the paper's Fig. 2 (right) structure:
-/// `pipeline(seq producer, farm(seq worker), seq consumer)`.
-pub fn three_stage_pipeline(
-    gcm: &mut Gcm,
-    name: &str,
-    farm_workers: usize,
-) -> Result<ThreeStagePipeline, GcmError> {
-    let pipeline = gcm.behavioural_skeleton(name);
-
-    let producer = gcm.primitive(format!("{name}.producer"));
-    gcm.add_interface(producer, InterfaceDecl::client("out", "task"))?;
-    let consumer = gcm.primitive(format!("{name}.consumer"));
-    gcm.add_interface(consumer, InterfaceDecl::server("in", "result"))?;
-
-    let farm = functional_replication(gcm, &format!("{name}.filter"), farm_workers)?;
-
-    gcm.add_child(pipeline, producer)?;
-    gcm.add_child(pipeline, farm.farm)?;
-    gcm.add_child(pipeline, consumer)?;
-
-    // producer → farm input; farm output → consumer. The farm's `out` is a
-    // client face of signature `result`; the consumer serves `result`.
-    gcm.bind(
-        pipeline,
-        Endpoint::new(producer, "out"),
-        Endpoint::new(farm.farm, "in"),
-    )?;
-    gcm.bind(
-        pipeline,
-        Endpoint::new(farm.farm, "out"),
-        Endpoint::new(consumer, "in"),
-    )?;
-
-    Ok(ThreeStagePipeline {
-        pipeline,
-        producer,
-        farm,
-        consumer,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,21 +140,6 @@ mod tests {
         // Removing beyond empty is a no-op.
         remove_worker(&mut g, &mut fr).unwrap().unwrap();
         assert_eq!(remove_worker(&mut g, &mut fr).unwrap(), None);
-    }
-
-    #[test]
-    fn fig2_right_structure() {
-        let mut g = Gcm::new();
-        let app = three_stage_pipeline(&mut g, "app", 2).unwrap();
-        assert_eq!(g.children(app.pipeline).len(), 3);
-        g.start(app.pipeline).unwrap();
-        assert_eq!(g.state(app.farm.farm), LcState::Started);
-        assert_eq!(g.state(app.farm.workers[1]), LcState::Started);
-        let tree = g.render_tree(app.pipeline);
-        assert!(tree.contains("bskel app"), "{tree}");
-        assert!(tree.contains("bskel app.filter"), "{tree}");
-        assert!(tree.contains("prim app.producer"), "{tree}");
-        assert!(tree.contains("prim app.consumer"), "{tree}");
     }
 
     #[test]

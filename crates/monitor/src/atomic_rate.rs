@@ -74,7 +74,7 @@ impl AtomicRateEstimator {
     ///
     /// # Panics
     /// Panics unless `window` is finite and positive and `buckets >= 2`.
-    pub fn with_buckets(window: f64, buckets: usize) -> Self {
+    pub(crate) fn with_buckets(window: f64, buckets: usize) -> Self {
         assert!(
             window.is_finite() && window > 0.0,
             "rate window must be finite and positive"
@@ -169,7 +169,7 @@ impl AtomicRateEstimator {
 
     /// Number of events currently inside the window ending at `now`,
     /// up to bucket-width quantisation at the trailing edge.
-    pub fn in_window(&self, now: Time) -> u64 {
+    pub(crate) fn in_window(&self, now: Time) -> u64 {
         let now_epoch = self.epoch_of(now);
         let mut count = 0u64;
         for (slot, bucket) in self.buckets.iter().enumerate() {
@@ -194,7 +194,7 @@ impl AtomicRateEstimator {
 
     /// Time of the latest recorded event, if any. Survives `reset` (the
     /// blackout hides the *rate*, not the fact that traffic existed).
-    pub fn last_event(&self) -> Option<Time> {
+    pub(crate) fn last_event(&self) -> Option<Time> {
         let t = f64::from_bits(self.last_event_bits.load(Ordering::Relaxed));
         (!t.is_nan()).then_some(t)
     }

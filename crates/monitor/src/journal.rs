@@ -38,7 +38,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// Default ring capacity (entries) of [`Journal::new`].
-pub const DEFAULT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
 /// A snapshot's table beans as values, in bean-table order.
 type Row = [f64; BEAN_TABLE.len()];

@@ -12,7 +12,7 @@
 //!   hot path of skeleton workers;
 //! * sliding-window and exponentially-weighted [`rate`] estimators for the
 //!   `arrivalRate` / `departureRate` beans the paper's Fig. 5 rules test,
-//!   plus their lock-free shared-memory sibling ([`atomic_rate`]) used on
+//!   plus their lock-free shared-memory sibling (`atomic_rate`) used on
 //!   the skeleton hot path;
 //! * seqlock-published per-worker statistics cells
 //!   ([`stats::WelfordCell`] / [`stats::LocalStats`]) so service-time
@@ -32,7 +32,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod atomic_rate;
+mod atomic_rate;
 pub mod clock;
 pub mod counter;
 pub mod expo;

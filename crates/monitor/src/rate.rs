@@ -84,22 +84,6 @@ impl RateEstimator {
         self.events.len() as f64 / self.window
     }
 
-    /// Mean inter-arrival time over the current window, if at least two
-    /// events are present.
-    pub fn mean_interarrival(&mut self, now: Time) -> Option<f64> {
-        self.prune(now);
-        if self.events.len() < 2 {
-            return None;
-        }
-        let first = *self.events.front().expect("len >= 2");
-        let last = *self.events.back().expect("len >= 2");
-        let span = last - first;
-        if span <= 0.0 {
-            return None;
-        }
-        Some(span / (self.events.len() - 1) as f64)
-    }
-
     /// Seconds since the last recorded event, or `None` if no event yet.
     pub fn idle_for(&self, now: Time) -> Option<f64> {
         self.last_event.map(|t| (now - t).max(0.0))
@@ -108,11 +92,6 @@ impl RateEstimator {
     /// Total events ever recorded.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Number of events currently inside the window (as of the last call).
-    pub fn in_window(&self) -> usize {
-        self.events.len()
     }
 
     /// Drops all state, as after a reconfiguration blackout (the paper's
@@ -173,11 +152,6 @@ impl Ewma {
         self.value
     }
 
-    /// Current average, or `default` before the first sample.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Clears the average.
     pub fn reset(&mut self) {
         self.value = None;
@@ -217,19 +191,8 @@ mod tests {
     fn empty_estimator_reports_zero() {
         let mut r = RateEstimator::new(1.0);
         assert_eq!(r.rate(100.0), 0.0);
-        assert_eq!(r.mean_interarrival(100.0), None);
         assert_eq!(r.idle_for(100.0), None);
         assert_eq!(r.total(), 0);
-    }
-
-    #[test]
-    fn mean_interarrival_of_regular_stream() {
-        let mut r = RateEstimator::new(10.0);
-        for i in 0..5 {
-            r.record(i as f64 * 0.5);
-        }
-        let mia = r.mean_interarrival(2.0).unwrap();
-        assert!((mia - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -286,16 +249,6 @@ mod tests {
         e.update(0.0);
         let v = e.update(1.0);
         assert!((v - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_get_or_default() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get_or(7.0), 7.0);
-        e.update(1.0);
-        assert_eq!(e.get_or(7.0), 1.0);
-        e.reset();
-        assert_eq!(e.get_or(7.0), 7.0);
     }
 
     #[test]

@@ -86,20 +86,6 @@ impl Welford {
         }
     }
 
-    /// Sample (unbiased) variance (0.0 with fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample seen, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -299,7 +285,6 @@ mod tests {
         w.update(3.0);
         assert_eq!(w.mean(), 3.0);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     #[test]

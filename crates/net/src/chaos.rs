@@ -17,7 +17,7 @@
 //!
 //! **Determinism.** Every frame-level decision is a pure function of
 //! `(plan.seed, connection id, direction, frame index)` — see
-//! [`frame_decision`] — so a schedule replays exactly regardless of
+//! `frame_decision` — so a schedule replays exactly regardless of
 //! thread interleaving or socket read chunking. What *varies* across runs
 //! is only how the system under test reacts (retry timing, which slot a
 //! speculative copy lands on); the injected-fault decision table itself
@@ -81,7 +81,7 @@ impl ChaosRng {
 
     /// A uniform draw in `[lo, hi]` (inclusive; `lo` when the range is
     /// empty or inverted).
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
         }
@@ -119,7 +119,7 @@ pub enum FaultKind {
 
 /// What [`frame_decision`] resolved for one relayed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFate {
+pub(crate) enum FrameFate {
     /// Forward unchanged.
     Forward,
     /// Discard.
@@ -223,7 +223,7 @@ pub struct InjectedFault {
 /// Draw order is fixed (drop, corrupt, dup, delay) and every probability
 /// is drawn even when an earlier one already hit, so a policy tweak to a
 /// later probability never shifts the draws of an earlier one.
-pub fn frame_decision(plan: &ChaosPlan, conn: u64, dir: Direction, frame: u64) -> FrameFate {
+pub(crate) fn frame_decision(plan: &ChaosPlan, conn: u64, dir: Direction, frame: u64) -> FrameFate {
     let dir_tag: u64 = match dir {
         Direction::ToDaemon => 0x0D,
         Direction::ToPool => 0x1A,
@@ -277,7 +277,6 @@ struct ProxyShared {
     connect_attempts: AtomicU64,
     refused: AtomicU64,
     refuse_all: AtomicBool,
-    healed: AtomicBool,
 }
 
 impl ProxyShared {
@@ -310,7 +309,6 @@ impl ChaosProxy {
             connect_attempts: AtomicU64::new(0),
             refused: AtomicU64::new(0),
             refuse_all: AtomicBool::new(false),
-            healed: AtomicBool::new(false),
         });
         {
             let shared = Arc::clone(&shared);
@@ -349,14 +347,6 @@ impl ChaosProxy {
     pub fn set_refusing(&self, refuse: bool) {
         self.shared.refuse_all.store(refuse, Ordering::SeqCst);
     }
-
-    /// Stops injecting anything from now on: connections are accepted and
-    /// frames relayed untouched. Existing stalls/severed connections are
-    /// not revived — the pool recovers by reconnecting.
-    pub fn heal(&self) {
-        self.shared.healed.store(true, Ordering::SeqCst);
-        self.shared.refuse_all.store(false, Ordering::SeqCst);
-    }
 }
 
 /// Spawns an in-process daemon on an ephemeral loopback port plus a
@@ -375,8 +365,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
         let p = &shared.plan.policy;
         let scheduled = attempt >= u64::from(p.healthy_connects)
             && attempt < u64::from(p.healthy_connects) + u64::from(p.refuse_connects);
-        let refuse = !shared.healed.load(Ordering::SeqCst)
-            && (shared.refuse_all.load(Ordering::SeqCst) || scheduled);
+        let refuse = shared.refuse_all.load(Ordering::SeqCst) || scheduled;
         if refuse {
             shared.refused.fetch_add(1, Ordering::SeqCst);
             shared.record(InjectedFault {
@@ -451,44 +440,41 @@ fn relay(from: TcpStream, to: TcpStream, dir: Direction, conn: u64, shared: &Arc
         };
         let idx = frame_idx;
         frame_idx += 1;
-        let healed = shared.healed.load(Ordering::SeqCst);
         let policy = &shared.plan.policy;
-        if stalled && !healed {
+        if stalled {
             // Silent peer: keep draining so the sender is not blocked by
             // backpressure, forward nothing.
             continue;
         }
-        if !healed {
-            if let Some(n) = policy.disconnect_after {
-                if forwarded >= n {
-                    shared.record(InjectedFault {
-                        conn,
-                        dir,
-                        frame: idx,
-                        kind: FaultKind::Disconnect,
-                        detail: 0,
-                    });
-                    sever(&reader, &to);
-                    return;
-                }
+        if let Some(n) = policy.disconnect_after {
+            if forwarded >= n {
+                shared.record(InjectedFault {
+                    conn,
+                    dir,
+                    frame: idx,
+                    kind: FaultKind::Disconnect,
+                    detail: 0,
+                });
+                sever(&reader, &to);
+                return;
             }
-            if let Some(n) = policy.stall_after {
-                if forwarded >= n {
-                    stalled = true;
-                    shared.record(InjectedFault {
-                        conn,
-                        dir,
-                        frame: idx,
-                        kind: FaultKind::Stall,
-                        detail: 0,
-                    });
-                    continue;
-                }
+        }
+        if let Some(n) = policy.stall_after {
+            if forwarded >= n {
+                stalled = true;
+                shared.record(InjectedFault {
+                    conn,
+                    dir,
+                    frame: idx,
+                    kind: FaultKind::Stall,
+                    detail: 0,
+                });
+                continue;
             }
         }
         let handshake =
             matches!(frame.ftype, FrameType::Hello | FrameType::HelloAck) && policy.spare_handshake;
-        let fate = if healed || handshake {
+        let fate = if handshake {
             FrameFate::Forward
         } else {
             frame_decision(&shared.plan, conn, dir, idx)

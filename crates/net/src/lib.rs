@@ -52,17 +52,15 @@ pub mod sys;
 pub mod wire;
 
 pub use chaos::{
-    corrupt_frame_bytes, frame_decision, spawn_chaos_local, ChaosPlan, ChaosPolicy, ChaosProxy,
-    ChaosRng, Direction, FaultKind, FrameFate, InjectedFault,
+    corrupt_frame_bytes, spawn_chaos_local, ChaosPlan, ChaosPolicy, ChaosProxy, ChaosRng,
+    Direction, FaultKind, InjectedFault,
 };
 pub use daemon::{serve, spawn_local, Workload};
 pub use metrics::{count_kinds, parse_exposition, Exposition, MetricsHub, MetricsServer, Sample};
-pub use pool::{DecodeFn, EncodeFn, Endpoint, RemotePoolBuilder, RemoteWorkerPool};
-pub use proto::{
-    encode_frame, Decoder, Frame, FrameType, FrameView, ProtoError, MAGIC, MAX_PAYLOAD, VERSION,
-};
-pub use reactor::{BufferPool, SendQueue, TimerWheel, WriteOutcome};
-pub use secure::{CostMeter, CostReport};
+pub use pool::{Endpoint, RemotePoolBuilder, RemoteWorkerPool};
+pub use proto::{encode_frame, Decoder, Frame, FrameType, FrameView, ProtoError, MAX_PAYLOAD};
+pub use reactor::{BufferPool, SendQueue, WriteOutcome};
+pub use secure::CostReport;
 pub use sys::{raise_nofile_limit, Event, Interest, Poller, Waker};
 
 // Convenience re-export: the statistic shipped in `proto::SensorBlob`.

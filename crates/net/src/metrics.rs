@@ -394,12 +394,6 @@ fn http_response(status: u16, content_type: &str, body: &str) -> Vec<u8> {
     out
 }
 
-/// Renders just the exposition body for a hub (used by tests and the
-/// `bskel-top` one-shot mode without going through a socket).
-pub fn render_exposition(hub: &MetricsHub) -> String {
-    hub.render()
-}
-
 // Re-export the parse-back API next to the server so conformance tests
 // have one import surface.
 pub use expo::{parse as parse_exposition, Exposition, Sample};

@@ -31,7 +31,7 @@
 //!   duplicate-free (see below);
 //! * **timers**: heartbeat pings, per-slot silence deadlines, circuit
 //!   breaker bookkeeping and the speculative-execution sweep are entries
-//!   on a hashed [`TimerWheel`] serviced between polls — the poll timeout
+//!   on a hashed `TimerWheel` serviced between polls — the poll timeout
 //!   *is* the next deadline, so an idle pool sleeps in exactly one
 //!   syscall. How late timers fire is exported as the
 //!   `reactorLoopLagUs` sensor bean.
@@ -104,9 +104,9 @@ use crate::sys::{Event, Interest, Poller, Waker};
 /// per wire batch; `SendQueue::write_to` then coalesces many chunks into
 /// one vectored syscall).
 const WIRE_BATCH: usize = 32;
-/// Default for [`ResilienceConfig::spec_sweep_limit`]: most overdue tasks
-/// one slot may speculate per deadline sweep, so a stalled slot with a
-/// deep in-flight map cannot flood the survivors.
+/// Most overdue tasks one slot may speculate per deadline sweep, so a
+/// stalled slot with a deep in-flight map cannot flood the survivors. When
+/// a retry budget is configured, it is the binding brake instead.
 const SPEC_SWEEP_LIMIT: usize = 16;
 /// How long a connect + handshake may take before the endpoint is
 /// declared unreachable.
@@ -144,9 +144,9 @@ fn clamp_duration(d: Duration) -> Duration {
 }
 
 /// Encodes one input item to its wire payload.
-pub type EncodeFn<In> = Arc<dyn Fn(In) -> Vec<u8> + Send + Sync>;
+pub(crate) type EncodeFn<In> = Arc<dyn Fn(In) -> Vec<u8> + Send + Sync>;
 /// Decodes one result payload back to the output type.
-pub type DecodeFn<Out> = Arc<dyn Fn(&[u8]) -> Out + Send + Sync>;
+pub(crate) type DecodeFn<Out> = Arc<dyn Fn(&[u8]) -> Out + Send + Sync>;
 
 /// A `bskel-workerd` address the pool may open slots against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,10 +196,6 @@ pub(crate) struct ResilienceConfig {
     /// speculatively re-executed on a second slot. `None` disables
     /// speculation entirely (the default).
     pub task_deadline: Option<Duration>,
-    /// Most overdue tasks one slot may re-dispatch per deadline sweep
-    /// (raised to ≥ 1 at build time). At runtime the retry budget, when
-    /// configured, supersedes this as the binding brake.
-    pub spec_sweep_limit: usize,
     /// Token-bucket retry budget gating every re-dispatch path
     /// (speculation, hedges, reconnect retries after a failure). `None`
     /// (the default) leaves re-dispatch uncapped.
@@ -253,7 +249,6 @@ impl Default for ResilienceConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(500),
             task_deadline: None,
-            spec_sweep_limit: SPEC_SWEEP_LIMIT,
             retry_budget: None,
             hedge_quantile: None,
             seed: 0xB5E7,
@@ -269,7 +264,6 @@ impl ResilienceConfig {
         self.breaker_threshold = self.breaker_threshold.max(1);
         self.breaker_cooldown = clamp_duration(self.breaker_cooldown);
         self.task_deadline = self.task_deadline.map(clamp_duration);
-        self.spec_sweep_limit = self.spec_sweep_limit.max(1);
         self.retry_budget = self.retry_budget.map(RetryBudgetConfig::sanitize);
         self.hedge_quantile = self
             .hedge_quantile
@@ -960,7 +954,7 @@ impl<Out: Send + 'static> PoolShared<Out> {
                 inflight
                     .iter()
                     .filter(|(_, e)| e.sent_at.elapsed() > deadline)
-                    .take(self.resilience.spec_sweep_limit)
+                    .take(SPEC_SWEEP_LIMIT)
                     .map(|(seq, e)| (*seq, e.item.clone()))
                     .collect()
             };
@@ -2424,26 +2418,7 @@ impl<In, Out> Drop for RemoteWorkerPool<In, Out> {
 mod tests {
     use super::*;
 
-    // -- resilience-policy configuration (the sweep cap is policy, not a
-    //    magic constant) ------------------------------------------------
-
-    #[test]
-    fn spec_sweep_limit_defaults_and_is_configurable() {
-        assert_eq!(ResilienceConfig::default().spec_sweep_limit, 16);
-        let cfg = ResilienceConfig {
-            spec_sweep_limit: 3,
-            ..ResilienceConfig::default()
-        }
-        .sanitize();
-        assert_eq!(cfg.spec_sweep_limit, 3);
-        // A zero cap would silently disable recovery; sanitize floors it.
-        let cfg = ResilienceConfig {
-            spec_sweep_limit: 0,
-            ..ResilienceConfig::default()
-        }
-        .sanitize();
-        assert_eq!(cfg.spec_sweep_limit, 1);
-    }
+    // -- resilience-policy configuration --------------------------------
 
     #[test]
     fn budget_and_hedge_config_sanitize() {

@@ -32,9 +32,9 @@
 use bskel_monitor::Welford;
 
 /// Frame-start marker (little-endian on the wire: `E7 B5`).
-pub const MAGIC: u16 = 0xB5E7;
+pub(crate) const MAGIC: u16 = 0xB5E7;
 /// Current protocol version byte.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Largest payload a frame may announce (16 MiB).
@@ -330,7 +330,7 @@ pub fn encode_hello_ack(a: &HelloAck) -> Vec<u8> {
 }
 
 /// Decodes a [`HelloAck`] payload.
-pub fn decode_hello_ack(b: &[u8]) -> Option<HelloAck> {
+pub(crate) fn decode_hello_ack(b: &[u8]) -> Option<HelloAck> {
     if b.len() < 12 {
         return None;
     }

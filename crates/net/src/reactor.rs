@@ -12,7 +12,7 @@
 //!   drains them with `write_vectored`, resuming cleanly from a
 //!   `WouldBlock` mid-frame (the partially-written chunk keeps an
 //!   offset; nothing is re-sent, nothing is dropped);
-//! * [`TimerWheel`] schedules the reactor's time-driven duties —
+//! * `TimerWheel` schedules the reactor's time-driven duties —
 //!   heartbeat ticks, per-slot failure deadlines, speculation sweeps,
 //!   breaker window expiries — as wheel entries, replacing the old
 //!   dedicated detector thread.
@@ -188,7 +188,7 @@ impl SendQueue {
 /// is no cancel API, the owner drops stale keys on fire (a dead slot's
 /// deadline entry simply fizzles).
 #[derive(Debug)]
-pub struct TimerWheel<K> {
+pub(crate) struct TimerWheel<K> {
     epoch: Instant,
     tick: Duration,
     slots: Vec<Vec<(u64, K)>>,
@@ -221,21 +221,11 @@ impl<K> TimerWheel<K> {
 
     /// Schedules `key` to fire at `at` (clamped to the cursor: a deadline
     /// already in the past fires on the next sweep).
-    pub fn arm(&mut self, at: Instant, key: K) {
+    pub(crate) fn arm(&mut self, at: Instant, key: K) {
         let due = self.tick_of(at).max(self.cursor);
         let slot = (due % self.slots.len() as u64) as usize;
         self.slots[slot].push((due, key));
         self.len += 1;
-    }
-
-    /// Armed entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is armed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The earliest pending deadline, if any (what the reactor turns
@@ -256,7 +246,7 @@ impl<K> TimerWheel<K> {
     /// Moves every entry due at or before `now` into `out` (unordered
     /// within a sweep) and advances the cursor. Returns the worst
     /// lateness among fired entries — the reactor's loop-lag sensor.
-    pub fn pop_due(&mut self, now: Instant, out: &mut Vec<K>) -> Duration {
+    pub(crate) fn pop_due(&mut self, now: Instant, out: &mut Vec<K>) -> Duration {
         let now_tick = {
             let since = now.saturating_duration_since(self.epoch);
             (since.as_nanos() / self.tick.as_nanos()) as u64
@@ -294,6 +284,16 @@ impl<K> TimerWheel<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<K> TimerWheel<K> {
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+    }
 
     // A writer that accepts at most `cap` bytes per call, then blocks.
     struct Throttled {

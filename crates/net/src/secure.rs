@@ -8,7 +8,7 @@
 //! per-byte throughput tax) can be calibrated against an implementation
 //! with the same cost *shape*: a fixed up-front handshake cost and a
 //! per-byte streaming cost on every frame. The key-stretch loop in
-//! [`derive_session_keys`] exists purely to make the handshake cost
+//! `derive_session_keys` exists purely to make the handshake cost
 //! visible on a loopback benchmark.
 //!
 //! # The keystream kernel
@@ -16,7 +16,7 @@
 //! Byte *n* of a direction's keystream comes from the xorshift64 state
 //! *n* + 1 steps after the key. Taken one byte at a time, every byte
 //! waits on the previous byte's step, so the loop is bound by latency.
-//! [`StreamCipher::apply`] instead ciphers each whole 1 KiB block as
+//! `StreamCipher::apply` instead ciphers each whole 1 KiB block as
 //! four 256-byte lanes and advances their four independent chains in
 //! one loop. Lane *j* must start from the state 256·*j* steps ahead.
 //! The xorshift step is linear over GF(2), so 256 steps are one 64×64
@@ -56,7 +56,7 @@ const KEY_STRETCH_ROUNDS: u64 = 250_000;
 /// with the same nonce pair and get the same keys. The stretch loop is
 /// the *point*: it models the asymmetric-crypto cost of a real TLS
 /// handshake as CPU time.
-pub fn derive_session_keys(client_nonce: u64, server_nonce: u64) -> (u64, u64) {
+pub(crate) fn derive_session_keys(client_nonce: u64, server_nonce: u64) -> (u64, u64) {
     let mut state = client_nonce ^ server_nonce.rotate_left(32) ^ 0xA5A5_5A5A_DEAD_F00D;
     let mut acc = 0u64;
     for _ in 0..KEY_STRETCH_ROUNDS {
@@ -134,7 +134,7 @@ fn jump(x: u64) -> u64 {
 /// over the byte stream. Order-dependent — all bytes of a direction must
 /// pass through a single cipher instance in wire order.
 #[derive(Debug)]
-pub struct StreamCipher {
+pub(crate) struct StreamCipher {
     state: u64,
 }
 
@@ -196,7 +196,7 @@ impl StreamCipher {
 /// simulator's `SslCostModel` wants: seconds per handshake and seconds
 /// per ciphered byte.
 #[derive(Debug, Default)]
-pub struct CostMeter {
+pub(crate) struct CostMeter {
     bytes: AtomicU64,
     cipher_nanos: AtomicU64,
     handshakes: AtomicU64,
@@ -210,19 +210,19 @@ impl CostMeter {
     }
 
     /// Records one cipher pass over `n` bytes taking `nanos`.
-    pub fn record_cipher(&self, n: u64, nanos: u64) {
+    pub(crate) fn record_cipher(&self, n: u64, nanos: u64) {
         self.bytes.fetch_add(n, Ordering::Relaxed);
         self.cipher_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Records one completed handshake taking `nanos`.
-    pub fn record_handshake(&self, nanos: u64) {
+    pub(crate) fn record_handshake(&self, nanos: u64) {
         self.handshakes.fetch_add(1, Ordering::Relaxed);
         self.handshake_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Times `f` as a handshake and records it.
-    pub fn time_handshake<T>(&self, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn time_handshake<T>(&self, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
         self.record_handshake(t0.elapsed().as_nanos() as u64);
@@ -240,7 +240,7 @@ impl CostMeter {
     }
 }
 
-/// Accumulated secure-channel costs (see [`CostMeter`]).
+/// Accumulated secure-channel costs (see `CostMeter`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostReport {
     /// Total bytes passed through the cipher.

@@ -27,22 +27,22 @@ use std::time::Duration;
 
 #[cfg(target_arch = "x86_64")]
 mod nr {
-    pub const EPOLL_CTL: usize = 233;
-    pub const EPOLL_WAIT: usize = 232;
-    pub const EVENTFD2: usize = 290;
-    pub const EPOLL_CREATE1: usize = 291;
-    pub const PRLIMIT64: usize = 302;
+    pub(crate) const EPOLL_CTL: usize = 233;
+    pub(crate) const EPOLL_WAIT: usize = 232;
+    pub(crate) const EVENTFD2: usize = 290;
+    pub(crate) const EPOLL_CREATE1: usize = 291;
+    pub(crate) const PRLIMIT64: usize = 302;
 }
 
 #[cfg(target_arch = "aarch64")]
 mod nr {
-    pub const EPOLL_CREATE1: usize = 20;
-    pub const EPOLL_CTL: usize = 21;
+    pub(crate) const EPOLL_CREATE1: usize = 20;
+    pub(crate) const EPOLL_CTL: usize = 21;
     /// aarch64 has no plain `epoll_wait`; `epoll_pwait` with a null
     /// sigmask is the same call.
-    pub const EPOLL_WAIT: usize = 22;
-    pub const EVENTFD2: usize = 19;
-    pub const PRLIMIT64: usize = 261;
+    pub(crate) const EPOLL_WAIT: usize = 22;
+    pub(crate) const EVENTFD2: usize = 19;
+    pub(crate) const PRLIMIT64: usize = 261;
 }
 
 /// One raw syscall with up to six arguments. Unused trailing arguments
@@ -250,7 +250,7 @@ impl Poller {
     }
 
     /// Changes the interest set of an already-registered fd.
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(
             EPOLL_CTL_MOD,
             fd,
@@ -263,7 +263,7 @@ impl Poller {
 
     /// Deregisters `fd`. Harmless to call on an fd the kernel already
     /// dropped (closing an fd removes it from every epoll set).
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, None)
     }
 

@@ -41,7 +41,7 @@ impl FrameWriter {
     /// Must be called at a frame boundary with the buffer empty (i.e.
     /// right after the handshake flush), otherwise already-buffered clear
     /// bytes would be ciphered.
-    pub fn secure(&mut self, cipher: StreamCipher, meter: Arc<CostMeter>) {
+    pub(crate) fn secure(&mut self, cipher: StreamCipher, meter: Arc<CostMeter>) {
         debug_assert!(self.buf.is_empty(), "secure() mid-frame");
         self.cipher = Some(cipher);
         self.meter = Some(meter);
@@ -117,7 +117,7 @@ impl FrameReader {
     /// consumed and before any ciphered bytes arrive. A peer can break
     /// that by pipelining bytes behind its handshake, so callers check
     /// [`FrameReader::buffered`] first and refuse the connection.
-    pub fn secure(&mut self, cipher: StreamCipher, meter: Arc<CostMeter>) {
+    pub(crate) fn secure(&mut self, cipher: StreamCipher, meter: Arc<CostMeter>) {
         debug_assert_eq!(self.decoder.buffered(), 0, "secure() with clear residue");
         self.cipher = Some(cipher);
         self.meter = Some(meter);

@@ -113,13 +113,13 @@ impl BeanSchema {
     }
 
     /// Whether the parameter name is declared.
-    pub fn has_param(&self, name: &str) -> bool {
+    pub(crate) fn has_param(&self, name: &str) -> bool {
         self.params.contains(name)
     }
 
     /// True when at least one parameter name is declared (enables
     /// unknown-parameter warnings in the absence of a bound table).
-    pub fn declares_params(&self) -> bool {
+    pub(crate) fn declares_params(&self) -> bool {
         !self.params.is_empty()
     }
 
@@ -152,7 +152,7 @@ impl Dir {
 /// resource* it sets (used for contradictory-action detection — two ops
 /// conflict when they drive the same resource in opposite directions).
 #[derive(Debug, Clone, Default)]
-pub struct EffectTable {
+pub(crate) struct EffectTable {
     bean_effects: BTreeMap<String, Vec<(String, Dir)>>,
     actuators: BTreeMap<String, (String, Dir)>,
     inert: BTreeSet<String>,
@@ -183,7 +183,12 @@ impl EffectTable {
     }
 
     /// Annotates an operation with a monotone effect on a sensed bean.
-    pub fn bean_effect(mut self, op: impl Into<String>, bean: impl Into<String>, dir: Dir) -> Self {
+    pub(crate) fn bean_effect(
+        mut self,
+        op: impl Into<String>,
+        bean: impl Into<String>,
+        dir: Dir,
+    ) -> Self {
         self.bean_effects
             .entry(op.into())
             .or_default()
@@ -211,23 +216,23 @@ impl EffectTable {
     }
 
     /// Whether an operation is declared intentionally effect-free.
-    pub fn is_inert(&self, op: &str) -> bool {
+    pub(crate) fn is_inert(&self, op: &str) -> bool {
         self.inert.contains(op)
     }
 
     /// Bean effects of an operation (empty if unannotated).
-    pub fn effects_of(&self, op: &str) -> &[(String, Dir)] {
+    pub(crate) fn effects_of(&self, op: &str) -> &[(String, Dir)] {
         self.bean_effects.get(op).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The actuator resource an operation drives, if annotated.
-    pub fn actuator_of(&self, op: &str) -> Option<(&str, Dir)> {
+    pub(crate) fn actuator_of(&self, op: &str) -> Option<(&str, Dir)> {
         self.actuators.get(op).map(|(r, d)| (r.as_str(), *d))
     }
 
     /// Returns the actuator resource two op lists drive in *opposite*
     /// directions, if any (the contradictory-reconfiguration test).
-    pub fn opposing_actuator(&self, ops_a: &[String], ops_b: &[String]) -> Option<&str> {
+    pub(crate) fn opposing_actuator(&self, ops_a: &[String], ops_b: &[String]) -> Option<&str> {
         for a in ops_a {
             let Some((res, da)) = self.actuator_of(a) else {
                 continue;
@@ -302,7 +307,7 @@ pub enum LintCode {
     Oscillation,
     /// Two managers' rules drive one actuator in opposite directions.
     Conflict,
-    /// Every action of a rule lacks an [`EffectTable`] entry, making the
+    /// Every action of a rule lacks an `EffectTable` entry, making the
     /// rule invisible to oscillation/conflict and model-checking analysis.
     NoEffect,
     /// Model checker: a reachable contract-violating state from which no
@@ -863,12 +868,6 @@ impl Analyzer {
         }
     }
 
-    /// Replaces the effect table (custom operation vocabularies).
-    pub fn with_effects(mut self, effects: EffectTable) -> Self {
-        self.effects = effects;
-        self
-    }
-
     /// The schema under analysis.
     pub fn schema(&self) -> &BeanSchema {
         &self.schema
@@ -1363,6 +1362,13 @@ mod tests {
     use super::*;
     use crate::ast::Action;
     use crate::parser::parse_rules_spanned;
+
+    impl Analyzer {
+        fn with_effects(mut self, effects: EffectTable) -> Self {
+            self.effects = effects;
+            self
+        }
+    }
 
     fn schema() -> BeanSchema {
         BeanSchema::new()

@@ -3,7 +3,7 @@
 //! Preconditions are first-order formulas over beans and contract
 //! parameters (paper §4.1); actions are symbolic actuator invocations. Both
 //! can be built programmatically (builder methods here) or parsed from text
-//! ([`crate::parser`]).
+//! (`crate::parser`).
 
 use crate::wm::{ParamTable, WorkingMemory};
 use std::borrow::Cow;
@@ -139,11 +139,6 @@ impl Condition {
         Condition::Cmp { lhs, op, rhs }
     }
 
-    /// Convenience: `bean op $param`.
-    pub fn bean_vs_param(bean: &str, op: Cmp, param: &str) -> Self {
-        Self::cmp(Expr::Bean(bean.into()), op, Expr::Param(param.into()))
-    }
-
     /// Convenience: `bean op constant`.
     pub fn bean_vs_const(bean: &str, op: Cmp, c: f64) -> Self {
         Self::cmp(Expr::Bean(bean.into()), op, Expr::Const(c))
@@ -152,11 +147,6 @@ impl Condition {
     /// Convenience: boolean bean is set (`bean != 0`).
     pub fn flag(bean: &str) -> Self {
         Self::bean_vs_const(bean, Cmp::Ne, 0.0)
-    }
-
-    /// Convenience: boolean bean is clear (`bean == 0`).
-    pub fn not_flag(bean: &str) -> Self {
-        Self::bean_vs_const(bean, Cmp::Eq, 0.0)
     }
 
     /// Evaluates the condition. Unknown beans/params are *errors*, not
@@ -510,6 +500,18 @@ impl FromIterator<Rule> for RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Condition {
+        /// `bean op $param`.
+        pub(crate) fn bean_vs_param(bean: &str, op: Cmp, param: &str) -> Self {
+            Self::cmp(Expr::Bean(bean.into()), op, Expr::Param(param.into()))
+        }
+
+        /// Boolean bean is clear (`bean == 0`).
+        pub(crate) fn not_flag(bean: &str) -> Self {
+            Self::bean_vs_const(bean, Cmp::Eq, 0.0)
+        }
+    }
 
     fn wm() -> WorkingMemory {
         WorkingMemory::from_beans([("x", 2.0), ("y", 3.0), ("flag", 1.0), ("off", 0.0)])

@@ -15,7 +15,7 @@
 //! * an [`engine::RuleEngine`] implementing the paper's control cycle:
 //!   select *fireable* rules, order by salience, execute their actions
 //!   (with optional edge-triggering to avoid re-firing level conditions);
-//! * a [`parser`] for a Drools-like text syntax, so rule programs ship as
+//! * a `parser` for a Drools-like text syntax, so rule programs ship as
 //!   `.rules` files — the Fig. 5 farm rules are included verbatim
 //!   (modulo syntax) in [`stdlib`];
 //! * [`stdlib`] — the rule libraries used by the experiments: farm manager
@@ -38,11 +38,11 @@ pub mod ast;
 pub mod engine;
 pub mod mc;
 pub mod op;
-pub mod parser;
+mod parser;
 pub mod stdlib;
 pub mod wm;
 
-pub use analysis::{Analyzer, BeanSchema, BeanType, Diagnostic, EffectTable, LintCode, Severity};
+pub use analysis::{Analyzer, BeanSchema, BeanType, Diagnostic, LintCode, Severity};
 pub use ast::{Action, Cmp, Condition, Expr, OpCall, Rule, RuleSet};
 pub use engine::{EngineError, Firing, RuleEngine};
 pub use mc::{

@@ -3,7 +3,7 @@
 //! `rulelint` (PR 2) checks rule programs with *local* heuristics: one
 //! rule's guard is satisfiable, two rules' effect edges form a two-cycle.
 //! This module checks the *temporal* properties those heuristics cannot
-//! decide, by compiling (rule program × [`EffectTable`] × [`BeanSchema`] ×
+//! decide, by compiling (rule program × `EffectTable` × [`BeanSchema`] ×
 //! contract) into a finite transition system and exploring it exhaustively:
 //!
 //! * **Recovery** — from every reachable contract-violating state, a
@@ -43,7 +43,7 @@
 //!   engine, restored to the state's edge bits, runs
 //!   [`crate::engine::RuleEngine::cycle`] on the representative values;
 //!   every affected bean then moves one region in the net direction of
-//!   the fired operations' [`EffectTable`] entries. This folds the plant
+//!   the fired operations' `EffectTable` entries. This folds the plant
 //!   response into the firing step: `ADD_EXECUTOR` *eventually* raises
 //!   `departureRate`, and in the abstraction "eventually" is the next
 //!   region.
@@ -1334,12 +1334,6 @@ impl ModelChecker {
             schema,
             effects: EffectTable::standard(),
         }
-    }
-
-    /// Replaces the effect table (custom operation vocabularies).
-    pub fn with_effects(mut self, effects: EffectTable) -> Self {
-        self.effects = effects;
-        self
     }
 
     /// Checks a single program with its bound parameter table.

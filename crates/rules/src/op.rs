@@ -198,7 +198,7 @@ op_table! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_rules, Action, EffectTable};
+    use crate::{analysis::EffectTable, parse_rules, Action};
 
     const ARGS: OpArgs = OpArgs {
         add_batch: 2,

@@ -76,19 +76,19 @@ pub mod viol {
     /// memory-use fine-tuning).
     pub const TOO_MUCH_TASKS: &str = "tooMuchTasks";
     /// Datum attached to worker-addition operations.
-    pub const FARM_ADD_WORKERS: &str = "farmAddWorkers";
+    pub(crate) const FARM_ADD_WORKERS: &str = "farmAddWorkers";
     /// Datum of the fault-tolerance program's worker replacement.
-    pub const REPLACE_FAILED: &str = "replaceFailed";
+    pub(crate) const REPLACE_FAILED: &str = "replaceFailed";
     /// Datum of the migration program's move.
     pub const MIGRATE_SLOWEST: &str = "migrateSlowest";
     /// Datum of the resilience program's recruitment past open circuits.
-    pub const CIRCUIT_OPEN: &str = "circuitOpen";
+    pub(crate) const CIRCUIT_OPEN: &str = "circuitOpen";
     /// Datum of the tenancy program's load shedding.
-    pub const TENANT_OVER_BUDGET: &str = "tenantOverBudget";
+    pub(crate) const TENANT_OVER_BUDGET: &str = "tenantOverBudget";
     /// Datum of the tenancy program's share growth.
-    pub const TENANT_UNDER_SERVED: &str = "tenantUnderServed";
+    pub(crate) const TENANT_UNDER_SERVED: &str = "tenantUnderServed";
     /// Datum of the tenancy program's pool growth.
-    pub const TENANT_PRESSURE: &str = "tenantPressure";
+    pub(crate) const TENANT_PRESSURE: &str = "tenantPressure";
 
     /// Every datum above: the ones a loaded program's calls borrow.
     pub const ALL: &[&str] = &[

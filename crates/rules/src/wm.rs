@@ -50,9 +50,8 @@ impl Layout {
 /// Named scalar beans sampled once per control cycle.
 ///
 /// Beans live in slots, in the order they were first written, under a
-/// shared name index (the layout). Booleans are encoded 0.0 / 1.0;
-/// [`WorkingMemory::is_set`] applies the conventional "non-zero is true"
-/// reading.
+/// shared name index (the layout). Booleans are encoded 0.0 / 1.0, and
+/// any non-zero value reads as true.
 #[derive(Clone, Default)]
 pub struct WorkingMemory {
     layout: Arc<Layout>,
@@ -144,11 +143,6 @@ impl WorkingMemory {
     /// Reads a bean.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.layout.find(name).ok().map(|s| self.values[s])
-    }
-
-    /// Reads a bean as a boolean (missing counts as false).
-    pub fn is_set(&self, name: &str) -> bool {
-        self.get(name).is_some_and(|v| v != 0.0)
     }
 
     /// Removes a bean, returning its previous value.
@@ -308,16 +302,6 @@ mod tests {
         assert_eq!(wm.get("arrivalRate"), Some(0.4));
         assert_eq!(wm.get("departureRate"), None);
         assert_eq!(wm.len(), 1);
-    }
-
-    #[test]
-    fn flags_and_is_set() {
-        let mut wm = WorkingMemory::new();
-        wm.insert("endOfStream", 1.0);
-        wm.insert("reconfiguring", 0.0);
-        assert!(wm.is_set("endOfStream"));
-        assert!(!wm.is_set("reconfiguring"));
-        assert!(!wm.is_set("absent"));
     }
 
     #[test]

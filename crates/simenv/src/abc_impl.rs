@@ -1,7 +1,7 @@
 //! `SimAbc`: binding autonomic managers to the simulated application.
 //!
-//! One shared [`SimState`] serves every manager in a scenario; each
-//! manager's ABC is a `SimAbc` with a [`SimRole`] selecting which stage's
+//! One shared `SimState` serves every manager in a scenario; each
+//! manager's ABC is a `SimAbc` with a `SimRole` selecting which stage's
 //! sensors and actuators it exposes. The managers, rule programs and
 //! contracts are byte-for-byte the same ones that drive the threaded
 //! runtime — only this boundary differs, which is the paper's
@@ -13,7 +13,7 @@ use bskel_monitor::{SensorSnapshot, Time};
 use bskel_rules::analysis::{BeanSchema, BeanType};
 use std::sync::{Arc, Mutex};
 
-/// The beans a [`SimAbc`] publishes: the standard ABC schema plus the
+/// The beans a `SimAbc` publishes: the standard ABC schema plus the
 /// simulator-only extras attached by the cost model
 /// (`failedWorkers` for the fault injector, `speedGainRatio` for the
 /// migration policy).
@@ -25,7 +25,7 @@ pub fn sim_bean_schema() -> BeanSchema {
 
 /// Which stage of the simulated application an ABC fronts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimRole {
+pub(crate) enum SimRole {
     /// The paced producer (rate actuators).
     Producer,
     /// The task farm (worker/balance actuators).
@@ -39,7 +39,7 @@ pub enum SimRole {
 }
 
 /// A simulated Autonomic Behaviour Controller.
-pub struct SimAbc {
+pub(crate) struct SimAbc {
     state: Arc<Mutex<SimState>>,
     role: SimRole,
 }

@@ -90,13 +90,8 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedules `payload` `delay` seconds from the current time.
-    pub fn schedule_in(&mut self, delay: f64, payload: E) {
-        self.schedule(self.now + delay.max(0.0), payload);
-    }
-
     /// The time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.time)
     }
 
@@ -149,15 +144,6 @@ mod tests {
         q.schedule(2.5, ());
         q.pop();
         assert_eq!(q.now(), 2.5);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(1.0, "a");
-        q.pop();
-        q.schedule_in(0.5, "b");
-        assert_eq!(q.peek_time(), Some(1.5));
     }
 
     #[test]

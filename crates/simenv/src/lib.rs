@@ -5,10 +5,10 @@
 //! of that is reproducible in CI, so this crate simulates the environment
 //! with a discrete-event kernel:
 //!
-//! * [`des`] — the event queue and simulated clock;
+//! * `des` — the event queue and simulated clock;
 //! * [`node`] — nodes with speeds, IP domains (trusted/untrusted) and
 //!   external-load profiles (the paper's "load increase or decrease");
-//! * [`resources`] — the resource manager farms recruit worker nodes from,
+//! * `resources` — the resource manager farms recruit worker nodes from,
 //!   with recruitment/deployment latency (the source of Fig. 4's sensor
 //!   blackout during reconfiguration);
 //! * [`net`] — the SSL cost model: secured channels pay a handshake and a
@@ -34,16 +34,16 @@
 #![deny(unsafe_code)]
 
 pub mod abc_impl;
-pub mod des;
+mod des;
 pub mod models;
 pub mod net;
 pub mod node;
 pub mod replay;
-pub mod resources;
+mod resources;
 pub mod scenario;
 pub mod trace;
 
-pub use abc_impl::{sim_bean_schema, SimAbc, SimRole};
+pub use abc_impl::sim_bean_schema;
 pub use des::EventQueue;
 pub use net::SslCostModel;
 pub use node::{Node, NodeId, NodeRegistry};
@@ -52,6 +52,5 @@ pub use replay::{
     JournalReplayProgram, JournalReplayReport, ReplayMismatch, ReplayProgram, ReplayReport,
     ReplayedEvent, ScriptedAbc,
 };
-pub use resources::ResourceManager;
 pub use scenario::{FarmOutcome, FarmScenario, PipelineOutcome, PipelineScenario, SecurityPolicy};
 pub use trace::Trace;

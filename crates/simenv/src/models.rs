@@ -1,6 +1,6 @@
 //! Queueing models of the simulated application.
 //!
-//! [`SimState`] holds the whole simulated application — a paced producer,
+//! `SimState` holds the whole simulated application — a paced producer,
 //! a task farm over recruited nodes, and a consumer — plus the environment
 //! (node registry, resource manager, SSL cost model). Event handlers
 //! advance the model; actuator methods implement exactly the operations a
@@ -16,7 +16,6 @@
 use crate::net::SslCostModel;
 use crate::node::{NodeId, NodeRegistry};
 use crate::resources::ResourceManager;
-use crate::trace::Trace;
 use bskel_monitor::{queue_variance, RateEstimator, SensorSnapshot, Time};
 use bskel_workloads::ServiceDist;
 use rand::rngs::StdRng;
@@ -24,7 +23,7 @@ use std::collections::VecDeque;
 
 /// Simulation events.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Ev {
+pub(crate) enum Ev {
     /// The producer emits its next task.
     Emit,
     /// A worker slot finishes its in-service task.
@@ -88,7 +87,7 @@ pub enum Dispatch {
 
 /// A live farm worker.
 #[derive(Debug, Clone)]
-pub struct SimWorker {
+pub(crate) struct SimWorker {
     /// The node it runs on.
     pub node: NodeId,
     /// Installation epoch (distinguishes successive occupants of a slot;
@@ -108,7 +107,7 @@ pub struct SimWorker {
 
 /// The paced producer.
 #[derive(Debug, Clone)]
-pub struct ProducerModel {
+pub(crate) struct ProducerModel {
     /// Current emission rate, tasks/s.
     pub rate: f64,
     /// Stream length.
@@ -123,7 +122,7 @@ pub struct ProducerModel {
 
 /// The consumer (display) stage.
 #[derive(Debug, Clone)]
-pub struct ConsumerModel {
+pub(crate) struct ConsumerModel {
     /// Consumption-rate estimator.
     pub departures: RateEstimator,
     /// Results consumed.
@@ -131,7 +130,7 @@ pub struct ConsumerModel {
 }
 
 /// The complete simulated application + environment.
-pub struct SimState {
+pub(crate) struct SimState {
     /// Current simulation time.
     pub now: Time,
     /// Node inventory.
@@ -183,8 +182,6 @@ pub struct SimState {
     /// Tasks orphaned while no live worker exists (drained on the next
     /// worker installation).
     orphans: Vec<u64>,
-    /// Recorded time series.
-    pub trace: Trace,
 }
 
 impl SimState {
@@ -236,13 +233,12 @@ impl SimState {
             ft_min_workers: 0,
             reexecuted_tasks: 0,
             orphans: Vec::new(),
-            trace: Trace::new(),
         }
     }
 
     /// Recruits a node and places a ready worker immediately (initial
     /// configuration, before the simulation starts).
-    pub fn spawn_worker_now(&mut self) -> Result<usize, String> {
+    pub(crate) fn spawn_worker_now(&mut self) -> Result<usize, String> {
         let node = self
             .resources
             .recruit(&self.nodes)
@@ -294,7 +290,7 @@ impl SimState {
     }
 
     /// Live (non-vacated) worker count.
-    pub fn live_workers(&self) -> usize {
+    pub(crate) fn live_workers(&self) -> usize {
         self.slots.iter().flatten().filter(|w| !w.retired).count()
     }
 
@@ -589,7 +585,7 @@ impl SimState {
     /// execution resources"): the victim finishes its in-service task and
     /// retires (queue redistributed now); the replacement joins after the
     /// recruitment latency. Returns whether a migration was initiated.
-    pub fn migrate_slowest(&mut self) -> bool {
+    pub(crate) fn migrate_slowest(&mut self) -> bool {
         let Some((slot, cur_speed)) = self.slowest_live_worker() else {
             return false;
         };
@@ -647,19 +643,19 @@ impl SimState {
     }
 
     /// Producer actuator: absolute rate.
-    pub fn set_rate(&mut self, rate: f64) {
+    pub(crate) fn set_rate(&mut self, rate: f64) {
         self.producer.rate = rate.clamp(1e-6, 1e9);
     }
 
     /// Producer actuator: multiplicative rate change.
-    pub fn scale_rate(&mut self, factor: f64) {
+    pub(crate) fn scale_rate(&mut self, factor: f64) {
         self.set_rate(self.producer.rate * factor);
     }
 
     // ---- sensing ----
 
     /// The farm ABC's snapshot.
-    pub fn farm_snapshot(&mut self, now: Time) -> SensorSnapshot {
+    pub(crate) fn farm_snapshot(&mut self, now: Time) -> SensorSnapshot {
         let live = self.live_slot_indices();
         let lens: Vec<u64> = live
             .iter()
@@ -693,7 +689,7 @@ impl SimState {
     }
 
     /// The producer ABC's snapshot.
-    pub fn producer_snapshot(&mut self, now: Time) -> SensorSnapshot {
+    pub(crate) fn producer_snapshot(&mut self, now: Time) -> SensorSnapshot {
         let mut snap = SensorSnapshot::empty(now);
         snap.departure_rate = self.producer.departures.rate(now);
         snap.arrival_rate = self.producer.rate;
@@ -702,7 +698,7 @@ impl SimState {
     }
 
     /// The consumer ABC's snapshot.
-    pub fn consumer_snapshot(&mut self, now: Time) -> SensorSnapshot {
+    pub(crate) fn consumer_snapshot(&mut self, now: Time) -> SensorSnapshot {
         let mut snap = SensorSnapshot::empty(now);
         snap.arrival_rate = self.consumer.departures.rate(now);
         snap.departure_rate = self.consumer.departures.rate(now);
@@ -711,7 +707,7 @@ impl SimState {
     }
 
     /// Drains events scheduled by handlers/actuators.
-    pub fn take_pending(&mut self) -> Vec<(Time, Ev)> {
+    pub(crate) fn take_pending(&mut self) -> Vec<(Time, Ev)> {
         std::mem::take(&mut self.pending)
     }
 }

@@ -45,40 +45,13 @@ impl SslCostModel {
         }
     }
 
-    /// A model calibrated against the real distributed substrate
-    /// (`bskel-net`) on loopback TCP: the `net_farm` bench measures the
-    /// toy secure channel's key-stretch handshake at ~0.36 ms, against
-    /// ~3 µs/task of plain loopback wire time for 8-byte payloads (see
-    /// `BENCH_net_farm.json` and EXPERIMENTS.md NET1). Its four-lane
-    /// keystream cipher costs ~1.5 ns/byte under load
-    /// (`net.cipher_ns_per_byte` on `bskel-perf`'s `pool_bulk_secure`,
-    /// traced). The `Default` model keeps
-    /// the paper's WAN/grid-scale magnitudes, where channel setup
-    /// dominates; this one is the measured LAN regime, where securing
-    /// small messages is nearly free and the simulator should predict
-    /// accordingly.
-    pub fn calibrated_loopback() -> Self {
-        Self {
-            handshake: 3.6e-4,
-            plain_comm: 3.0e-6,
-            // 48 wire bytes/task * 1.5 ns/byte ≈ 0.07 µs of cipher on
-            // top of ~3 µs of plain comm.
-            ssl_factor: 1.024,
-        }
-    }
-
     /// Per-task communication time over a channel.
-    pub fn per_task(&self, secured: bool) -> f64 {
+    pub(crate) fn per_task(&self, secured: bool) -> f64 {
         if secured {
             self.plain_comm * self.ssl_factor
         } else {
             self.plain_comm
         }
-    }
-
-    /// Extra seconds per task a secured channel costs over a plain one.
-    pub fn per_task_overhead(&self) -> f64 {
-        self.per_task(true) - self.per_task(false)
     }
 
     /// Validates parameters.
@@ -116,18 +89,6 @@ mod tests {
         };
         assert!((m.per_task(false) - 0.1).abs() < 1e-12);
         assert!((m.per_task(true) - 0.4).abs() < 1e-12);
-        assert!((m.per_task_overhead() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibrated_model_is_valid_and_cheap() {
-        let m = SslCostModel::calibrated_loopback();
-        assert!(m.validate().is_ok());
-        // The measured LAN regime: handshake and per-task overheads are
-        // orders of magnitude below the paper-scale defaults.
-        let d = SslCostModel::default();
-        assert!(m.handshake < d.handshake / 100.0);
-        assert!(m.per_task_overhead() < d.per_task_overhead() / 100.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub struct NodeId(pub usize);
 /// While active, the node's effective speed divides by `1 + extra`: an
 /// `extra` of 1.0 halves throughput (a co-scheduled job of equal weight).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadWindow {
+pub(crate) struct LoadWindow {
     /// Window start, seconds.
     pub start: f64,
     /// Window end, seconds.
@@ -32,7 +32,7 @@ pub struct Node {
     /// Base speed relative to the reference core (2.0 = twice as fast).
     pub speed: f64,
     /// External-load windows.
-    pub load: Vec<LoadWindow>,
+    pub(crate) load: Vec<LoadWindow>,
 }
 
 impl Node {
@@ -63,14 +63,14 @@ impl Node {
     }
 
     /// Adds an external-load window (builder style).
-    pub fn with_load(mut self, start: f64, end: f64, extra: f64) -> Self {
+    pub(crate) fn with_load(mut self, start: f64, end: f64, extra: f64) -> Self {
         assert!(start <= end && extra >= 0.0, "bad load window");
         self.load.push(LoadWindow { start, end, extra });
         self
     }
 
     /// Total external load active at time `t`.
-    pub fn external_load(&self, t: f64) -> f64 {
+    pub(crate) fn external_load(&self, t: f64) -> f64 {
         self.load
             .iter()
             .filter(|w| t >= w.start && t < w.end)
@@ -79,7 +79,7 @@ impl Node {
     }
 
     /// Effective speed at time `t`: base speed shared with external load.
-    pub fn effective_speed(&self, t: f64) -> f64 {
+    pub(crate) fn effective_speed(&self, t: f64) -> f64 {
         self.speed / (1.0 + self.external_load(t))
     }
 
@@ -106,13 +106,6 @@ impl NodeRegistry {
         let id = NodeId(self.nodes.len());
         self.nodes.push(node);
         id
-    }
-
-    /// Adds `n` identical trusted nodes named `prefix0..`, returning ids.
-    pub fn add_uniform(&mut self, n: usize, prefix: &str, domain: &str) -> Vec<NodeId> {
-        (0..n)
-            .map(|i| self.add(Node::trusted(format!("{prefix}{i}"), domain)))
-            .collect()
     }
 
     /// Looks a node up.
@@ -194,15 +187,6 @@ mod tests {
         assert_eq!(reg.get(a).name, "a");
         assert!(!reg.get(b).trusted);
         assert_eq!(reg.ids().count(), 2);
-    }
-
-    #[test]
-    fn add_uniform_names_sequentially() {
-        let mut reg = NodeRegistry::new();
-        let ids = reg.add_uniform(3, "core", "smp");
-        assert_eq!(ids.len(), 3);
-        assert_eq!(reg.get(ids[2]).name, "core2");
-        assert!(reg.get(ids[0]).trusted);
     }
 
     #[test]

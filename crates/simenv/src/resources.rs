@@ -12,21 +12,18 @@ use crate::node::{NodeId, NodeRegistry};
 
 /// Preference order when several free nodes qualify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecruitPolicy {
+pub(crate) enum RecruitPolicy {
     /// Prefer trusted nodes, then fastest (the sensible default: avoids
     /// securing overhead when trusted capacity remains).
     #[default]
     TrustedFirst,
-    /// Fastest node regardless of domain (a pure-performance recruiter —
-    /// what the naive multi-concern ablation uses).
-    FastestFirst,
     /// Pool order (deterministic FIFO).
     InOrder,
 }
 
 /// A pool of recruitable nodes.
 #[derive(Debug, Clone)]
-pub struct ResourceManager {
+pub(crate) struct ResourceManager {
     free: Vec<NodeId>,
     busy: Vec<NodeId>,
     /// Seconds between a recruitment request and the worker being ready.
@@ -46,28 +43,18 @@ impl ResourceManager {
     }
 
     /// Sets the recruitment preference (builder style).
-    pub fn with_policy(mut self, policy: RecruitPolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: RecruitPolicy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Free nodes remaining.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Nodes currently recruited.
-    pub fn busy_count(&self) -> usize {
-        self.busy.len()
-    }
-
     /// The free pool, in pool order.
-    pub fn free_nodes(&self) -> &[NodeId] {
+    pub(crate) fn free_nodes(&self) -> &[NodeId] {
         &self.free
     }
 
     /// Recruits a specific free node; returns whether it was available.
-    pub fn recruit_specific(&mut self, id: NodeId) -> bool {
+    pub(crate) fn recruit_specific(&mut self, id: NodeId) -> bool {
         match self.free.iter().position(|&n| n == id) {
             Some(pos) => {
                 self.free.remove(pos);
@@ -80,25 +67,12 @@ impl ResourceManager {
 
     /// Recruits one node per the policy; returns its id, or `None` when
     /// the pool is exhausted.
-    pub fn recruit(&mut self, registry: &NodeRegistry) -> Option<NodeId> {
+    pub(crate) fn recruit(&mut self, registry: &NodeRegistry) -> Option<NodeId> {
         if self.free.is_empty() {
             return None;
         }
         let idx = match self.policy {
             RecruitPolicy::InOrder => 0,
-            RecruitPolicy::FastestFirst => self
-                .free
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    registry
-                        .get(**a)
-                        .speed
-                        .partial_cmp(&registry.get(**b).speed)
-                        .expect("speeds are finite")
-                })
-                .map(|(i, _)| i)
-                .expect("non-empty"),
             RecruitPolicy::TrustedFirst => {
                 // (trusted desc, speed desc) — stable within the pool order.
                 let mut best = 0usize;
@@ -140,6 +114,16 @@ mod tests {
     use super::*;
     use crate::node::Node;
 
+    impl ResourceManager {
+        pub(crate) fn free_count(&self) -> usize {
+            self.free.len()
+        }
+
+        fn busy_count(&self) -> usize {
+            self.busy.len()
+        }
+    }
+
     fn setup() -> (NodeRegistry, ResourceManager) {
         let mut reg = NodeRegistry::new();
         let slow_trusted = reg.add(Node::trusted("t-slow", "lab").with_speed(0.5));
@@ -159,14 +143,6 @@ mod tests {
         let third = rm.recruit(&reg).unwrap();
         assert_eq!(reg.get(third).name, "u-fast");
         assert!(rm.recruit(&reg).is_none(), "pool exhausted");
-    }
-
-    #[test]
-    fn fastest_first_ignores_trust() {
-        let (reg, rm) = setup();
-        let mut rm = rm.with_policy(RecruitPolicy::FastestFirst);
-        let first = rm.recruit(&reg).unwrap();
-        assert_eq!(reg.get(first).name, "u-fast");
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Abc for FarmAbc {
 
 /// ABC of a paced source stage: departure-rate sensing plus the rate knob
 /// actuators (`IncRate` / `DecRate`).
-pub struct SourceAbc {
+pub(crate) struct SourceAbc {
     knob: Arc<RateKnob>,
     metrics: Arc<StageMetrics>,
 }
@@ -70,11 +70,6 @@ impl SourceAbc {
     /// Binds to a source's knob and metrics.
     pub fn new(knob: Arc<RateKnob>, metrics: Arc<StageMetrics>) -> Self {
         Self { knob, metrics }
-    }
-
-    /// The current emission rate (tasks/s).
-    pub fn current_rate(&self) -> f64 {
-        self.knob.get()
     }
 }
 
@@ -131,7 +126,7 @@ impl Abc for MapAbc {
 
 /// Monitor-only ABC for sequential stages (e.g. the consumer): sensors
 /// without actuators.
-pub struct StageAbc {
+pub(crate) struct StageAbc {
     metrics: Arc<StageMetrics>,
 }
 
@@ -158,6 +153,13 @@ mod tests {
     use crate::farm::{FarmBuilder, GatherPolicy};
     use crate::stream::StreamMsg;
     use bskel_monitor::{Clock, ManualClock};
+
+    impl SourceAbc {
+        /// The current emission rate (tasks/s).
+        fn current_rate(&self) -> f64 {
+            self.knob.get()
+        }
+    }
 
     #[test]
     fn farm_abc_actuates_worker_changes() {

@@ -80,7 +80,8 @@ pub enum GatherPolicy {
 
 /// A worker thread's factory: called once per worker, on the worker's own
 /// thread, so per-worker state needs no synchronisation.
-pub type WorkerFactory<In, Out> = Arc<dyn Fn() -> Box<dyn FnMut(In) -> Out + Send> + Send + Sync>;
+pub(crate) type WorkerFactory<In, Out> =
+    Arc<dyn Fn() -> Box<dyn FnMut(In) -> Out + Send> + Send + Sync>;
 
 /// What flows into a farm's collector.
 pub enum CollectMsg<Out> {

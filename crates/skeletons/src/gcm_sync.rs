@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 /// A [`FarmControl`] decorator that replays every structural operation on
 /// a GCM composite.
+// Public: paper feature S15 in DESIGN.md (GCM/runtime mirroring).
 pub struct GcmMirroredFarm {
     inner: Arc<dyn FarmControl>,
     model: Mutex<(Gcm, FunctionalReplication)>,
@@ -52,11 +53,13 @@ impl GcmMirroredFarm {
 
     /// Number of worker components in the mirror (must equal the runtime's
     /// parallelism degree at quiescence).
+    // Public: paper feature S15 in DESIGN.md (GCM/runtime mirroring).
     pub fn model_workers(&self) -> usize {
         self.model.lock().1.workers.len()
     }
 
     /// Whether the mirrored composite is started.
+    // Public: paper feature S15 in DESIGN.md (GCM/runtime mirroring).
     pub fn model_started(&self) -> bool {
         let m = self.model.lock();
         m.0.state(m.1.farm) == LcState::Started

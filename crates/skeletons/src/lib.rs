@@ -34,23 +34,25 @@
 
 pub mod abc_impl;
 pub mod farm;
-pub mod gcm_sync;
+mod gcm_sync;
 pub mod limiter;
 pub mod map;
 pub mod pipeline;
 pub mod queue;
 pub mod rcu;
 pub mod runtime;
-pub mod seq;
+mod seq;
 pub mod stream;
 
-pub use abc_impl::{FarmAbc, MapAbc, SourceAbc, StageAbc};
+pub use abc_impl::{FarmAbc, MapAbc};
 pub use farm::{
     Farm, FarmBuilder, FarmControl, FarmEvent, FarmEventKind, GatherPolicy, SchedPolicy,
     ShutdownReport,
 };
+// Public: paper feature S15 in DESIGN.md (GCM/runtime mirroring).
 pub use gcm_sync::GcmMirroredFarm;
 pub use limiter::PacedSource;
+// Public: paper feature S12 in DESIGN.md (data-parallel farms).
 pub use map::{BroadcastFarm, MapFarm, MapReduceFarm};
 pub use pipeline::{Pipeline, PipelineBuilder};
 pub use queue::{Task, WorkerQueue};

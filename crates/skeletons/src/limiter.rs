@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// A thread-safe emission-rate knob (tasks/second).
 #[derive(Debug)]
-pub struct RateKnob {
+pub(crate) struct RateKnob {
     bits: AtomicU64,
 }
 
@@ -40,11 +40,6 @@ impl RateKnob {
     /// Current rate in tasks/second.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-
-    /// Sets the rate, clamping to a sane positive range.
-    pub fn set(&self, rate: f64) {
-        self.bits.store(sanitize(rate).to_bits(), Ordering::Release);
     }
 
     /// Multiplies the rate by `factor` (the `IncRate`/`DecRate` actuators).
@@ -96,13 +91,13 @@ impl<T: Send + 'static> PacedSource<T> {
     /// Attaches stage metrics: each emission records a departure, and the
     /// end of the stream is marked, so a `SourceAbc` can monitor the
     /// source.
-    pub fn with_metrics(mut self, metrics: Arc<crate::seq::StageMetrics>) -> Self {
+    pub(crate) fn with_metrics(mut self, metrics: Arc<crate::seq::StageMetrics>) -> Self {
         self.metrics = Some(metrics);
         self
     }
 
     /// The rate knob controlling this source.
-    pub fn knob(&self) -> Arc<RateKnob> {
+    pub(crate) fn knob(&self) -> Arc<RateKnob> {
         Arc::clone(&self.knob)
     }
 
@@ -150,7 +145,6 @@ impl<T: Send + 'static> PacedSource<T> {
                 let _ = tx.send(crate::stream::StreamMsg::End);
                 if let Some(m) = &self.metrics {
                     m.mark_end_in();
-                    m.mark_end_out();
                 }
                 sent
             })
@@ -162,6 +156,13 @@ impl<T: Send + 'static> PacedSource<T> {
 mod tests {
     use super::*;
     use crate::stream::StreamMsg;
+
+    impl RateKnob {
+        /// Sets the rate, clamping to a sane positive range.
+        fn set(&self, rate: f64) {
+            self.bits.store(sanitize(rate).to_bits(), Ordering::Release);
+        }
+    }
 
     #[test]
     fn knob_get_set_scale() {

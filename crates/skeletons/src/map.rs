@@ -23,6 +23,7 @@
 //! ordinary farm manager rules drive them unchanged (`departureRate`
 //! counts vectors, not elements).
 
+use crate::farm::panic_message;
 use crate::rcu::{Published, ReadHandle};
 use crate::stream::{ReorderBuffer, StreamMsg};
 use bskel_monitor::{AtomicRateEstimator, Clock, RealClock, SensorSnapshot, Time};
@@ -34,7 +35,7 @@ use std::thread::JoinHandle;
 
 /// Splits `len` into `parts` contiguous chunk ranges, sizes differing by
 /// at most one (the scatter policy's balancing rule).
-pub fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     assert!(parts > 0, "cannot scatter over zero workers");
     let base = len / parts;
     let extra = len % parts;
@@ -329,11 +330,21 @@ impl<T: Send + 'static, U: Send + 'static, Out: Send + 'static> MapEngine<T, U, 
                                         .into_iter()
                                         .map(|c| c.expect("all chunks arrived"))
                                         .collect();
-                                    let out = collection(chunks);
-                                    let now = shared.clock.now();
-                                    shared.departures.record(now);
+                                    // A panicking collection (an empty vector
+                                    // to reduce, a panicking combiner) poisons
+                                    // only its item, like a panicking `map`.
+                                    let collected = std::panic::catch_unwind(
+                                        std::panic::AssertUnwindSafe(|| collection(chunks)),
+                                    );
                                     open -= 1;
-                                    for item in reorder.push(seq, out) {
+                                    let released = match collected {
+                                        Ok(out) => {
+                                            shared.departures.record(shared.clock.now());
+                                            reorder.push(seq, out)
+                                        }
+                                        Err(_) => reorder.skip(seq),
+                                    };
+                                    for item in released {
                                         let _ = output_tx.send(StreamMsg::item(emitted, item));
                                         emitted += 1;
                                     }
@@ -378,25 +389,35 @@ impl<T: Send + 'static, U: Send + 'static, Out: Send + 'static> MapEngine<T, U, 
         }
     }
 
-    fn shutdown(mut self) {
+    /// Joins every thread of the skeleton; returns the panic message of
+    /// each one that died.
+    fn shutdown(mut self) -> Vec<String> {
+        let mut panics = Vec::new();
+        let mut join = |thread: JoinHandle<()>| {
+            if let Err(payload) = thread.join() {
+                panics.push(panic_message(&*payload));
+            }
+        };
         if let Some(e) = self.emitter.take() {
-            let _ = e.join();
+            join(e);
         }
         if let Some(c) = self.collector.take() {
-            let _ = c.join();
+            join(c);
         }
         // Publishing an empty table drops the last sender clones (the
         // emitter's snapshot died with its thread), disconnecting every
         // worker channel; workers drain and exit.
         self.shared.workers.publish(Vec::new());
         for t in std::mem::take(&mut *self.shared.threads.lock()) {
-            let _ = t.join();
+            join(t);
         }
+        panics
     }
 }
 
 /// A data-parallel map skeleton: `Vec<T>` in, `Vec<U>` out, element order
 /// preserved, work scattered over the current workers.
+// Public: paper feature S12 in DESIGN.md (data-parallel farms).
 pub struct MapFarm<T, U> {
     engine: MapEngine<T, U, Vec<U>>,
 }
@@ -448,9 +469,10 @@ impl<T: Send + 'static, U: Send + 'static> MapFarm<T, U> {
         Arc::clone(&self.engine.shared) as Arc<dyn MapControl>
     }
 
-    /// Tears the skeleton down after the stream completes.
-    pub fn shutdown(self) {
-        self.engine.shutdown();
+    /// Tears the skeleton down after the stream completes; returns the
+    /// panic messages of its threads that died (empty when clean).
+    pub fn shutdown(self) -> Vec<String> {
+        self.engine.shutdown()
     }
 }
 
@@ -525,9 +547,10 @@ impl<T: Send + 'static, U: Send + 'static> MapReduceFarm<T, U> {
         Arc::clone(&self.engine.shared) as Arc<dyn MapControl>
     }
 
-    /// Tears the skeleton down after the stream completes.
-    pub fn shutdown(self) {
-        self.engine.shutdown();
+    /// Tears the skeleton down after the stream completes; returns the
+    /// panic messages of its threads that died (empty when clean).
+    pub fn shutdown(self) -> Vec<String> {
+        self.engine.shutdown()
     }
 }
 
@@ -539,6 +562,7 @@ impl<T: Send + 'static, U: Send + 'static> MapReduceFarm<T, U> {
 ///
 /// Implemented as an adapter over the scatter engine: an item fans out as
 /// a vector of `num_workers` clones, one element per worker.
+// Public: paper feature S12 in DESIGN.md (data-parallel farms).
 pub struct BroadcastFarm<T, U, Out> {
     engine: MapEngine<T, U, Out>,
     adapter_input: Sender<StreamMsg<T>>,
@@ -603,6 +627,7 @@ where
     /// A majority-voting broadcast over `replicas` workers: the combined
     /// output is the most frequent replica result (ties break toward the
     /// lowest worker index). The classic redundant-control construction.
+    // Public: paper feature S12 in DESIGN.md (data-parallel farms).
     pub fn voting(
         f: impl Fn(T) -> U + Send + Sync + 'static,
         replicas: u32,
@@ -645,12 +670,17 @@ where
         Arc::clone(&self.engine.shared) as Arc<dyn MapControl>
     }
 
-    /// Tears the skeleton down after the stream completes.
-    pub fn shutdown(mut self) {
+    /// Tears the skeleton down after the stream completes; returns the
+    /// panic messages of its threads that died (empty when clean).
+    pub fn shutdown(mut self) -> Vec<String> {
+        let mut panics = Vec::new();
         if let Some(a) = self.adapter.take() {
-            let _ = a.join();
+            if let Err(payload) = a.join() {
+                panics.push(panic_message(&*payload));
+            }
         }
-        self.engine.shutdown();
+        panics.extend(self.engine.shutdown());
+        panics
     }
 }
 
@@ -709,6 +739,29 @@ mod tests {
         let results = drain(&farm.output());
         assert_eq!(results, vec![vec![2, 3], vec![]]);
         farm.shutdown();
+    }
+
+    #[test]
+    fn map_reduce_failed_reduction_poisons_only_its_item() {
+        // Reducing the empty vector panics in the collector: that item is
+        // dropped, the items around it are delivered, and the stream Ends.
+        let farm = MapReduceFarm::new(|x: u64| x, |a, b| a + b, 2);
+        let tx = farm.input();
+        tx.send(StreamMsg::item(0, vec![1, 2])).unwrap();
+        tx.send(StreamMsg::item(1, vec![])).unwrap();
+        tx.send(StreamMsg::item(2, vec![3])).unwrap();
+        tx.send(StreamMsg::End).unwrap();
+        let rx = farm.output();
+        let mut results = Vec::new();
+        loop {
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(StreamMsg::Item { payload, .. }) => results.push(payload),
+                Ok(StreamMsg::End) => break,
+                Err(e) => panic!("stream ended without End after {results:?}: {e}"),
+            }
+        }
+        assert_eq!(results, vec![3, 3]);
+        assert!(farm.shutdown().is_empty());
     }
 
     #[test]

@@ -178,13 +178,6 @@ impl Pipeline {
         self.abcs.remove(name)
     }
 
-    /// Names of ABCs not yet taken.
-    pub fn abc_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.abcs.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Waits for the stream to drain end-to-end; returns the number of
     /// items the sink consumed.
     pub fn wait(self) -> u64 {
@@ -204,6 +197,15 @@ mod tests {
     use super::*;
     use crate::farm::FarmBuilder;
     use parking_lot::Mutex;
+
+    impl Pipeline {
+        /// Names of ABCs not yet taken.
+        fn abc_names(&self) -> Vec<String> {
+            let mut names: Vec<String> = self.abcs.keys().cloned().collect();
+            names.sort();
+            names
+        }
+    }
 
     #[test]
     fn three_stage_pipeline_end_to_end() {

@@ -145,7 +145,7 @@ impl<T> WorkerQueue<T> {
     }
 
     /// Drains every queued task *without* closing (load rebalancing).
-    pub fn drain_open(&self) -> Vec<Task<T>> {
+    pub(crate) fn drain_open(&self) -> Vec<Task<T>> {
         let mut q = self.inner.lock();
         let drained: Vec<Task<T>> = q.deque.drain(..).collect();
         self.len.store(0, Ordering::Relaxed);
@@ -162,17 +162,19 @@ impl<T> WorkerQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl<T> WorkerQueue<T> {
+        /// True once [`close`](Self::close) has been called.
+        fn is_closed(&self) -> bool {
+            self.inner.lock().closed
+        }
+    }
 
     fn tasks(range: std::ops::Range<u64>) -> Vec<Task<u64>> {
         range.map(|i| Task { seq: i, item: i }).collect()

@@ -38,7 +38,7 @@ impl<T> Published<T> {
     }
 
     /// The current generation number (0 until the first re-publish).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 

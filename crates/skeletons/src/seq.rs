@@ -2,7 +2,7 @@
 //!
 //! A sequential stage is a thread mapping the input stream to the output
 //! stream one item at a time. Every stage (and the paced source / sink)
-//! publishes [`StageMetrics`] — the arrival/departure estimators a stage
+//! publishes `StageMetrics` — the arrival/departure estimators a stage
 //! manager's ABC reads.
 
 use crate::stream::StreamMsg;
@@ -14,12 +14,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Shared monitoring state of one stage.
-pub struct StageMetrics {
+pub(crate) struct StageMetrics {
     clock: Arc<dyn Clock>,
     arrivals: Mutex<RateEstimator>,
     departures: Mutex<RateEstimator>,
     end_in: AtomicBool,
-    end_out: AtomicBool,
     processed: Counter,
 }
 
@@ -31,7 +30,6 @@ impl StageMetrics {
             arrivals: Mutex::new(RateEstimator::new(rate_window)),
             departures: Mutex::new(RateEstimator::new(rate_window)),
             end_in: AtomicBool::new(false),
-            end_out: AtomicBool::new(false),
             processed: Counter::new(),
         })
     }
@@ -42,34 +40,19 @@ impl StageMetrics {
     }
 
     /// Records an input arrival.
-    pub fn record_arrival(&self, t: Time) {
+    pub(crate) fn record_arrival(&self, t: Time) {
         self.arrivals.lock().record(t);
     }
 
     /// Records an output departure.
-    pub fn record_departure(&self, t: Time) {
+    pub(crate) fn record_departure(&self, t: Time) {
         self.departures.lock().record(t);
         self.processed.incr();
     }
 
     /// Marks end-of-stream observed on the input.
-    pub fn mark_end_in(&self) {
+    pub(crate) fn mark_end_in(&self) {
         self.end_in.store(true, Ordering::SeqCst);
-    }
-
-    /// Marks end-of-stream forwarded on the output.
-    pub fn mark_end_out(&self) {
-        self.end_out.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the input stream has ended.
-    pub fn end_in(&self) -> bool {
-        self.end_in.load(Ordering::SeqCst)
-    }
-
-    /// Total items processed.
-    pub fn processed(&self) -> u64 {
-        self.processed.get()
     }
 
     /// Builds a sensor snapshot at time `now`.
@@ -86,7 +69,7 @@ impl StageMetrics {
 }
 
 /// Spawns a sequential mapping stage.
-pub fn spawn_stage<In, Out>(
+pub(crate) fn spawn_stage<In, Out>(
     name: &str,
     rx: Receiver<StreamMsg<In>>,
     tx: Sender<StreamMsg<Out>>,
@@ -115,7 +98,6 @@ where
                     StreamMsg::End => {
                         metrics.mark_end_in();
                         let _ = tx.send(StreamMsg::End);
-                        metrics.mark_end_out();
                         break;
                     }
                 }
@@ -127,7 +109,7 @@ where
 
 /// Spawns a sink stage consuming the stream; returns the number of items
 /// consumed when joined.
-pub fn spawn_sink<In>(
+pub(crate) fn spawn_sink<In>(
     name: &str,
     rx: Receiver<StreamMsg<In>>,
     mut f: impl FnMut(In) + Send + 'static,
@@ -150,7 +132,6 @@ where
                     }
                     StreamMsg::End => {
                         metrics.mark_end_in();
-                        metrics.mark_end_out();
                         break;
                     }
                 }
@@ -165,6 +146,18 @@ mod tests {
     use super::*;
     use bskel_monitor::ManualClock;
     use crossbeam::channel::unbounded;
+
+    impl StageMetrics {
+        /// Whether the input stream has ended.
+        fn end_in(&self) -> bool {
+            self.end_in.load(Ordering::SeqCst)
+        }
+
+        /// Total items processed.
+        fn processed(&self) -> u64 {
+            self.processed.get()
+        }
+    }
 
     fn clock() -> Arc<dyn Clock> {
         Arc::new(ManualClock::new())

@@ -1,14 +1,14 @@
 //! ABCs binding the front-end to autonomic managers, and the two-level
 //! manager hierarchy the paper's arbitration story needs.
 //!
-//! Each tenant gets a [`TenantAbc`] under a `ManagerKind::Tenant` manager
+//! Each tenant gets a `TenantAbc` under a `ManagerKind::Tenant` manager
 //! running `tenancy.rules` with parameters derived from the tenant's own
 //! contract: it grows/shrinks the tenant's fair-share weight, sheds load
 //! when the admission queue overflows its budget, and — when the share
 //! ceiling is reached and the contract is still missed — escalates with
 //! `raiseViol` to its parent.
 //!
-//! The parent is the *pool arbiter*: an [`ArbiterAbc`] over the shared
+//! The parent is the *pool arbiter*: an `ArbiterAbc` over the shared
 //! farm's control surface, same rule program, but with its share pinned to
 //! `1.0` (via `extra_params`), which makes the share rules dormant and
 //! leaves the pool-growth rule (`violTooMuch → ADD_EXECUTOR`) and the
@@ -32,7 +32,7 @@ const SHRINK_FACTOR: f64 = 0.8;
 
 /// Per-tenant ABC: senses one tenant's queue, share, and delivered rate;
 /// actuates share growth/shrink and load shedding.
-pub struct TenantAbc<In, Out> {
+pub(crate) struct TenantAbc<In, Out> {
     shared: Arc<FrontShared<In, Out>>,
     index: usize,
 }
@@ -62,7 +62,7 @@ impl<In: Send + 'static, Out: Send + 'static> Abc for TenantAbc<In, Out> {
 
 /// Pool-arbiter ABC: the shared farm's sensors plus tenant aggregates;
 /// actuates pool sizing through the farm control surface.
-pub struct ArbiterAbc<In, Out> {
+pub(crate) struct ArbiterAbc<In, Out> {
     shared: Arc<FrontShared<In, Out>>,
 }
 

@@ -7,18 +7,18 @@
 //! whose admission queue is shedding is *already* over-subscribed and
 //! should be pipelining shallower, not merely no deeper.
 //!
-//! [`InFlightAimd`] closes that loop with the classic congestion-control
+//! `InFlightAimd` closes that loop with the classic congestion-control
 //! law the `aimd` manager controller applies to the pool's par-degree,
 //! here applied per tenant to a multiplicative factor on the static cap:
 //!
 //! * **additive increase** — while the tenant is backlogged and clean
-//!   (no new sheds), the factor grows by [`InFlightAimd::AI_STEP`] once
-//!   per [`InFlightAimd::PERIOD`] seconds, up to
-//!   [`InFlightAimd::MAX_FACTOR`];
+//!   (no new sheds), the factor grows by `InFlightAimd::AI_STEP` once
+//!   per `InFlightAimd::PERIOD` seconds, up to
+//!   `InFlightAimd::MAX_FACTOR`;
 //! * **multiplicative decrease** — the moment the tenant's shed counter
-//!   advances, the factor is cut by [`InFlightAimd::MD_BETA`]
+//!   advances, the factor is cut by `InFlightAimd::MD_BETA`
 //!   immediately (congestion signals are not rate-limited), down to
-//!   [`InFlightAimd::MIN_FACTOR`].
+//!   `InFlightAimd::MIN_FACTOR`.
 //!
 //! The effective cap is `max(1, round(base × factor))`, so a tenant can
 //! never be starved outright and fairness between tenants still comes
@@ -27,7 +27,7 @@
 /// Per-tenant AIMD state: a multiplicative factor on the static
 /// in-flight cap. See the module docs for the control law.
 #[derive(Debug, Clone)]
-pub struct InFlightAimd {
+pub(crate) struct InFlightAimd {
     factor: f64,
     sheds_seen: u64,
     last_adjust: f64,
@@ -35,16 +35,16 @@ pub struct InFlightAimd {
 
 impl InFlightAimd {
     /// Floor of the cap factor (a quarter of the fair-share cap).
-    pub const MIN_FACTOR: f64 = 0.25;
+    pub(crate) const MIN_FACTOR: f64 = 0.25;
     /// Ceiling of the cap factor (four times the fair-share cap).
-    pub const MAX_FACTOR: f64 = 4.0;
+    pub(crate) const MAX_FACTOR: f64 = 4.0;
     /// Additive step applied per clean backlogged period.
-    pub const AI_STEP: f64 = 0.25;
+    pub(crate) const AI_STEP: f64 = 0.25;
     /// Multiplicative cut applied per shed observation.
-    pub const MD_BETA: f64 = 0.5;
+    pub(crate) const MD_BETA: f64 = 0.5;
     /// Minimum seconds between additive increases — the dispatch pass
     /// runs every millisecond, far faster than the control timescale.
-    pub const PERIOD: f64 = 0.05;
+    pub(crate) const PERIOD: f64 = 0.05;
 
     /// A fresh controller at the neutral factor `1.0` (the static cap).
     pub fn new() -> Self {

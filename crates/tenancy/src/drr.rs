@@ -13,7 +13,7 @@
 
 /// Deficit state for a fixed-size set of queues.
 #[derive(Debug, Default)]
-pub struct Drr {
+pub(crate) struct Drr {
     deficits: Vec<f64>,
 }
 
@@ -27,7 +27,7 @@ impl Drr {
     }
 
     /// Grows the deficit vector to cover `n` queues (new ones start at 0).
-    pub fn ensure(&mut self, n: usize) {
+    pub(crate) fn ensure(&mut self, n: usize) {
         if self.deficits.len() < n {
             self.deficits.resize(n, 0.0);
         }
@@ -37,7 +37,7 @@ impl Drr {
     /// `weight[i] / max(backlogged weights)`, so the heaviest backlogged
     /// queue earns one task per round and the others earn proportionally
     /// less. Returns `false` when nothing is backlogged.
-    pub fn begin_round(&mut self, weights: &[f64], backlogged: &[bool]) -> bool {
+    pub(crate) fn begin_round(&mut self, weights: &[f64], backlogged: &[bool]) -> bool {
         self.ensure(weights.len());
         let heaviest = weights
             .iter()
@@ -59,7 +59,7 @@ impl Drr {
     /// Attempts to spend one task's worth of deficit for queue `i`.
     /// Returns `true` (and debits the deficit) when the queue has earned a
     /// dispatch.
-    pub fn try_take(&mut self, i: usize) -> bool {
+    pub(crate) fn try_take(&mut self, i: usize) -> bool {
         if self.deficits[i] >= TASK_COST {
             self.deficits[i] -= TASK_COST;
             true
@@ -75,16 +75,18 @@ impl Drr {
             self.deficits[i] = 0.0;
         }
     }
-
-    /// Current deficit of queue `i` (diagnostics).
-    pub fn deficit(&self, i: usize) -> f64 {
-        self.deficits.get(i).copied().unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Drr {
+        /// Current deficit of queue `i` (diagnostics).
+        fn deficit(&self, i: usize) -> f64 {
+            self.deficits.get(i).copied().unwrap_or(0.0)
+        }
+    }
 
     /// Simulates `rounds` DRR rounds with always-backlogged queues and
     /// returns per-queue dispatch counts.

@@ -231,7 +231,7 @@ impl<In, Out> FrontShared<In, Out> {
         let _ = self.tick_tx.send(());
     }
 
-    /// Per-tenant sensor snapshot for [`crate::TenantAbc`].
+    /// Per-tenant sensor snapshot for [`crate::abc::TenantAbc`].
     pub(crate) fn sense_tenant(&self, i: usize, now: Time) -> SensorSnapshot {
         let mut inner = self.inner.lock();
         let share = inner.share_of(i);
@@ -250,7 +250,7 @@ impl<In, Out> FrontShared<In, Out> {
         s
     }
 
-    /// Pool-level snapshot for [`crate::ArbiterAbc`]: the farm's own
+    /// Pool-level snapshot for [`crate::abc::ArbiterAbc`]: the farm's own
     /// sensors plus tenant aggregates (total admission backlog and sheds).
     pub(crate) fn sense_pool(&self, now: Time) -> SensorSnapshot {
         let mut s = self.control.sense(now);
@@ -352,7 +352,7 @@ pub struct TenantStats {
     /// Results per second over the rate window.
     pub throughput: f64,
     /// AIMD multiplicative factor on the static in-flight cap (see
-    /// [`crate::aimd::InFlightAimd`]).
+    /// `crate::aimd::InFlightAimd`).
     pub cap_factor: f64,
 }
 
@@ -622,13 +622,16 @@ impl<In: Send + 'static, Out: Send + 'static> TenantFrontEnd<In, Out> {
     }
 
     /// An ABC exposing tenant `handle` to its per-tenant manager.
-    pub fn tenant_abc(&self, handle: &TenantHandle<In, Out>) -> crate::TenantAbc<In, Out> {
-        crate::TenantAbc::new(Arc::clone(&self.shared), handle.index)
+    pub(crate) fn tenant_abc(
+        &self,
+        handle: &TenantHandle<In, Out>,
+    ) -> crate::abc::TenantAbc<In, Out> {
+        crate::abc::TenantAbc::new(Arc::clone(&self.shared), handle.index)
     }
 
     /// An ABC exposing the shared pool to the arbiter manager.
-    pub fn arbiter_abc(&self) -> crate::ArbiterAbc<In, Out> {
-        crate::ArbiterAbc::new(Arc::clone(&self.shared))
+    pub(crate) fn arbiter_abc(&self) -> crate::abc::ArbiterAbc<In, Out> {
+        crate::abc::ArbiterAbc::new(Arc::clone(&self.shared))
     }
 
     /// Registers one scrape source per tenant attached so far — the

@@ -20,11 +20,11 @@
 //! - [`TenantSpec`] names a tenant, carries its [`Contract`] and admission
 //!   policy ([`ShedPolicy`]: bounded queue, shed-oldest or reject).
 //! - [`TenantFrontEnd`] multiplexes the tenant queues onto one shared farm
-//!   with a deficit-round-robin scheduler ([`drr`]) weighted by live,
+//!   with a deficit-round-robin scheduler (`drr`) weighted by live,
 //!   manager-adjustable shares, plus per-tenant in-flight caps so a
 //!   flooding tenant cannot monopolise the workers or inflate a modest
 //!   tenant's tail latency.
-//! - [`TenantAbc`] / [`ArbiterAbc`] expose each tenant and the shared pool
+//! - `TenantAbc` / `ArbiterAbc` expose each tenant and the shared pool
 //!   to `AutonomicManager`s running `rules/tenancy.rules`
 //!   (`bskel_rules::stdlib::tenancy_rules`): per-tenant managers grow /
 //!   shrink their share and shed load; at the share ceiling they escalate
@@ -37,17 +37,13 @@
 //! [`Contract`]: bskel_core::Contract
 
 pub mod abc;
-pub mod aimd;
-pub mod drr;
-pub mod frontend;
+mod aimd;
+mod drr;
+mod frontend;
 pub mod server;
 pub mod spec;
 
-pub use abc::{
-    arbiter_config, build_managers, build_managers_with, ArbiterAbc, TenancyManagers, TenantAbc,
-};
-pub use aimd::InFlightAimd;
-pub use drr::Drr;
+pub use abc::{arbiter_config, build_managers, build_managers_with, TenancyManagers};
 pub use frontend::{
     Admission, LossReason, TenancyReport, TenantFrontEnd, TenantHandle, TenantMsg, TenantReport,
     TenantStats,

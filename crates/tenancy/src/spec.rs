@@ -18,7 +18,7 @@ pub enum ShedPolicy {
 impl ShedPolicy {
     /// Wire encoding used by the `TenantAttach` frame (see
     /// `bskel_net::proto::TenantAttach::shed_policy`).
-    pub fn to_wire(self) -> u8 {
+    pub(crate) fn to_wire(self) -> u8 {
         match self {
             ShedPolicy::ShedOldest => 0,
             ShedPolicy::Reject => 1,
@@ -26,7 +26,7 @@ impl ShedPolicy {
     }
 
     /// Decodes the wire byte; unknown values fall back to the default.
-    pub fn from_wire(b: u8) -> Self {
+    pub(crate) fn from_wire(b: u8) -> Self {
         match b {
             1 => ShedPolicy::Reject,
             _ => ShedPolicy::ShedOldest,

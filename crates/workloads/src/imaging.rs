@@ -3,13 +3,9 @@
 //! Fig. 3 processes a stream of medical images under a 0.6 image/s
 //! contract; Fig. 4 runs a produce/filter/display pipeline under a 0.3–0.7
 //! task/s contract. Only the task *cost profile* matters to the managers,
-//! so [`ImagingWorkload`] bundles an arrival process and a service-time
-//! distribution, and [`ImageTask`]/[`process_image`] give the threaded
-//! runtime a real CPU-burning body with the same profile (scaled so live
-//! examples run in seconds rather than the paper's minutes).
-
-use crate::arrival::ArrivalProcess;
-use crate::service::ServiceDist;
+//! so [`ImageTask`]/[`process_image`] give the threaded runtime a real
+//! CPU-burning body with a given per-task cost (scaled so live examples
+//! run in seconds rather than the paper's minutes).
 
 /// A synthetic image-processing task.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,109 +16,6 @@ pub struct ImageTask {
     pub pixels: u64,
     /// Nominal service time of this task on a reference core, seconds.
     pub cost: f64,
-}
-
-/// An experiment workload: arrivals plus per-task cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImagingWorkload {
-    /// When tasks arrive.
-    pub arrivals: ArrivalProcess,
-    /// How long each task takes on a reference core.
-    pub service: ServiceDist,
-    /// How many tasks the stream carries.
-    pub count: u64,
-}
-
-impl ImagingWorkload {
-    /// The Fig. 3 workload: ample input pressure (1 image/s), ~5 s of
-    /// filtering per image, so ceil(0.6·5) = 3 workers are needed to meet
-    /// the 0.6 image/s contract.
-    pub fn fig3() -> Self {
-        Self {
-            arrivals: ArrivalProcess::cbr(1.0),
-            service: ServiceDist::det(5.0),
-            count: 300,
-        }
-    }
-
-    /// The Fig. 4 filter-stage workload: ~10 s of filtering per task (so
-    /// the 0.3–0.7 task/s stripe needs several workers), stream of 200.
-    pub fn fig4_filter() -> Self {
-        Self {
-            arrivals: ArrivalProcess::cbr(0.5), // shaped by the producer in the experiment
-            service: ServiceDist::det(10.0),
-            count: 200,
-        }
-    }
-
-    /// Fig. 3's hot-spot variant: image processing triples in cost during
-    /// `[start, end)` (the paper's "temporary hot spots").
-    pub fn fig3_with_hot_spot(start: f64, end: f64) -> Self {
-        let base = Self::fig3();
-        Self {
-            service: base.service.with_hot_spot(3.0, start, end),
-            ..base
-        }
-    }
-
-    /// Scales all times by `1/speedup` (a 60× speedup turns the paper's
-    /// minutes-long run into seconds for live examples). Arrival rates
-    /// multiply by `speedup`; service times divide.
-    pub fn scaled(self, speedup: f64) -> Self {
-        assert!(speedup > 0.0, "speedup must be positive");
-        let arrivals = match self.arrivals {
-            ArrivalProcess::Cbr { rate } => ArrivalProcess::Cbr {
-                rate: rate * speedup,
-            },
-            ArrivalProcess::Poisson { rate } => ArrivalProcess::Poisson {
-                rate: rate * speedup,
-            },
-            ArrivalProcess::Ramp { from, to, duration } => ArrivalProcess::Ramp {
-                from: from * speedup,
-                to: to * speedup,
-                duration: duration / speedup,
-            },
-            ArrivalProcess::OnOff {
-                on_rate,
-                on_for,
-                off_for,
-            } => ArrivalProcess::OnOff {
-                on_rate: on_rate * speedup,
-                on_for: on_for / speedup,
-                off_for: off_for / speedup,
-            },
-        };
-        let service = scale_service(self.service, speedup);
-        Self {
-            arrivals,
-            service,
-            count: self.count,
-        }
-    }
-}
-
-fn scale_service(s: ServiceDist, speedup: f64) -> ServiceDist {
-    match s {
-        ServiceDist::Deterministic(t) => ServiceDist::Deterministic(t / speedup),
-        ServiceDist::Exponential { mean } => ServiceDist::Exponential {
-            mean: mean / speedup,
-        },
-        ServiceDist::Uniform { lo, hi } => ServiceDist::Uniform {
-            lo: lo / speedup,
-            hi: hi / speedup,
-        },
-        ServiceDist::HotSpot {
-            base,
-            factor,
-            start,
-            end,
-        } => ServiceDist::HotSpot {
-            base: Box::new(scale_service(*base, speedup)),
-            factor,
-            start: start / speedup,
-            end: end / speedup,
-        },
-    }
 }
 
 /// Burns CPU for approximately `task.cost` seconds — the task body the
@@ -147,37 +40,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig3_preset_shape() {
-        let w = ImagingWorkload::fig3();
-        assert_eq!(w.service.mean(), 5.0);
-        assert_eq!(w.arrivals.rate_at(0.0), 1.0);
-        assert!(w.count >= 100);
-    }
-
-    #[test]
-    fn scaling_preserves_offered_load_ratio() {
-        // Offered load ρ = arrival_rate × service_time is scale-invariant.
-        let w = ImagingWorkload::fig3();
-        let rho = w.arrivals.rate_at(0.0) * w.service.mean();
-        let s = w.scaled(60.0);
-        let rho_scaled = s.arrivals.rate_at(0.0) * s.service.mean();
-        assert!((rho - rho_scaled).abs() < 1e-9);
-        assert_eq!(s.service.mean(), 5.0 / 60.0);
-    }
-
-    #[test]
-    fn scaling_hot_spot_window() {
-        let w = ImagingWorkload::fig3_with_hot_spot(60.0, 120.0).scaled(60.0);
-        match w.service {
-            ServiceDist::HotSpot { start, end, .. } => {
-                assert!((start - 1.0).abs() < 1e-12);
-                assert!((end - 2.0).abs() < 1e-12);
-            }
-            other => panic!("expected hot spot, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn process_image_takes_roughly_cost() {
         let task = ImageTask {
             id: 0,
@@ -189,11 +51,5 @@ mod tests {
         let dt = t0.elapsed().as_secs_f64();
         assert!(dt >= 0.02, "finished early: {dt}");
         assert!(dt < 0.2, "overshot: {dt}");
-    }
-
-    #[test]
-    #[should_panic(expected = "speedup must be positive")]
-    fn bad_speedup_rejected() {
-        let _ = ImagingWorkload::fig3().scaled(0.0);
     }
 }

@@ -3,17 +3,14 @@
 //! The paper's experiments run a medical image processing application: a
 //! stream of images filtered in parallel by a task farm (Fig. 3) or by the
 //! farm stage of a three-stage pipeline (Fig. 4). The images themselves are
-//! irrelevant to the managers — only the *arrival process* (input
-//! pressure) and the *service-time distribution* (per-task compute cost)
-//! shape the autonomic behaviour. This crate generates both:
+//! irrelevant to the managers — only the input pressure and the
+//! *service-time distribution* (per-task compute cost) shape the autonomic
+//! behaviour. This crate provides:
 //!
-//! * [`arrival`] — constant-rate, Poisson, ramp and on/off arrival
-//!   processes;
 //! * [`service`] — deterministic, exponential, uniform and hot-spot
 //!   service-time distributions (the paper's "temporary hot spots in image
 //!   processing");
-//! * [`imaging`] — the presets used by the figure-reproduction
-//!   experiments, plus a CPU-burning task body for the threaded runtime.
+//! * [`imaging`] — a CPU-burning image task body for the threaded runtime.
 //!
 //! All randomness is drawn from caller-seeded RNGs: every experiment in
 //! `bskel-bench` is reproducible bit-for-bit.
@@ -21,10 +18,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod arrival;
 pub mod imaging;
 pub mod service;
 
-pub use arrival::ArrivalProcess;
-pub use imaging::{ImageTask, ImagingWorkload};
+pub use imaging::ImageTask;
 pub use service::ServiceDist;

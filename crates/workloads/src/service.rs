@@ -49,12 +49,6 @@ impl ServiceDist {
         ServiceDist::Exponential { mean }
     }
 
-    /// Uniform builder.
-    pub fn uniform(lo: f64, hi: f64) -> Self {
-        assert!(0.0 <= lo && lo <= hi, "bad uniform bounds [{lo}, {hi}]");
-        ServiceDist::Uniform { lo, hi }
-    }
-
     /// Wraps `self` in a hot-spot window.
     pub fn with_hot_spot(self, factor: f64, start: f64, end: f64) -> Self {
         assert!(factor > 0.0 && start <= end, "bad hot spot");
@@ -113,6 +107,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl ServiceDist {
+        fn uniform(lo: f64, hi: f64) -> Self {
+            ServiceDist::Uniform { lo, hi }
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1)
@@ -180,11 +180,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn bad_exponential_rejected() {
         ServiceDist::exp(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad uniform bounds")]
-    fn inverted_uniform_rejected() {
-        ServiceDist::uniform(3.0, 1.0);
     }
 }
