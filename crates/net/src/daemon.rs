@@ -94,27 +94,35 @@ impl Workload {
 
     /// Runs the workload over one task payload.
     pub fn apply(&self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.apply_into(input, &mut out);
+        out
+    }
+
+    /// Runs the workload over one task payload, appending the result to
+    /// `out`, so a connection can reuse one result buffer for every task.
+    fn apply_into(&self, input: &[u8], out: &mut Vec<u8>) {
         match *self {
-            Workload::Echo => input.to_vec(),
+            Workload::Echo => out.extend_from_slice(input),
             Workload::DoubleU64 => {
                 let x = Self::lead_u64(input);
-                x.wrapping_mul(2).to_le_bytes().to_vec()
+                out.extend_from_slice(&x.wrapping_mul(2).to_le_bytes());
             }
             Workload::SpinUs(us) => {
                 let t0 = Instant::now();
                 while t0.elapsed().as_micros() < u128::from(us) {
                     std::hint::spin_loop();
                 }
-                input.to_vec()
+                out.extend_from_slice(input);
             }
             Workload::SleepUs(us) => {
                 std::thread::sleep(std::time::Duration::from_micros(us));
-                input.to_vec()
+                out.extend_from_slice(input);
             }
             Workload::PanicOn(trigger) => {
                 let x = Self::lead_u64(input);
                 assert!(x != trigger, "workload trigger value {trigger} hit");
-                input.to_vec()
+                out.extend_from_slice(input);
             }
         }
     }
@@ -130,6 +138,9 @@ struct Conn {
     /// True while a task executes; the sidecar pulses only then.
     busy: Arc<AtomicBool>,
     pending: VecDeque<(u64, Vec<u8>)>,
+    /// Every task's result is written here, so a warm connection
+    /// allocates no result block per task.
+    result: Vec<u8>,
     service: Welford,
     done: u64,
     finishing: bool,
@@ -224,14 +235,20 @@ impl Conn {
                 // The busy window is what the pulse sidecar watches: a
                 // long-running task keeps proving liveness from there.
                 self.busy.store(true, Ordering::SeqCst);
-                let result = catch_unwind(AssertUnwindSafe(|| self.workload.apply(&bytes)));
+                // Cleared first, so a task that panics leaves no bytes behind.
+                self.result.clear();
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    self.workload.apply_into(&bytes, &mut self.result)
+                }));
                 self.busy.store(false, Ordering::SeqCst);
                 let dt = t0.elapsed().as_secs_f64();
-                match result {
-                    Ok(out) => {
+                match ran {
+                    Ok(()) => {
                         self.service.update(dt);
                         self.done += 1;
-                        self.writer.lock().push(FrameType::Result, seq, &out);
+                        self.writer
+                            .lock()
+                            .push(FrameType::Result, seq, &self.result);
                     }
                     Err(_) => self.writer.lock().push(FrameType::Lost, seq, &[]),
                 }
@@ -350,6 +367,7 @@ fn handle_conn(stream: TcpStream) -> std::io::Result<()> {
         workload,
         busy,
         pending: VecDeque::new(),
+        result: Vec::new(),
         service: Welford::new(),
         done: 0,
         finishing: false,

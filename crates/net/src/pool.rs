@@ -1935,10 +1935,13 @@ impl<Out: Send + 'static> Reactor<Out> {
                 if !conn.sendq.is_empty() {
                     // Bounded blocking flush: a wedged daemon cannot hang
                     // shutdown for more than the write timeout.
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let mut w = &stream;
-                    if let Err(e) = conn.sendq.write_to(&mut w, &mut self.buffers) {
+                    let flushed = stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.set_write_timeout(Some(GOODBYE_TIMEOUT)))
+                        .and_then(|()| {
+                            flush_goodbye(&mut conn.sendq, &mut &stream, &mut self.buffers)
+                        });
+                    if let Err(e) = flushed {
                         self.shared.disconnects.lock().push(format!(
                             "slot {} ({}): goodbye failed: {e}",
                             slot.id, slot.endpoint.addr
@@ -1949,6 +1952,27 @@ impl<Out: Send + 'static> Reactor<Out> {
             }
             slot.send_q_depth.store(0, Ordering::Relaxed);
         }
+    }
+}
+
+/// How long shutdown waits for a daemon to take its Goodbye.
+const GOODBYE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Flushes a connection's last queued bytes at shutdown, through a writer
+/// that blocks for at most its write timeout. A blocking socket reports
+/// that timeout as `WouldBlock`, which `write_to` turns into
+/// [`WriteOutcome::Blocked`]: a Goodbye left unsent that way has failed too.
+fn flush_goodbye(
+    sendq: &mut SendQueue,
+    w: &mut impl Write,
+    buffers: &mut BufferPool,
+) -> std::io::Result<()> {
+    match sendq.write_to(w, buffers)? {
+        WriteOutcome::Drained => Ok(()),
+        WriteOutcome::Blocked => Err(std::io::Error::new(
+            ErrorKind::TimedOut,
+            format!("{} bytes unsent", sendq.bytes()),
+        )),
     }
 }
 
@@ -2417,6 +2441,39 @@ impl<In, Out> Drop for RemoteWorkerPool<In, Out> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // -- shutdown -------------------------------------------------------
+
+    /// A peer that takes no bytes: every write would block, as a blocking
+    /// socket's does once its write timeout has run out.
+    struct Wedged;
+
+    impl Write for Wedged {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(ErrorKind::WouldBlock.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_goodbye_cut_off_by_the_write_timeout_is_reported() {
+        let mut buffers = BufferPool::new(4, 1 << 16);
+        let mut sendq = SendQueue::new();
+        let mut goodbye = Vec::new();
+        encode_frame(&mut goodbye, FrameType::Goodbye, 0, &[]);
+        let n = goodbye.len();
+        sendq.push(goodbye, 1);
+        let err = flush_goodbye(&mut sendq, &mut Wedged, &mut buffers)
+            .expect_err("a wedged peer took no byte of the Goodbye");
+        assert_eq!(err.to_string(), format!("{n} bytes unsent"));
+
+        let mut peer = Vec::new();
+        flush_goodbye(&mut sendq, &mut peer, &mut buffers).expect("a live peer takes it all");
+        assert_eq!(peer.len(), n);
+    }
 
     // -- resilience-policy configuration --------------------------------
 

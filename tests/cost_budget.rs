@@ -1,9 +1,10 @@
 //! Payload copies per task on the data plane. A warm loopback
-//! `RemoteWorkerPool` echo of 64 KiB payloads allocates exactly two
-//! payload-sized blocks per task, plain or secure: the daemon's decoded
-//! task frame and its echoed result. The client moves each payload from
-//! its input stream onto the wire and into the slot's in-flight map
-//! without a copy, and decodes each result where it was read.
+//! `RemoteWorkerPool` echo of 64 KiB payloads allocates exactly one
+//! payload-sized block per task, plain or secure: the daemon's decoded
+//! task frame. The daemon echoes into a result buffer its connection
+//! reuses. The client moves each payload from its input stream onto the
+//! wire and into the slot's in-flight map without a copy, and decodes
+//! each result where it was read.
 //!
 //! The count comes from a global allocator that tallies blocks of exactly
 //! the payload's size on every thread, the in-process daemons' included.
@@ -146,12 +147,12 @@ fn payload_blocks(secure: bool) -> u64 {
 }
 
 #[test]
-fn a_warm_echo_allocates_two_payload_blocks_per_task() {
+fn a_warm_echo_allocates_one_payload_block_per_task() {
     for secure in [false, true] {
         assert_eq!(
             payload_blocks(secure),
-            2 * TASKS,
-            "secure {secure}: the daemon's task frame and its echo, nothing else"
+            TASKS,
+            "secure {secure}: the daemon's task frame, nothing else"
         );
     }
 }
