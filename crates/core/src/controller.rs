@@ -3,12 +3,14 @@
 //! The paper expresses management policy as JBoss-style rule programs; the
 //! ninelives roadmap (and the RL-skeleton line of work in PAPERS.md) treat
 //! the controller as a swappable policy instead. `Controller` is that
-//! seam: the manager's MAPE loop senses, builds working memory, and hands
-//! both to whatever law is plugged in — the rule engine, an AIMD
-//! congestion-control law, or a budget-mirroring wrapper — then interprets
-//! the returned [`OpCall`]s exactly as it always has. Policies stay
-//! substrate-agnostic: a controller only ever sees sensed beans and emits
-//! symbolic operations.
+//! seam: the manager's MAPE loop senses and hands the snapshot, with the
+//! hierarchy beans it derives, to whatever law is plugged in — the rule
+//! engine, an AIMD congestion-control law, or a budget-mirroring wrapper
+//! — then interprets the returned [`OpCall`]s exactly as it always has.
+//! Working memory is the rule laws' own state: they refill it from the
+//! snapshot every cycle, and AIMD, which reads the snapshot's fields,
+//! keeps none. Policies stay substrate-agnostic: a controller only ever
+//! sees sensed beans and emits symbolic operations.
 //!
 //! Three non-rule laws ship beside `RuleController`:
 //!
@@ -29,8 +31,9 @@
 //!   plant (the reactor pool), never here — a controller that merely
 //!   *advises* cannot be bypassed by a stale snapshot.
 
+use bskel_monitor::snapshot::BEAN_NAMES;
 use bskel_monitor::SensorSnapshot;
-use bskel_rules::stdlib::{params, viol};
+use bskel_rules::stdlib::{hier_beans, params, viol};
 use bskel_rules::{op, OpCall, ParamTable, RuleEngine, RuleSet, WorkingMemory};
 
 /// Which control law a manager runs (wired through `ManagerConfig` and
@@ -93,6 +96,35 @@ impl std::fmt::Display for ControllerKind {
     }
 }
 
+/// What the manager adds to the sensed beans each cycle: its children's
+/// violation reports since the last cycle, and whether the stream has
+/// ended (the `hier_beans` flags).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Hierarchy {
+    pub not_enough: bool,
+    pub too_much: bool,
+    pub end_stream: bool,
+}
+
+impl Hierarchy {
+    /// The flags as beans, encoded 0.0 / 1.0.
+    fn beans(self) -> [(&'static str, f64); 3] {
+        let flag = |set: bool| if set { 1.0 } else { 0.0 };
+        [
+            (hier_beans::VIOL_NOT_ENOUGH, flag(self.not_enough)),
+            (hier_beans::VIOL_TOO_MUCH, flag(self.too_much)),
+            (hier_beans::END_STREAM, flag(self.end_stream)),
+        ]
+    }
+}
+
+/// Refills a rule law's working memory: the snapshot's table row in one
+/// copy, then its extras and the hierarchy beans by name.
+fn fill(wm: &mut WorkingMemory, snap: &SensorSnapshot, hier: Hierarchy) {
+    let extras = snap.extra.iter().map(|(name, v)| (name.as_str(), *v));
+    wm.refill_row(&BEAN_NAMES, &snap.values(), extras.chain(hier.beans()));
+}
+
 /// A control law: sensed state in, symbolic operations out.
 ///
 /// The manager owns the loop (sense, journal, blackout, hierarchy beans,
@@ -118,13 +150,13 @@ pub(crate) trait Controller: Send {
     fn decide(
         &mut self,
         snap: &SensorSnapshot,
-        wm: &WorkingMemory,
+        hier: Hierarchy,
         params: &ParamTable,
     ) -> Result<Vec<OpCall>, String>;
 
     /// Writes controller-internal state into the sensed snapshot, before
-    /// it is journaled and working memory is built, so replay and rule
-    /// programs both see it.
+    /// it is journaled and decided on, so replay and rule programs both
+    /// see it.
     fn publish(&self, _snap: &mut SensorSnapshot) {}
 }
 
@@ -142,6 +174,8 @@ pub(crate) fn build_controller(kind: ControllerKind, rules: RuleSet) -> Box<dyn 
 /// The existing rule engine behind the [`Controller`] seam.
 pub(crate) struct RuleController {
     engine: RuleEngine,
+    /// Refilled every cycle rather than rebuilt.
+    wm: WorkingMemory,
 }
 
 impl RuleController {
@@ -149,6 +183,7 @@ impl RuleController {
     pub fn new(rules: RuleSet) -> Self {
         Self {
             engine: RuleEngine::new(rules),
+            wm: WorkingMemory::new(),
         }
     }
 }
@@ -168,11 +203,14 @@ impl Controller for RuleController {
 
     fn decide(
         &mut self,
-        _snap: &SensorSnapshot,
-        wm: &WorkingMemory,
+        snap: &SensorSnapshot,
+        hier: Hierarchy,
         params: &ParamTable,
     ) -> Result<Vec<OpCall>, String> {
-        self.engine.cycle_ops(wm, params).map_err(|e| e.to_string())
+        fill(&mut self.wm, snap, hier);
+        self.engine
+            .cycle_ops(&self.wm, params)
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -231,7 +269,7 @@ impl Controller for AimdController {
     fn decide(
         &mut self,
         snap: &SensorSnapshot,
-        _wm: &WorkingMemory,
+        _hier: Hierarchy,
         params: &ParamTable,
     ) -> Result<Vec<OpCall>, String> {
         let floor = params.get(params::FARM_LOW_PERF_LEVEL).unwrap_or(0.0);
@@ -306,6 +344,8 @@ const MIRROR_MIN_TOKENS: f64 = 5.0;
 /// explicit, replayable record of *when* the storm brake held.
 pub(crate) struct BudgetedRuleController {
     engine: RuleEngine,
+    /// Refilled every cycle rather than rebuilt.
+    wm: WorkingMemory,
     law: &'static str,
     tokens: f64,
     last_at: Option<f64>,
@@ -319,6 +359,7 @@ impl BudgetedRuleController {
     pub fn new(rules: RuleSet, law: &'static str) -> Self {
         Self {
             engine: RuleEngine::new(rules),
+            wm: WorkingMemory::new(),
             law,
             tokens: MIRROR_MIN_TOKENS,
             last_at: None,
@@ -344,12 +385,13 @@ impl Controller for BudgetedRuleController {
     fn decide(
         &mut self,
         snap: &SensorSnapshot,
-        wm: &WorkingMemory,
+        hier: Hierarchy,
         params: &ParamTable,
     ) -> Result<Vec<OpCall>, String> {
+        fill(&mut self.wm, snap, hier);
         let mut ops = self
             .engine
-            .cycle_ops(wm, params)
+            .cycle_ops(&self.wm, params)
             .map_err(|e| e.to_string())?;
 
         if snap.retry_budget_tokens > 0.0 {
@@ -422,12 +464,11 @@ mod tests {
     fn aimd_additively_increases_under_pressure() {
         let mut c = AimdController::new();
         let params = farm_params();
-        let wm = WorkingMemory::new();
         let mut snap = snap_at(1.0);
         snap.num_workers = 2;
         snap.arrival_rate = 6.0;
         snap.departure_rate = 2.0; // below floor, demand present
-        let ops = c.decide(&snap, &wm, &params).unwrap();
+        let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
         assert!((c.ceiling() - 3.0).abs() < 1e-9);
         assert!(ops.iter().any(|o| o.operation == op::ADD_EXECUTOR));
     }
@@ -436,12 +477,11 @@ mod tests {
     fn aimd_multiplicatively_decreases_on_headroom() {
         let mut c = AimdController::new();
         let params = farm_params();
-        let wm = WorkingMemory::new();
         let mut snap = snap_at(1.0);
         snap.num_workers = 8;
         snap.arrival_rate = 6.0;
         snap.departure_rate = 9.0; // above ceiling
-        let ops = c.decide(&snap, &wm, &params).unwrap();
+        let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
         assert!((c.ceiling() - 6.0).abs() < 1e-9); // 8 × 0.75
         assert!(ops.iter().any(|o| o.operation == op::REMOVE_EXECUTOR));
     }
@@ -450,13 +490,12 @@ mod tests {
     fn aimd_ceiling_respects_contract_bounds() {
         let mut c = AimdController::new();
         let params = stdlib::farm_params(4.0, 8.0, 2, 3, 4.0);
-        let wm = WorkingMemory::new();
         for i in 0..10 {
             let mut snap = snap_at(f64::from(i));
             snap.num_workers = 3;
             snap.arrival_rate = 6.0;
             snap.departure_rate = 2.0;
-            c.decide(&snap, &wm, &params).unwrap();
+            c.decide(&snap, Hierarchy::default(), &params).unwrap();
         }
         assert!(c.ceiling() <= 3.0);
         for i in 10..30 {
@@ -464,7 +503,7 @@ mod tests {
             snap.num_workers = 2;
             snap.arrival_rate = 6.0;
             snap.departure_rate = 9.0;
-            c.decide(&snap, &wm, &params).unwrap();
+            c.decide(&snap, Hierarchy::default(), &params).unwrap();
         }
         assert!(c.ceiling() >= 2.0);
     }
@@ -473,13 +512,12 @@ mod tests {
     fn aimd_honours_ft_floor_bean() {
         let mut c = AimdController::new();
         let params = farm_params();
-        let wm = WorkingMemory::new();
         let mut snap = snap_at(1.0);
         snap.num_workers = 1;
         snap.ft_min_workers = 4;
         snap.arrival_rate = 6.0;
         snap.departure_rate = 6.0; // in contract: no AIMD move
-        let ops = c.decide(&snap, &wm, &params).unwrap();
+        let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
         assert!(ops.iter().any(|o| o.operation == op::ADD_EXECUTOR));
     }
 
@@ -487,22 +525,24 @@ mod tests {
     fn budget_mirror_pauses_and_resumes_once_per_window() {
         let mut c = BudgetedRuleController::new(RuleSet::new(), "retry_budget");
         let params = ParamTable::new();
-        let wm = WorkingMemory::new();
         // Drain the bucket: a retry storm with no successful work.
         let mut snap = snap_at(1.0);
         snap.tasks_retried = 50;
-        let ops = c.decide(&snap, &wm, &params).unwrap();
+        let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].operation, op::PAUSE_REDISPATCH);
         // Still exhausted: no duplicate PAUSE.
         let mut snap = snap_at(2.0);
         snap.tasks_retried = 55;
-        assert!(c.decide(&snap, &wm, &params).unwrap().is_empty());
+        assert!(c
+            .decide(&snap, Hierarchy::default(), &params)
+            .unwrap()
+            .is_empty());
         // Successful work refills past one token → RESUME, exactly once.
         let mut snap = snap_at(12.0);
         snap.tasks_retried = 55;
         snap.departure_rate = 2.0;
-        let ops = c.decide(&snap, &wm, &params).unwrap();
+        let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].operation, op::RESUME_REDISPATCH);
     }
@@ -511,10 +551,9 @@ mod tests {
     fn budget_mirror_defers_to_plant_published_tokens() {
         let mut c = BudgetedRuleController::new(RuleSet::new(), "hedge");
         let params = ParamTable::new();
-        let wm = WorkingMemory::new();
         let mut snap = snap_at(1.0);
         snap.retry_budget_tokens = 7.5;
-        c.decide(&snap, &wm, &params).unwrap();
+        c.decide(&snap, Hierarchy::default(), &params).unwrap();
         assert!((c.tokens() - 7.5).abs() < 1e-9);
         let mut unpublished = snap_at(2.0);
         c.publish(&mut unpublished);

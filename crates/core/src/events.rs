@@ -175,8 +175,9 @@ impl EventLog {
         self.inner.journal.get()
     }
 
-    /// Appends an event. A manager passes its shared name, so neither
-    /// the record nor its journal line copies it.
+    /// Appends an event. A manager passes its shared name, so the record
+    /// shares it; its journal line copies a short name in and shares a
+    /// long one.
     pub fn push(
         &self,
         at: Time,
@@ -190,7 +191,7 @@ impl EventLog {
                 Ok(label) => Text::Static(label),
                 Err(other) => Text::Shared(other.into()),
             };
-            journal.manager_event(at, Arc::clone(&manager), label, detail.as_deref());
+            journal.manager_event(at, &manager, label, detail.as_deref());
         }
         self.inner
             .events

@@ -31,13 +31,14 @@
 use crate::abc::{Abc, AbcError, ActuationOutcome, ManagerOp};
 use crate::contract::split::optimal_farm_workers;
 use crate::contract::Contract;
-use crate::controller::{build_controller, Controller, ControllerKind};
+use crate::controller::{build_controller, Controller, ControllerKind, Hierarchy};
 use crate::events::{EventKind, EventLog};
 use bskel_monitor::journal::Text;
 use bskel_monitor::{SensorSnapshot, Time};
-use bskel_rules::stdlib::{self, hier_beans, viol};
-use bskel_rules::{op, Analyzer, OpArgs, OpCall, ParamTable, RuleSet, WorkingMemory};
+use bskel_rules::stdlib::{self, viol};
+use bskel_rules::{op, Analyzer, OpArgs, OpCall, ParamTable, RuleSet};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Manager mode (paper Fig. 1, right).
@@ -78,10 +79,47 @@ pub struct ViolationReport {
     pub at: Time,
 }
 
+/// A value behind a mutex, plus a flag set while it holds something, so
+/// a reader that finds nothing pending — the usual control cycle — takes
+/// no lock. A writer racing such a reader is seen on the next read, as it
+/// would be had it taken the lock a moment later.
+#[derive(Debug, Default)]
+struct Pending<T> {
+    /// Written only under the lock. The value itself is read under the
+    /// lock too, so the flag publishes nothing: its `Release` store after
+    /// a write pairs with the `Acquire` load before a read only so that a
+    /// reader seeing it set finds the write it announces.
+    any: AtomicBool,
+    value: Mutex<T>,
+}
+
+impl<T: Default> Pending<T> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        self.value.lock().expect("hierarchy cell poisoned")
+    }
+
+    /// Changes the value and marks it pending.
+    fn update(&self, f: impl FnOnce(&mut T)) {
+        let mut value = self.lock();
+        f(&mut value);
+        self.any.store(true, Ordering::Release);
+    }
+
+    /// Takes the value, leaving the default.
+    fn take(&self) -> T {
+        if !self.any.load(Ordering::Acquire) {
+            return T::default();
+        }
+        let mut value = self.lock();
+        self.any.store(false, Ordering::Relaxed);
+        std::mem::take(&mut *value)
+    }
+}
+
 /// A shared mailbox children push violation reports into.
 #[derive(Debug, Clone, Default)]
 pub struct Mailbox {
-    inner: Arc<Mutex<Vec<ViolationReport>>>,
+    inner: Arc<Pending<Vec<ViolationReport>>>,
 }
 
 impl Mailbox {
@@ -92,17 +130,17 @@ impl Mailbox {
 
     /// Pushes a report.
     pub fn push(&self, report: ViolationReport) {
-        self.inner.lock().expect("mailbox poisoned").push(report);
+        self.inner.update(|reports| reports.push(report));
     }
 
     /// Takes all pending reports.
     pub fn drain(&self) -> Vec<ViolationReport> {
-        std::mem::take(&mut *self.inner.lock().expect("mailbox poisoned"))
+        self.inner.take()
     }
 
     /// Number of pending reports.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("mailbox poisoned").len()
+        self.inner.lock().len()
     }
 
     /// True when no reports are pending.
@@ -114,7 +152,7 @@ impl Mailbox {
 /// A shared cell a parent posts contracts into.
 #[derive(Debug, Clone, Default)]
 pub struct ContractSlot {
-    inner: Arc<Mutex<Option<Contract>>>,
+    inner: Arc<Pending<Option<Contract>>>,
 }
 
 impl ContractSlot {
@@ -125,12 +163,12 @@ impl ContractSlot {
 
     /// Posts a contract, replacing any unconsumed one.
     pub fn post(&self, c: Contract) {
-        *self.inner.lock().expect("contract slot poisoned") = Some(c);
+        self.inner.update(|slot| *slot = Some(c));
     }
 
     /// Takes the pending contract, if any.
     pub fn take(&self) -> Option<Contract> {
-        self.inner.lock().expect("contract slot poisoned").take()
+        self.inner.take()
     }
 }
 
@@ -336,7 +374,7 @@ pub struct AutonomicManager {
     /// `cfg.name`, shared by every event and journal record.
     name: Arc<str>,
     /// Each operation ordered so far with its journal form, rendered once.
-    op_forms: Vec<(ManagerOp, Arc<str>)>,
+    op_forms: Vec<(ManagerOp, Text)>,
     state: AmState,
     contract: Contract,
     controller: Box<dyn Controller>,
@@ -352,8 +390,6 @@ pub struct AutonomicManager {
     end_stream_reported: bool,
     needs_initial_setup: bool,
     last_snapshot: Option<SensorSnapshot>,
-    /// Refilled every cycle rather than rebuilt.
-    wm: WorkingMemory,
 }
 
 impl AutonomicManager {
@@ -406,7 +442,6 @@ impl AutonomicManager {
             end_stream_reported: false,
             needs_initial_setup: false,
             last_snapshot: None,
-            wm: WorkingMemory::new(),
         };
         m.params = m.cfg.params(&Contract::BestEffort);
         m.check_rules()?;
@@ -611,7 +646,7 @@ impl AutonomicManager {
             };
             journal.actuation(
                 now,
-                Arc::clone(&self.name),
+                &self.name,
                 op_form(&mut self.op_forms, op),
                 outcome,
                 self.controller.name(),
@@ -632,16 +667,15 @@ impl AutonomicManager {
 
         let mut snap = self.abc.sense(now);
         // Controller-internal state (AIMD ceiling, budget-mirror tokens)
-        // rides the snapshot so both the journal and the working memory
-        // see it.
+        // rides the snapshot so both the journal and the law's next
+        // decision see it.
         self.controller.publish(&mut snap);
         // Ops plane: every sensed snapshot is journaled (when a journal
         // is attached to the log), making the control loop's full input
         // durable and the run replayable offline.
         if let Some(journal) = self.log.journal() {
-            journal.snapshot(now, Arc::clone(&self.name), &snap);
+            journal.snapshot(now, &self.name, &snap);
         }
-        let reconfiguring = snap.reconfiguring;
         // Failure sensing: a rise in the cumulative `workersLost` bean is
         // logged even during a blackout — the FT rules may be the only
         // thing that ever reacts to it.
@@ -656,14 +690,20 @@ impl AutonomicManager {
                 Some(format!("{}", snap.workers_lost - prev_lost)),
             );
         }
-        self.last_snapshot = Some(snap.clone());
-
         // Sensor blackout during reconfiguration (paper: "No sensor data is
         // available for AM_F during the reconfiguration").
-        if reconfiguring {
-            return Vec::new();
-        }
+        let ops = if snap.reconfiguring {
+            Vec::new()
+        } else {
+            self.plan_and_execute(&snap, now)
+        };
+        self.last_snapshot = Some(snap);
+        ops
+    }
 
+    /// The analyse–plan–execute half of a cycle over the sensed `snap`,
+    /// outside a reconfiguration blackout.
+    fn plan_and_execute(&mut self, snap: &SensorSnapshot, now: Time) -> Vec<OpCall> {
         // Model-based initial parallelism-degree setup (paper §3, citing
         // [10]: the parallelism degree "can be initially set to some
         // 'optimal' value and then adapted"). One shot per contract; never
@@ -746,15 +786,12 @@ impl AutonomicManager {
             }
         }
 
-        // Working memory: sensors + hierarchy beans.
-        let flag = |set: bool| if set { 1.0 } else { 0.0 };
-        self.wm.refill(snap.beans().chain([
-            (hier_beans::VIOL_NOT_ENOUGH, flag(viol_not_enough)),
-            (hier_beans::VIOL_TOO_MUCH, flag(viol_too_much)),
-            (hier_beans::END_STREAM, flag(self.end_stream_seen)),
-        ]));
-
-        let ops = match self.controller.decide(&snap, &self.wm, &self.params) {
+        let hier = Hierarchy {
+            not_enough: viol_not_enough,
+            too_much: viol_too_much,
+            end_stream: self.end_stream_seen,
+        };
+        let ops = match self.controller.decide(snap, hier, &self.params) {
             Ok(ops) => ops,
             Err(e) => {
                 // A broken rule program is a policy bug: surface it loudly
@@ -898,12 +935,12 @@ fn recruitment(step: u32, floor: u32, planned: u32) -> u32 {
 
 /// `op`'s journal form, rendered on its first actuation: the payloads are
 /// a step or a floor deficit, so a manager orders few distinct operations.
-fn op_form(forms: &mut Vec<(ManagerOp, Arc<str>)>, op: &ManagerOp) -> Arc<str> {
+fn op_form(forms: &mut Vec<(ManagerOp, Text)>, op: &ManagerOp) -> Text {
     if let Some((_, form)) = forms.iter().find(|(known, _)| known == op) {
-        return Arc::clone(form);
+        return form.clone();
     }
-    let form: Arc<str> = op.to_string().into();
-    forms.push((op.clone(), Arc::clone(&form)));
+    let form = Text::from(op.to_string());
+    forms.push((op.clone(), form.clone()));
     form
 }
 
@@ -1456,6 +1493,7 @@ mod tests {
         assert_eq!(mb.len(), 1);
         assert_eq!(mb.drain().len(), 1);
         assert!(mb.is_empty());
+        assert!(mb.drain().is_empty());
 
         let slot = ContractSlot::new();
         assert!(slot.take().is_none());

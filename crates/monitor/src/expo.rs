@@ -11,8 +11,8 @@
 //! exactly once, correctly typed") and by the `bskel-top` dashboard
 //! when tailing a live endpoint.
 
+use crate::push_fmt;
 use crate::snapshot::{SensorSnapshot, BEAN_TABLE};
-use std::fmt::Write as _;
 
 /// One labelled time-series to scrape: a manager's latest snapshot plus
 /// its cumulative event counts.
@@ -70,7 +70,7 @@ const EXTRA_HELP: &str = "Sensor bean exported by a behavioural-skeleton manager
 fn end_line(out: &mut String, v: f64) {
     out.push(' ');
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        push_fmt(out, format_args!("{v}"));
     } else if v.is_nan() {
         out.push_str("NaN");
     } else if v > 0.0 {
@@ -238,8 +238,8 @@ impl Exposer {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for f in &self.families {
-            let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
-            let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
+            push_fmt(&mut out, format_args!("# HELP {} {}\n", f.name, f.help));
+            push_fmt(&mut out, format_args!("# TYPE {} {}\n", f.name, f.kind));
             out.push_str(&f.samples);
         }
         out

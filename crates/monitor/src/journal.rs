@@ -16,10 +16,12 @@
 //! labels or shared names the caller holds — and a snapshot is the bean
 //! table's value row plus its extras. Each record kind has one recorder,
 //! and each takes its names as `impl Into<Text>`: a `&'static str` is
-//! stored as is, an `Arc<str>` is shared, and a `String` is moved in.
-//! Free-form text (notes, details) and extra bean names are copied once
-//! per record. [`JournalEntry`] is the read side, built from the compact
-//! records by [`Journal::entries`] and [`parse_jsonl`].
+//! stored as is, and an `Arc<str>` is shared. Other text — a `String`, a
+//! borrowed `&Arc<str>` name, notes, details, extra bean names — is copied
+//! once per record: into the record itself when short (a manager's name,
+//! an `addWorker`'s `"3"`), into a shared string otherwise.
+//! [`JournalEntry`] is the read side, built from the compact records by
+//! [`Journal::entries`] and [`parse_jsonl`].
 //!
 //! The encoding is a deliberately tiny hand-rolled JSON subset (the
 //! monitor crate stays dependency-light), with one extension: non-finite
@@ -29,11 +31,11 @@
 //! shortest-representation `Display`.
 
 use crate::clock::Time;
+use crate::push_fmt;
 use crate::snapshot::{SensorSnapshot, BEAN_TABLE};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -43,14 +45,50 @@ pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 /// A snapshot's table beans as values, in bean-table order.
 type Row = [f64; BEAN_TABLE.len()];
 
-/// A string a journal record holds without a copy of its own.
+/// A string a journal record holds without an allocation of its own.
 #[derive(Debug, Clone)]
 pub enum Text {
     /// A label with static lifetime (`applied`, `addWorker`, `rules`).
     Static(&'static str),
     /// A shared string: a name the caller holds (a manager's, a cached
-    /// operation form), or text allocated once for its record.
+    /// operation form), or long text allocated once for its record.
     Shared(Arc<str>),
+    /// Short text copied into the record itself.
+    Inline(ShortText),
+}
+
+/// Bytes a [`ShortText`] holds: as many as keep a [`Text`] the size of
+/// its other variants (three words).
+const SHORT: usize = 22;
+
+/// Up to 22 bytes of UTF-8 held by value.
+#[derive(Clone, Copy)]
+pub struct ShortText {
+    len: u8,
+    bytes: [u8; SHORT],
+}
+
+impl ShortText {
+    /// `s` copied, when it fits.
+    fn new(s: &str) -> Option<Self> {
+        let mut bytes = [0; SHORT];
+        bytes.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
+        Some(Self {
+            len: s.len() as u8,
+            bytes,
+        })
+    }
+
+    fn as_str(&self) -> &str {
+        // Copied from a `&str` whole, so the bytes are UTF-8.
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).expect("copied from a str")
+    }
+}
+
+impl std::fmt::Debug for ShortText {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
+    }
 }
 
 impl From<&'static str> for Text {
@@ -65,9 +103,18 @@ impl From<Arc<str>> for Text {
     }
 }
 
+/// A name the caller keeps sharing: copied into the record when short,
+/// which costs less than counting one more reference to it (and one less
+/// when the record is dropped), else shared.
+impl From<&Arc<str>> for Text {
+    fn from(s: &Arc<str>) -> Self {
+        ShortText::new(s).map_or_else(|| Text::Shared(Arc::clone(s)), Text::Inline)
+    }
+}
+
 impl From<String> for Text {
     fn from(s: String) -> Self {
-        Text::Shared(s.into())
+        text(&s)
     }
 }
 
@@ -78,13 +125,14 @@ impl Deref for Text {
         match self {
             Text::Static(s) => s,
             Text::Shared(s) => s,
+            Text::Inline(s) => s.as_str(),
         }
     }
 }
 
-/// Free-form text, copied once for its record.
+/// Free-form text, copied once for its record: inline when it fits.
 fn text(s: &str) -> Text {
-    Text::Shared(s.into())
+    ShortText::new(s).map_or_else(|| Text::Shared(s.into()), Text::Inline)
 }
 
 /// One structured record in the journal.
@@ -584,7 +632,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JournalRecord>, String> {
 
 fn encode_record(out: &mut String, rec: &JournalRecord) {
     out.push('{');
-    let _ = write!(out, "\"seq\":{}", rec.seq);
+    push_fmt(out, format_args!("\"seq\":{}", rec.seq));
     match &rec.entry {
         JournalEntry::Manager {
             at,
@@ -670,7 +718,7 @@ fn encode_record(out: &mut String, rec: &JournalRecord) {
 /// values (JSON has no literal for them) encode as marker strings.
 fn encode_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        push_fmt(out, format_args!("{v}"));
     } else if v.is_nan() {
         out.push_str("\"nan\"");
     } else if v > 0.0 {
@@ -690,7 +738,7 @@ fn encode_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                push_fmt(out, format_args!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }
@@ -1011,6 +1059,19 @@ mod tests {
         let text = j.to_jsonl();
         let parsed = parse_jsonl(&text).expect("parse back");
         assert_eq!(parsed, j.entries());
+    }
+
+    #[test]
+    fn short_text_is_held_inline_and_reads_back_whole() {
+        let fits = "ä".repeat(SHORT / 2);
+        let long = format!("{fits}x");
+        assert!(matches!(text(""), Text::Inline(_)));
+        assert!(matches!(text(&fits), Text::Inline(_)));
+        assert!(matches!(text(&long), Text::Shared(_)));
+        for s in ["", "3", &fits, &long] {
+            assert_eq!(&*text(s), s);
+        }
+        assert!(std::mem::size_of::<Text>() <= 24);
     }
 
     #[test]

@@ -49,3 +49,11 @@ pub use journal::{Journal, JournalEntry, JournalRecord};
 pub use rate::{Ewma, RateEstimator};
 pub use snapshot::{beans, SensorSnapshot};
 pub use stats::{queue_variance, LocalStats, Welford, WelfordCell};
+
+/// Appends formatted text to `out`. Writing into a `String` cannot fail:
+/// its `fmt::Write` never returns an error, and what the monitor formats
+/// (numbers and strings) has an infallible `Display`. So an error here is
+/// a bug, not a condition to drop.
+pub(crate) fn push_fmt(out: &mut String, args: std::fmt::Arguments<'_>) {
+    std::fmt::Write::write_fmt(out, args).expect("formatting into a String cannot fail");
+}

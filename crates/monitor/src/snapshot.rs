@@ -113,6 +113,11 @@ macro_rules! bean_table {
             $(BeanDef { name: $name, kind: BeanKind::$kind, help: $help },)*
         ];
 
+        /// The standard beans' names, in [`BEAN_TABLE`] order: the names of
+        /// [`SensorSnapshot::values`]. A `static`, so that its address
+        /// identifies it (a working memory's `refill_row` header).
+        pub static BEAN_NAMES: [&str; BEAN_TABLE.len()] = [$($name,)*];
+
         /// A point-in-time reading of every sensor a skeleton ABC exposes.
         ///
         /// Extra substrate-specific beans (e.g. the simulator's per-node
@@ -299,6 +304,11 @@ mod tests {
         assert_eq!(s.bean(beans::RECONFIGURING), Some(0.0));
         s.reconfiguring = true;
         assert_eq!(s.bean(beans::RECONFIGURING), Some(1.0));
+    }
+
+    #[test]
+    fn bean_names_are_the_table_names() {
+        assert!(BEAN_NAMES.iter().eq(BEAN_TABLE.iter().map(|def| &def.name)));
     }
 
     #[test]

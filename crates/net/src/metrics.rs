@@ -469,6 +469,7 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "counts the process's threads, which tests running beside it change; CI runs it alone with --ignored"]
     fn scrapes_spawn_no_threads() {
         // Thread census via /proc: the serving thread exists, scraping
         // twenty times must not add any.

@@ -57,6 +57,9 @@ pub struct WorkingMemory {
     layout: Arc<Layout>,
     /// Bean values, by slot.
     values: Vec<f64>,
+    /// The header of [`WorkingMemory::refill_row`] whose names the
+    /// layout's first slots are known to hold, checked once per layout.
+    row: Option<&'static [&'static str]>,
 }
 
 impl WorkingMemory {
@@ -80,6 +83,7 @@ impl WorkingMemory {
                 by_name: Vec::with_capacity(n),
             }),
             values: Vec::with_capacity(n),
+            row: None,
         };
         wm.refill(pairs.map(|(name, value)| (name.into(), value)));
         wm
@@ -102,8 +106,47 @@ impl WorkingMemory {
     where
         S: AsRef<str> + Into<String>,
     {
+        self.refill_from(0, pairs);
+    }
+
+    /// [`WorkingMemory::refill`] with `header`'s names paired with `row`'s
+    /// values, then `rest`. Once the layout is known to start with
+    /// `header` — checked when the layout is built, not every call — the
+    /// row is written with one slice copy and only `rest` is compared by
+    /// name. `header` is identified by address, so it should be a
+    /// `static` (e.g. the sensor bean table's names).
+    ///
+    /// # Panics
+    ///
+    /// If `row` and `header` differ in length.
+    pub fn refill_row<'a>(
+        &mut self,
+        header: &'static [&'static str],
+        row: &[f64],
+        rest: impl IntoIterator<Item = (&'a str, f64)>,
+    ) {
+        assert_eq!(header.len(), row.len(), "one value per header name");
+        if self.row.is_some_and(|known| std::ptr::eq(known, header)) {
+            self.values[..row.len()].copy_from_slice(row);
+            self.refill_from(row.len(), rest);
+            return;
+        }
+        // The header's names at `rest`'s lifetime, so that the two chain.
+        let named: &[&'a str] = header;
+        self.refill(named.iter().copied().zip(row.iter().copied()).chain(rest));
+        let names = &self.layout.names;
+        let starts_with_header =
+            names.len() >= header.len() && names.iter().zip(header).all(|(n, h)| n == h);
+        self.row = starts_with_header.then_some(header);
+    }
+
+    /// [`WorkingMemory::refill`] of the slots from `kept` on, the ones
+    /// before it already written.
+    fn refill_from<S>(&mut self, mut kept: usize, pairs: impl IntoIterator<Item = (S, f64)>)
+    where
+        S: AsRef<str> + Into<String>,
+    {
         let mut pairs = pairs.into_iter();
-        let mut kept = 0;
         while let Some((name, value)) = pairs.next() {
             if self.layout.names.get(kept).map(String::as_str) != Some(name.as_ref()) {
                 self.truncate(kept);
@@ -120,6 +163,9 @@ impl WorkingMemory {
     /// Keeps the first `len` slots.
     fn truncate(&mut self, len: usize) {
         if len < self.values.len() {
+            if self.row.is_some_and(|header| len < header.len()) {
+                self.row = None;
+            }
             let layout = Arc::make_mut(&mut self.layout);
             layout.names.truncate(len);
             layout.by_name.retain(|&s| (s as usize) < len);
@@ -148,6 +194,7 @@ impl WorkingMemory {
     /// Removes a bean, returning its previous value.
     pub fn remove(&mut self, name: &str) -> Option<f64> {
         let slot = self.layout.find(name).ok()?;
+        self.row = None;
         let layout = Arc::make_mut(&mut self.layout);
         layout.names.remove(slot);
         layout
@@ -384,6 +431,82 @@ mod tests {
         wm.refill([("b", 5.0), ("c", 6.0)]);
         assert_eq!(layout.names, ["b", "a"]);
         assert_eq!(wm.to_string(), "{b=5, c=6}");
+    }
+
+    /// Headers of the `refill_row` property: `static`s, since a header's
+    /// address is its identity. The last repeats a name, so a layout never
+    /// starts with it and every refill over it takes the general path.
+    static HEADER: [&str; 4] = ["h0", "h1", "h2", "h3"];
+    static SWAPPED: [&str; 4] = ["h1", "h0", "h2", "h3"];
+    static REPEATED: [&str; 4] = ["h0", "h0", "h1", "h2"];
+
+    proptest::proptest! {
+        /// Over seeded sequences of bean sets — a header row, then extras
+        /// appearing, vanishing and reordering, repeated names (header
+        /// names among them) and the hierarchy flags — `refill_row` leaves
+        /// exactly what `from_beans` of the same pairs builds, slot for
+        /// slot.
+        #[test]
+        fn refill_row_leaves_what_from_beans_builds(
+            steps in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..24)
+        ) {
+            use crate::stdlib::hier_beans;
+            const POOL: [&str; 6] = ["x0", "x1", "x2", "x3", "h1", "h3"];
+            let mut wm = WorkingMemory::new();
+            for (i, &seed) in steps.iter().enumerate() {
+                let mut bits = seed;
+                let mut take = |n: usize| {
+                    let v = (bits % n as u64) as usize;
+                    bits /= n as u64;
+                    v
+                };
+                let header: &'static [&'static str] = match take(8) {
+                    0 => &SWAPPED,
+                    1 => &REPEATED,
+                    _ => &HEADER,
+                };
+                let row: Vec<f64> = header.iter().map(|_| take(8) as f64).collect();
+                let mut rest: Vec<(&str, f64)> = (0..take(5))
+                    .map(|_| (POOL[take(POOL.len())], take(8) as f64))
+                    .collect();
+                if take(2) == 1 {
+                    rest.extend([
+                        (hier_beans::VIOL_NOT_ENOUGH, take(2) as f64),
+                        (hier_beans::VIOL_TOO_MUCH, take(2) as f64),
+                        (hier_beans::END_STREAM, take(2) as f64),
+                    ]);
+                }
+                wm.refill_row(header, &row, rest.iter().copied());
+                let want = WorkingMemory::from_beans(
+                    header.iter().copied().zip(row.iter().copied()).chain(rest.iter().copied()),
+                );
+                proptest::prop_assert_eq!(&wm.layout.names, &want.layout.names, "step {}", i);
+                proptest::prop_assert_eq!(&wm.values, &want.values, "step {}", i);
+                proptest::prop_assert_eq!(wm.to_string(), want.to_string(), "step {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn refill_row_checks_the_header_once_per_layout() {
+        let mut wm = WorkingMemory::new();
+        wm.refill_row(&HEADER, &[1.0, 2.0, 3.0, 4.0], [("x", 5.0)]);
+        assert_eq!(wm.row.map(<[_]>::as_ptr), Some(HEADER.as_ptr()));
+        let layout = Arc::clone(wm.layout());
+        wm.refill_row(&HEADER, &[6.0, 7.0, 8.0, 9.0], [("x", 0.0)]);
+        assert!(
+            Arc::ptr_eq(&layout, wm.layout()),
+            "a steady row keeps its layout"
+        );
+        assert_eq!(wm.to_string(), "{h0=6, h1=7, h2=8, h3=9, x=0}");
+        // Removing a header bean forgets the check; the next refill redoes it.
+        wm.remove("h2");
+        assert_eq!(wm.row, None);
+        wm.refill_row(&HEADER, &[1.0, 1.0, 1.0, 1.0], []);
+        assert!(wm.row.is_some());
+        wm.refill_row(&REPEATED, &[1.0, 2.0, 3.0, 4.0], []);
+        assert_eq!(wm.row, None);
+        assert_eq!(wm.to_string(), "{h0=2, h1=3, h2=4}");
     }
 
     #[test]

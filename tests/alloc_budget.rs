@@ -1,9 +1,9 @@
 //! Allocation budget of a control cycle. After warm-up, an in-contract
 //! `AutonomicManager::control_cycle` allocates nothing, with or without a
-//! journal. A cycle that acts allocates only the operation vector it
-//! returns and its `addWorker` event's detail text, plus the journal's
-//! copy of that text when a journal is attached. A bean appearing costs
-//! allocations in its own cycle only. The count comes from a
+//! journal. A cycle that acts allocates exactly the operation vector it
+//! returns and its `addWorker` event's detail text, with or without a
+//! journal: the journal keeps its copy of that short text inside the
+//! record. A bean appearing costs allocations in its own cycle only. The count comes from a
 //! global allocator that tallies per thread, so tests running in parallel
 //! cannot pollute each other's count.
 
@@ -170,14 +170,14 @@ fn quiet_aimd_cycle_allocates_nothing() {
 
 #[test]
 fn acting_rules_cycle_allocates_only_its_ops_and_event_detail() {
-    assert!(worst_acting_cycle(ControllerKind::Rules, false) <= 2);
-    assert!(worst_acting_cycle(ControllerKind::Rules, true) <= 3);
+    assert_eq!(worst_acting_cycle(ControllerKind::Rules, false), 2);
+    assert_eq!(worst_acting_cycle(ControllerKind::Rules, true), 2);
 }
 
 #[test]
 fn acting_aimd_cycle_allocates_only_its_ops_and_event_detail() {
-    assert!(worst_acting_cycle(ControllerKind::Aimd, false) <= 2);
-    assert!(worst_acting_cycle(ControllerKind::Aimd, true) <= 3);
+    assert_eq!(worst_acting_cycle(ControllerKind::Aimd, false), 2);
+    assert_eq!(worst_acting_cycle(ControllerKind::Aimd, true), 2);
 }
 
 /// A layout change allocates on its own cycle only. An extra bean that
