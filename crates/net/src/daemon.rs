@@ -6,17 +6,26 @@
 //!    the slot should run and whether the channel is secured; the daemon
 //!    answers `HelloAck` and, in secure mode, both sides derive session
 //!    keys and cipher everything from the next byte on.
-//! 2. **Serve loop**: tasks queue in a pending deque; between tasks the
-//!    daemon opportunistically drains the socket without blocking so
-//!    heartbeats are answered promptly, and a **busy-pulse sidecar
+//! 2. **Serve loop**: tasks queue in a pending deque. An idle slot
+//!    sleeps on the socket; when it wakes, it decodes every frame the
+//!    read brought in, without a further syscall — that is one *wire
+//!    batch*, usually one pool write. Heartbeats in the batch are
+//!    answered there, before any task runs. Between tasks the daemon
+//!    drains the socket without blocking, so a heartbeat that arrives
+//!    mid-batch waits for one task at most, and a **busy-pulse sidecar
 //!    thread** emits unsolicited `Heartbeat` frames *while a task is
 //!    executing* — any frame refreshes the pool's liveness deadline, so
 //!    a legitimately long task no longer reads as a dead slot and the
 //!    pool's failure timeout can be chosen independently of worst-case
-//!    service time. Results are written back buffered and flushed in
-//!    batches, each batch trailed by a `Sensors` frame carrying
+//!    service time. Results are buffered and flushed in one write when
+//!    the last task of the wire batch has run or `FLUSH_EVERY` results
+//!    wait, each write trailed by a `Sensors` frame carrying
 //!    daemon-measured service time, queue depth, and the completed-task
-//!    count.
+//!    count. Tasks that the between-task drain brings in form the next
+//!    batch, so a result never waits for work that arrived after it. A
+//!    task that ran longer than a write costs (`LONG_TASK`) is flushed
+//!    before the next one starts, so a finished result never waits
+//!    behind a slow task.
 //! 3. **Failure semantics**: a panicking workload poisons only its own
 //!    task — the panic is caught and a `Lost` frame tells the pool that
 //!    `seq` will never produce a result. `Goodbye` drains the pending
@@ -43,6 +52,10 @@ use crate::wire::{FillStatus, FrameReader, FrameWriter};
 
 /// Results buffered before a flush forces them onto the wire.
 const FLUSH_EVERY: usize = 32;
+/// A task that ran at least this long has its result flushed before the
+/// next task starts: a result held back behind a slow task would wait far
+/// longer than the write it saves costs.
+const LONG_TASK: Duration = Duration::from_micros(50);
 /// Period of the busy pulse: how often the sidecar thread proves
 /// liveness while a task is executing. Must sit well under any sane
 /// pool failure timeout.
@@ -145,6 +158,10 @@ struct Conn {
     done: u64,
     finishing: bool,
     unflushed: usize,
+    /// Tasks of the current wire batch not yet run: the front of
+    /// `pending`. Its results go out together when it reaches 0; tasks
+    /// that the between-task drain brings in form the next batch.
+    batch_left: usize,
 }
 
 impl Conn {
@@ -187,21 +204,26 @@ impl Conn {
         w.flush()
     }
 
+    /// Handles every frame already in the decode buffer, without a
+    /// syscall.
+    fn decode_buffered(&mut self) -> std::io::Result<()> {
+        loop {
+            match self.reader.try_next() {
+                Ok(Some(f)) => self.handle_frame(f)?,
+                Ok(None) => return Ok(()),
+                Err(e) => return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
+            }
+        }
+    }
+
     /// Drains every frame currently available without blocking.
     /// Returns `true` on EOF.
     fn drain_nonblocking(&mut self) -> std::io::Result<bool> {
         self.reader.stream().set_nonblocking(true)?;
         let eof = loop {
-            match self.reader.try_next() {
-                Ok(Some(f)) => {
-                    self.handle_frame(f)?;
-                    continue;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    self.reader.stream().set_nonblocking(false)?;
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-                }
+            if let Err(e) = self.decode_buffered() {
+                self.reader.stream().set_nonblocking(false)?;
+                return Err(e);
             }
             match self.reader.fill_once()? {
                 FillStatus::Bytes => {}
@@ -217,12 +239,15 @@ impl Conn {
         loop {
             let eof = if self.pending.is_empty() && !self.finishing {
                 // Idle: push out whatever is buffered, then sleep on the
-                // socket until the client speaks.
+                // socket until the client speaks, and take in the rest of
+                // the batch its write carried.
                 self.flush_results()?;
                 match self.reader.next_blocking()? {
                     None => true,
                     Some(f) => {
                         self.handle_frame(f)?;
+                        self.decode_buffered()?;
+                        self.batch_left = self.pending.len();
                         false
                     }
                 }
@@ -241,10 +266,10 @@ impl Conn {
                     self.workload.apply_into(&bytes, &mut self.result)
                 }));
                 self.busy.store(false, Ordering::SeqCst);
-                let dt = t0.elapsed().as_secs_f64();
+                let ran_for = t0.elapsed();
                 match ran {
                     Ok(()) => {
-                        self.service.update(dt);
+                        self.service.update(ran_for.as_secs_f64());
                         self.done += 1;
                         self.writer
                             .lock()
@@ -253,7 +278,11 @@ impl Conn {
                     Err(_) => self.writer.lock().push(FrameType::Lost, seq, &[]),
                 }
                 self.unflushed += 1;
-                if self.unflushed >= FLUSH_EVERY || self.pending.is_empty() {
+                self.batch_left = self.batch_left.saturating_sub(1);
+                if self.batch_left == 0 {
+                    self.batch_left = self.pending.len();
+                    self.flush_results()?;
+                } else if self.unflushed >= FLUSH_EVERY || ran_for >= LONG_TASK {
                     self.flush_results()?;
                 }
             }
@@ -272,7 +301,7 @@ impl Conn {
 
 /// Serves one accepted connection: handshake, then the slot loop.
 fn handle_conn(stream: TcpStream) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
+    stream.set_nodelay(true)?;
     let mut reader = FrameReader::new(stream.try_clone()?);
     let mut writer = FrameWriter::new(stream.try_clone()?);
 
@@ -372,11 +401,14 @@ fn handle_conn(stream: TcpStream) -> std::io::Result<()> {
         done: 0,
         finishing: false,
         unflushed: 0,
+        batch_left: 0,
     };
     let served = conn.serve();
     stop.store(true, Ordering::SeqCst);
-    let _ = pulse.join();
-    served
+    let pulsed = pulse
+        .join()
+        .map_err(|_| std::io::Error::other("the busy-pulse thread panicked"));
+    served.and(pulsed)
 }
 
 /// Accept loop: one thread per connection, forever.
@@ -436,9 +468,14 @@ mod tests {
         assert!(catch_unwind(|| Workload::PanicOn(7).apply(&7u64.to_le_bytes())).is_err());
     }
 
-    /// Writes a `Hello` and a task in one write, then reads the ack. The
-    /// reader is returned for whatever the daemon sends after it.
-    fn pipelined_hello(secure: bool) -> (HelloAck, FrameReader) {
+    /// Writes a `Hello` for `workload` and then `frames`, all in one
+    /// write, and reads the ack. The reader is returned for whatever the
+    /// daemon sends after it.
+    fn pipelined_hello(
+        secure: bool,
+        workload: &str,
+        frames: &[(FrameType, u64, &[u8])],
+    ) -> (HelloAck, FrameReader) {
         use crate::proto::{decode_hello_ack, encode_frame, encode_hello, Hello};
         use std::io::Write;
 
@@ -447,11 +484,13 @@ mod tests {
         let hello = Hello {
             secure,
             nonce: 7,
-            workload: "echo".into(),
+            workload: workload.into(),
         };
         let mut bytes = Vec::new();
         encode_frame(&mut bytes, FrameType::Hello, 0, &encode_hello(&hello));
-        encode_frame(&mut bytes, FrameType::Task, 1, b"pipelined");
+        for &(ftype, seq, payload) in frames {
+            encode_frame(&mut bytes, ftype, seq, payload);
+        }
         (&stream).write_all(&bytes).expect("one write");
         let mut reader = FrameReader::new(stream);
         let ack = reader
@@ -463,16 +502,18 @@ mod tests {
         (ack, reader)
     }
 
+    const ONE_TASK: &[(FrameType, u64, &[u8])] = &[(FrameType::Task, 1, b"pipelined")];
+
     #[test]
     fn a_task_pipelined_behind_a_secure_hello_is_refused() {
-        let (ack, _) = pipelined_hello(true);
+        let (ack, _) = pipelined_hello(true, "echo", ONE_TASK);
         assert!(!ack.ok, "{ack:?}");
         assert!(ack.error.contains("cleartext residue"), "{ack:?}");
     }
 
     #[test]
     fn a_task_pipelined_behind_a_plain_hello_is_served() {
-        let (ack, mut reader) = pipelined_hello(false);
+        let (ack, mut reader) = pipelined_hello(false, "echo", ONE_TASK);
         assert!(ack.ok, "{ack:?}");
         let result = reader
             .next_blocking()
@@ -482,5 +523,45 @@ mod tests {
             (result.ftype, result.seq, &result.payload[..]),
             (FrameType::Result, 1, &b"pipelined"[..])
         );
+    }
+
+    /// Sends `tasks` tasks and a `Goodbye` behind a `Hello` in one write,
+    /// and returns the seqs of the results in arrival order and the number
+    /// of `Sensors` frames, read up to the daemon's `Goodbye`. Busy-pulse
+    /// heartbeats may interleave, so they are not counted.
+    fn one_batch(workload: &str, tasks: u64) -> (Vec<u64>, usize) {
+        let mut frames: Vec<(FrameType, u64, &[u8])> = (1..=tasks)
+            .map(|seq| (FrameType::Task, seq, &b"batch"[..]))
+            .collect();
+        frames.push((FrameType::Goodbye, 0, &[]));
+        let (ack, mut reader) = pipelined_hello(false, workload, &frames);
+        assert!(ack.ok, "{ack:?}");
+        let (mut results, mut sensors) = (Vec::new(), 0);
+        loop {
+            let f = reader
+                .next_blocking()
+                .expect("the daemon answers")
+                .expect("a Goodbye before close");
+            match f.ftype {
+                FrameType::Result => results.push(f.seq),
+                FrameType::Sensors => sensors += 1,
+                FrameType::Goodbye => return (results, sensors),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_of_short_tasks_goes_back_in_one_write() {
+        let (results, sensors) = one_batch("echo", 8);
+        assert_eq!(results, (1..=8).collect::<Vec<_>>());
+        assert_eq!(sensors, 1, "one Sensors frame trails the whole batch");
+    }
+
+    #[test]
+    fn a_long_task_is_flushed_before_the_next_starts() {
+        let (results, sensors) = one_batch("sleep:1000", 2);
+        assert_eq!(results, [1, 2]);
+        assert_eq!(sensors, 2, "each result of a long task is flushed alone");
     }
 }

@@ -531,8 +531,6 @@ struct SlotShared {
     send_q_depth: AtomicUsize,
     /// Latest daemon-reported cumulative service statistic.
     service: Mutex<Welford>,
-    /// Latest daemon-reported queue depth (tasks at the daemon).
-    remote_depth: AtomicUsize,
     /// Heartbeat round-trip time, milliseconds (f64 bits; 0 = none yet).
     rtt_ms_bits: AtomicU64,
     /// When the last frame (any type) arrived from this slot.
@@ -555,12 +553,13 @@ impl FarmSlot for SlotShared {
         &self.queue
     }
 
-    /// Tasks this slot is responsible for: staged locally, on the wire,
-    /// or queued at the daemon.
+    /// Tasks this slot is responsible for: staged locally, or in flight
+    /// (on the wire or queued at the daemon). The daemon's own
+    /// `queue_depth` report is not added: every task it holds is already
+    /// in flight, and the report moves with how a wire batch happened to
+    /// be cut.
     fn load(&self) -> usize {
-        self.queue.len()
-            + self.inflight_count.load(Ordering::Relaxed)
-            + self.remote_depth.load(Ordering::Relaxed)
+        self.queue.len() + self.inflight_count.load(Ordering::Relaxed)
     }
 }
 
@@ -762,7 +761,6 @@ impl<Out: Send + 'static> PoolShared<Out> {
             stream: Mutex::new(Some(stream)),
             send_q_depth: AtomicUsize::new(0),
             service: Mutex::new(Welford::new()),
-            remote_depth: AtomicUsize::new(0),
             rtt_ms_bits: AtomicU64::new(0),
             last_seen: Mutex::new(Instant::now()),
             pings: Mutex::new(HashMap::new()),
@@ -849,15 +847,11 @@ impl<Out: Send + 'static> PoolShared<Out> {
             FrameType::Sensors => {
                 if let Some(blob) = decode_sensors(payload) {
                     *slot.service.lock() = blob.service;
-                    slot.remote_depth
-                        .store(blob.queue_depth as usize, Ordering::Relaxed);
                 }
             }
             FrameType::HeartbeatAck => {
                 if let Some(blob) = decode_sensors(payload) {
                     *slot.service.lock() = blob.service;
-                    slot.remote_depth
-                        .store(blob.queue_depth as usize, Ordering::Relaxed);
                 }
                 if let Some(sent) = slot.pings.lock().remove(&seq) {
                     let rtt_ms = sent.elapsed().as_secs_f64() * 1e3;

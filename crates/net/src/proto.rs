@@ -165,11 +165,59 @@ pub fn encode_frame(out: &mut Vec<u8>, ftype: FrameType, seq: u64, payload: &[u8
     out.extend_from_slice(payload);
 }
 
+/// Smallest read [`Decoder::read_from`] asks for: enough for a batch of
+/// small frames in one syscall.
+const READ_MIN: usize = 4 * 1024;
+/// Largest read [`Decoder::read_from`] asks for, however much the frame
+/// at the head still lacks.
+const READ_MAX: usize = 64 * 1024;
+
+/// What the bytes at the head of the decode buffer hold.
+enum Head {
+    /// Fewer than [`HEADER_LEN`] bytes: nothing can be told yet.
+    Short,
+    /// Not a frame header: skip this many bytes and look again.
+    Garbage(usize),
+    /// A header that validates; `len` may still exceed [`MAX_PAYLOAD`].
+    Frame {
+        ftype: FrameType,
+        seq: u64,
+        len: u32,
+    },
+}
+
+impl Head {
+    fn parse(b: &[u8]) -> Self {
+        let magic = MAGIC.to_le_bytes();
+        if b.len() < HEADER_LEN {
+            return Head::Short;
+        }
+        if b[0] != magic[0] || b[1] != magic[1] {
+            return Head::Garbage(1);
+        }
+        match FrameType::from_u8(b[3]) {
+            Some(ftype) if b[2] == VERSION => Head::Frame {
+                ftype,
+                seq: u64::from_le_bytes(b[4..12].try_into().expect("8 bytes")),
+                len: u32::from_le_bytes(b[12..16].try_into().expect("4 bytes")),
+            },
+            // A magic that fronts an unparseable header is line noise
+            // that happened to contain the marker: step past it.
+            _ => Head::Garbage(2),
+        }
+    }
+}
+
 /// Incremental, garbage-tolerant frame decoder (see module docs).
+///
+/// `buf[start..end]` holds the bytes not yet decoded. The rest of `buf`
+/// is initialised spare room that later reads overwrite, so a warm
+/// decoder neither allocates nor zero-fills per read.
 #[derive(Debug, Default)]
 pub struct Decoder {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
     garbage: u64,
 }
 
@@ -179,15 +227,48 @@ impl Decoder {
         Self::default()
     }
 
-    /// Feeds received bytes into the decode buffer.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact lazily so the buffer does not grow without bound while
-        // the consumed prefix does.
-        if self.start > 4096 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
+    /// Makes `want` writable bytes past `end` and returns them. The
+    /// consumed prefix is reclaimed first, which moves only the bytes
+    /// not yet decoded; the buffer grows only when that is not enough.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        if self.buf.len() - self.end < want && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        let need = self.end + want;
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        }
+        &mut self.buf[self.end..need]
+    }
+
+    /// Feeds received bytes into the decode buffer.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.room(bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` from `src` straight into the decode buffer. Returns the
+    /// bytes just read, for the caller to decipher in place; an empty
+    /// slice means end of stream.
+    ///
+    /// The read asks for what the frame at the head still lacks, clamped
+    /// to 4–64 KiB. An announced length counts only once its header
+    /// validates, so garbage never sizes a read, and a header announcing
+    /// up to [`MAX_PAYLOAD`] bytes adds at most 64 KiB per read.
+    pub(crate) fn read_from(&mut self, mut src: impl std::io::Read) -> std::io::Result<&mut [u8]> {
+        let head = &self.buf[self.start..self.end];
+        let lacks = match Head::parse(head) {
+            Head::Frame { len, .. } if len <= MAX_PAYLOAD => {
+                (HEADER_LEN + len as usize).saturating_sub(head.len())
+            }
+            _ => 0,
+        };
+        let n = src.read(self.room(lacks.clamp(READ_MIN, READ_MAX)))?;
+        let read = self.end..self.end + n;
+        self.end += n;
+        Ok(&mut self.buf[read])
     }
 
     /// Bytes skipped so far while resynchronising past garbage.
@@ -197,7 +278,7 @@ impl Decoder {
 
     /// Bytes currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Pops the next complete frame, if any, copying the payload out.
@@ -219,28 +300,17 @@ impl Decoder {
     /// is consumed from the buffer immediately, so dropping it without
     /// reading the payload still advances the stream.
     pub fn next_frame_view(&mut self) -> Result<Option<FrameView<'_>>, ProtoError> {
-        let magic = MAGIC.to_le_bytes();
         loop {
-            let b = &self.buf[self.start..];
-            if b.len() < HEADER_LEN {
-                return Ok(None);
-            }
-            if b[0] != magic[0] || b[1] != magic[1] {
-                self.start += 1;
-                self.garbage += 1;
-                continue;
-            }
-            let version = b[2];
-            let ftype = FrameType::from_u8(b[3]);
-            if version != VERSION || ftype.is_none() {
-                // A magic that fronts an unparseable header is line noise
-                // that happened to contain the marker: step past it.
-                self.start += 2;
-                self.garbage += 2;
-                continue;
-            }
-            let seq = u64::from_le_bytes(b[4..12].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(b[12..16].try_into().expect("4 bytes"));
+            let b = &self.buf[self.start..self.end];
+            let (ftype, seq, len) = match Head::parse(b) {
+                Head::Short => return Ok(None),
+                Head::Garbage(skip) => {
+                    self.start += skip;
+                    self.garbage += skip as u64;
+                    continue;
+                }
+                Head::Frame { ftype, seq, len } => (ftype, seq, len),
+            };
             if len > MAX_PAYLOAD {
                 return Err(ProtoError::Oversized { len });
             }
@@ -254,7 +324,7 @@ impl Decoder {
             let payload_end = self.start + total;
             self.start += total;
             return Ok(Some(FrameView {
-                ftype: ftype.expect("checked above"),
+                ftype,
                 seq,
                 payload: &self.buf[payload_start..payload_end],
             }));
@@ -569,6 +639,133 @@ mod tests {
             assert_eq!(a.ftype, b.ftype);
             assert_eq!(a.seq, b.seq);
             assert_eq!(a.payload.as_slice(), b.payload);
+        }
+    }
+
+    impl Decoder {
+        /// The decode buffer's allocation, for memory pins.
+        pub(crate) fn capacity(&self) -> usize {
+            self.buf.capacity()
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A source that hands out `data` in reads cut at seeded random
+    /// points: a few bytes, up to 512, or all that is asked for.
+    struct CutReads<'a> {
+        data: &'a [u8],
+        rng: u64,
+    }
+
+    impl std::io::Read for CutReads<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let r = splitmix(&mut self.rng);
+            let most = match r % 3 {
+                0 => 1 + (r >> 8) as usize % 16,
+                1 => 1 + (r >> 8) as usize % 512,
+                _ => usize::MAX,
+            };
+            let n = out.len().min(most).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// A seeded stream of frames (payloads up to 70 KiB, past one read)
+    /// with runs of garbage between them, some fronted by a magic.
+    fn seeded_stream(rng: &mut u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        for seq in 0..40 {
+            let r = splitmix(rng);
+            if r.is_multiple_of(4) {
+                if r.is_multiple_of(8) {
+                    out.extend_from_slice(&[0xE7, 0xB5, 99]);
+                }
+                // No 0xE7 in the noise, so no magic appears by chance.
+                out.extend((0..r % 40).map(|_| (splitmix(rng) as u8).max(0xE8)));
+            }
+            let len = match (r >> 8) % 8 {
+                0 => (r >> 16) as usize % 70_000,
+                1..=3 => (r >> 16) as usize % 2_000,
+                _ => (r >> 16) as usize % 100,
+            };
+            let payload: Vec<u8> = (0..len).map(|i| (i as u64 ^ seq) as u8).collect();
+            encode_frame(&mut out, FrameType::Task, seq, &payload);
+        }
+        out
+    }
+
+    #[test]
+    fn read_from_at_random_cuts_decodes_what_extend_decodes() {
+        let mut rng = 0x46_u64;
+        for _ in 0..64 {
+            let stream = seeded_stream(&mut rng);
+            let mut whole = Decoder::new();
+            whole.extend(&stream);
+            let want: Vec<Frame> = std::iter::from_fn(|| whole.next_frame().unwrap()).collect();
+
+            let mut cut = Decoder::new();
+            let mut src = CutReads {
+                data: &stream,
+                rng: splitmix(&mut rng),
+            };
+            let mut got = Vec::new();
+            while !cut.read_from(&mut src).unwrap().is_empty() {
+                got.extend(std::iter::from_fn(|| cut.next_frame().unwrap()));
+            }
+            assert_eq!(got, want);
+            assert_eq!(cut.garbage_bytes(), whole.garbage_bytes());
+            assert!(whole.garbage_bytes() > 0, "the stream carries garbage");
+        }
+    }
+
+    /// Fills every read to the size asked for.
+    struct Endless;
+
+    impl std::io::Read for Endless {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            out.fill(0x42);
+            Ok(out.len())
+        }
+    }
+
+    #[test]
+    fn only_a_validated_header_sizes_a_read_and_never_past_64_kib() {
+        let mut huge = frame_bytes(FrameType::Task, 1, b"");
+        huge[12..16].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        let mut d = Decoder::new();
+        d.extend(&huge);
+        for _ in 0..8 {
+            let before = d.buffered();
+            assert_eq!(d.read_from(Endless).unwrap().len(), READ_MAX);
+            assert_eq!(d.buffered() - before, READ_MAX);
+            assert!(d.capacity() <= 2 * d.buffered(), "grown by what arrived");
+        }
+        assert_eq!(d.next_frame(), Ok(None));
+
+        let mut bad_magic = huge.clone();
+        bad_magic[0] = 0;
+        let mut bad_version = huge.clone();
+        bad_version[2] = 99;
+        let mut oversized = huge.clone();
+        oversized[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        for head in [
+            bad_magic,
+            bad_version,
+            oversized,
+            huge[..HEADER_LEN - 1].to_vec(),
+        ] {
+            let mut d = Decoder::new();
+            d.extend(&head);
+            assert_eq!(d.read_from(Endless).unwrap().len(), READ_MIN, "{head:?}");
         }
     }
 

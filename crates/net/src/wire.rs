@@ -7,8 +7,14 @@
 //! out as a single syscall. Because the stream cipher is order-dependent,
 //! all writes on a connection must serialize through its one
 //! `FrameWriter`; callers wrap it in a mutex.
+//!
+//! The reader holds no read chunk of its own: each read lands straight in
+//! its decoder's buffer, sized by the frame being received (see
+//! `Decoder::read_from`), and a secure reader deciphers those bytes in
+//! place. A connection carrying small frames so holds a few KiB of read
+//! buffer, and one carrying large frames grows it to the frame size.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,14 +94,14 @@ pub enum FillStatus {
     Eof,
 }
 
-/// Decoding reader for one direction of a connection.
+/// Decoding reader for one direction of a connection: reads go straight
+/// into the decode buffer, 4–64 KiB at a time, and are deciphered there.
 #[derive(Debug)]
 pub struct FrameReader {
     stream: TcpStream,
     cipher: Option<StreamCipher>,
     meter: Option<Arc<CostMeter>>,
     decoder: Decoder,
-    chunk: Vec<u8>,
 }
 
 impl FrameReader {
@@ -106,7 +112,6 @@ impl FrameReader {
             cipher: None,
             meter: None,
             decoder: Decoder::new(),
-            chunk: vec![0u8; 64 * 1024],
         }
     }
 
@@ -134,19 +139,20 @@ impl FrameReader {
         self.decoder.next_frame()
     }
 
-    /// One read attempt from the socket into the decoder.
+    /// One read attempt from the socket straight into the decoder, which
+    /// sizes it (see `Decoder::read_from`); a secure reader deciphers
+    /// exactly the bytes just read, in place.
     pub fn fill_once(&mut self) -> std::io::Result<FillStatus> {
-        match self.stream.read(&mut self.chunk) {
-            Ok(0) => Ok(FillStatus::Eof),
-            Ok(n) => {
+        match self.decoder.read_from(&self.stream) {
+            Ok([]) => Ok(FillStatus::Eof),
+            Ok(read) => {
                 if let Some(cipher) = &mut self.cipher {
                     let t0 = Instant::now();
-                    cipher.apply(&mut self.chunk[..n]);
+                    cipher.apply(read);
                     if let Some(m) = &self.meter {
-                        m.record_cipher(n as u64, t0.elapsed().as_nanos() as u64);
+                        m.record_cipher(read.len() as u64, t0.elapsed().as_nanos() as u64);
                     }
                 }
-                self.decoder.extend(&self.chunk[..n]);
                 Ok(FillStatus::Bytes)
             }
             Err(e)
@@ -187,5 +193,87 @@ impl FrameReader {
     /// The underlying socket (for `set_nonblocking` toggles).
     pub fn stream(&self) -> &TcpStream {
         &self.stream
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A loopback pair: the sending end and a reader on the receiving end.
+    fn loopback() -> (TcpStream, FrameReader) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let tx = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (rx, _) = listener.accept().expect("accept");
+        (tx, FrameReader::new(rx))
+    }
+
+    /// Writes `bytes` from another thread in pieces of `piece` bytes, so
+    /// the reader sees reads cut across frames, then closes.
+    fn send_in_pieces(
+        mut tx: TcpStream,
+        bytes: Vec<u8>,
+        piece: usize,
+    ) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            for p in bytes.chunks(piece) {
+                tx.write_all(p).expect("the reader is open");
+            }
+        })
+    }
+
+    #[test]
+    fn a_secure_reader_deciphers_the_serial_keystream_across_reads() {
+        let key = 0x5EC_u64;
+        let sent: Vec<(u64, Vec<u8>)> = (0..200u64)
+            .map(|seq| (seq, vec![seq as u8; (seq as usize * 331) % 3_000]))
+            .collect();
+        let mut bytes = Vec::new();
+        for (seq, payload) in &sent {
+            encode_frame(&mut bytes, FrameType::Task, *seq, payload);
+        }
+        // The oracle: one keystream byte per step, in wire order.
+        let mut serial = StreamCipher::new(key);
+        for b in bytes.iter_mut() {
+            serial.apply(std::slice::from_mut(b));
+        }
+        let total = bytes.len() as u64;
+
+        let (tx, mut reader) = loopback();
+        let meter = Arc::new(CostMeter::new());
+        reader.secure(StreamCipher::new(key), Arc::clone(&meter));
+        let sender = send_in_pieces(tx, bytes, 1_500);
+        let mut got = Vec::new();
+        while let Some(f) = reader.next_blocking().expect("a clean stream") {
+            got.push((f.seq, f.payload));
+        }
+        sender.join().expect("the sender finishes");
+        assert_eq!(got, sent);
+        assert_eq!(reader.garbage_bytes(), 0);
+        assert_eq!(
+            meter.report().bytes,
+            total,
+            "each byte read is deciphered once"
+        );
+    }
+
+    #[test]
+    fn a_stream_of_small_frames_keeps_the_read_buffer_within_8_kib() {
+        let mut bytes = Vec::new();
+        for seq in 0..20_000u64 {
+            encode_frame(&mut bytes, FrameType::Task, seq, &[seq as u8; 64]);
+        }
+        let (tx, mut reader) = loopback();
+        let sender = send_in_pieces(tx, bytes, 7_000);
+        let mut next = 0;
+        while let Some(f) = reader.next_blocking().expect("a clean stream") {
+            assert_eq!((f.seq, f.payload.len()), (next, 64));
+            next += 1;
+        }
+        sender.join().expect("the sender finishes");
+        assert_eq!(next, 20_000);
+        let capacity = reader.decoder.capacity();
+        assert!(capacity <= 8 * 1024, "read buffer grew to {capacity} bytes");
     }
 }
