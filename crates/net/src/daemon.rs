@@ -11,17 +11,21 @@
 //!    read brought in, without a further syscall — that is one *wire
 //!    batch*, usually one pool write. Heartbeats in the batch are
 //!    answered there, before any task runs. Between tasks the daemon
-//!    drains the socket without blocking, so a heartbeat that arrives
-//!    mid-batch waits for one task at most, and a **busy-pulse sidecar
-//!    thread** emits unsolicited `Heartbeat` frames *while a task is
-//!    executing* — any frame refreshes the pool's liveness deadline, so
-//!    a legitimately long task no longer reads as a dead slot and the
-//!    pool's failure timeout can be chosen independently of worst-case
-//!    service time. Results are buffered and flushed in one write when
-//!    the last task of the wire batch has run or `FLUSH_EVERY` results
-//!    wait, each write trailed by a `Sensors` frame carrying
-//!    daemon-measured service time, queue depth, and the completed-task
-//!    count. Tasks that the between-task drain brings in form the next
+//!    drains the socket with `recv` calls that cannot block (the socket
+//!    itself stays blocking, so the writer never sees `WouldBlock`), but
+//!    only once `LONG_TASK` has passed since it last read: a batch of
+//!    short tasks runs straight out of the decode buffer, sleep-bound
+//!    tasks still drain before every task, and a heartbeat that arrives
+//!    mid-batch waits for `LONG_TASK` plus one task at most. A
+//!    **busy-pulse sidecar thread** emits unsolicited `Heartbeat` frames
+//!    *while a task is executing* — any frame refreshes the pool's
+//!    liveness deadline, so a legitimately long task no longer reads as
+//!    a dead slot and the pool's failure timeout can be chosen
+//!    independently of worst-case service time. Results are buffered
+//!    and flushed in one write when the last task of the wire batch has
+//!    run or `FLUSH_EVERY` results wait, each write trailed by a
+//!    `Sensors` frame carrying daemon-measured service time, queue
+//!    depth, and the completed-task count. Tasks that the between-task drain brings in form the next
 //!    batch, so a result never waits for work that arrived after it. A
 //!    task that ran longer than a write costs (`LONG_TASK`) is flushed
 //!    before the next one starts, so a finished result never waits
@@ -165,6 +169,27 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(
+        reader: FrameReader,
+        writer: Arc<Mutex<FrameWriter>>,
+        workload: Workload,
+        busy: Arc<AtomicBool>,
+    ) -> Self {
+        Self {
+            reader,
+            writer,
+            workload,
+            busy,
+            pending: VecDeque::new(),
+            result: Vec::new(),
+            service: Welford::new(),
+            done: 0,
+            finishing: false,
+            unflushed: 0,
+            batch_left: 0,
+        }
+    }
+
     fn sensor_blob(&self) -> Vec<u8> {
         encode_sensors(&SensorBlob {
             service: self.service,
@@ -216,33 +241,31 @@ impl Conn {
         }
     }
 
-    /// Drains every frame currently available without blocking.
-    /// Returns `true` on EOF.
+    /// Drains every frame currently available, one `recv` that cannot
+    /// block at a time; the socket itself stays blocking. Returns `true`
+    /// on EOF.
     fn drain_nonblocking(&mut self) -> std::io::Result<bool> {
-        self.reader.stream().set_nonblocking(true)?;
-        let eof = loop {
-            if let Err(e) = self.decode_buffered() {
-                self.reader.stream().set_nonblocking(false)?;
-                return Err(e);
-            }
-            match self.reader.fill_once()? {
+        loop {
+            self.decode_buffered()?;
+            match self.reader.fill_nowait()? {
                 FillStatus::Bytes => {}
-                FillStatus::WouldBlock => break false,
-                FillStatus::Eof => break true,
+                FillStatus::WouldBlock => return Ok(false),
+                FillStatus::Eof => return Ok(true),
             }
-        };
-        self.reader.stream().set_nonblocking(false)?;
-        Ok(eof)
+        }
     }
 
     fn serve(&mut self) -> std::io::Result<()> {
+        let mut last_read = Instant::now();
         loop {
             let eof = if self.pending.is_empty() && !self.finishing {
                 // Idle: push out whatever is buffered, then sleep on the
                 // socket until the client speaks, and take in the rest of
                 // the batch its write carried.
                 self.flush_results()?;
-                match self.reader.next_blocking()? {
+                let next = self.reader.next_blocking()?;
+                last_read = Instant::now();
+                match next {
                     None => true,
                     Some(f) => {
                         self.handle_frame(f)?;
@@ -251,8 +274,17 @@ impl Conn {
                         false
                     }
                 }
+            } else if last_read.elapsed() >= LONG_TASK {
+                // Between tasks, look at the socket only once a frame
+                // could have waited there about as long as a write costs:
+                // a batch of short tasks runs straight out of the decode
+                // buffer, and a heartbeat waits `LONG_TASK` plus one task
+                // at most.
+                let eof = self.drain_nonblocking()?;
+                last_read = Instant::now();
+                eof
             } else {
-                self.drain_nonblocking()?
+                false
             };
 
             if let Some((seq, bytes)) = self.pending.pop_front() {
@@ -390,19 +422,7 @@ fn handle_conn(stream: TcpStream) -> std::io::Result<()> {
             })?
     };
 
-    let mut conn = Conn {
-        reader,
-        writer,
-        workload,
-        busy,
-        pending: VecDeque::new(),
-        result: Vec::new(),
-        service: Welford::new(),
-        done: 0,
-        finishing: false,
-        unflushed: 0,
-        batch_left: 0,
-    };
+    let mut conn = Conn::new(reader, writer, workload, busy);
     let served = conn.serve();
     stop.store(true, Ordering::SeqCst);
     let pulsed = pulse
@@ -411,18 +431,44 @@ fn handle_conn(stream: TcpStream) -> std::io::Result<()> {
     served.and(pulsed)
 }
 
-/// Accept loop: one thread per connection, forever.
+/// The stderr line for a slot that ended with `res`, if it is worth one.
+/// A peer that hung up is the pool's business (it sees the EOF or misses
+/// a heartbeat), so the disconnect kinds stay quiet.
+fn slot_failure(peer: &str, res: std::io::Result<()>) -> Option<String> {
+    use std::io::ErrorKind::*;
+    let e = res.err()?;
+    match e.kind() {
+        UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe => None,
+        _ => Some(format!("bskel-workerd: slot {peer}: {e}")),
+    }
+}
+
+/// Accept loop: one thread per connection, forever. A slot's failure
+/// other than a disconnect, a failed accept and a failed thread spawn
+/// are reported on stderr; each costs at most its own connection.
 pub fn serve(listener: TcpListener) {
     for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        std::thread::Builder::new()
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                eprintln!("bskel-workerd: accept: {e}");
+                continue;
+            }
+        };
+        let peer = stream
+            .peer_addr()
+            .map_or_else(|_| "?".to_string(), |a| a.to_string());
+        let slot_peer = peer.clone();
+        let spawned = std::thread::Builder::new()
             .name("bskel-workerd-slot".into())
             .spawn(move || {
-                // A dropped connection is the client's business (the pool
-                // detects it via heartbeat/EOF); nothing useful to do here.
-                let _ = handle_conn(stream);
-            })
-            .expect("spawn slot thread");
+                if let Some(line) = slot_failure(&slot_peer, handle_conn(stream)) {
+                    eprintln!("{line}");
+                }
+            });
+        if let Err(e) = spawned {
+            eprintln!("bskel-workerd: slot {peer}: cannot spawn its thread: {e}");
+        }
     }
 }
 
@@ -563,5 +609,101 @@ mod tests {
         let (results, sensors) = one_batch("sleep:1000", 2);
         assert_eq!(results, [1, 2]);
         assert_eq!(sensors, 2, "each result of a long task is flushed alone");
+    }
+
+    #[test]
+    fn a_batch_of_echoes_runs_on_at_most_two_socket_reads() {
+        use crate::proto::encode_frame;
+        use std::io::Write;
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let mut bytes = Vec::new();
+        for seq in 1..=8 {
+            encode_frame(&mut bytes, FrameType::Task, seq, b"echo me");
+        }
+        encode_frame(&mut bytes, FrameType::Goodbye, 0, &[]);
+        (&client).write_all(&bytes).expect("one write");
+
+        let writer = FrameWriter::new(server.try_clone().expect("clone"));
+        let mut conn = Conn::new(
+            FrameReader::new(server),
+            Arc::new(Mutex::new(writer)),
+            Workload::Echo,
+            Arc::new(AtomicBool::new(false)),
+        );
+        conn.serve().expect("a clean batch");
+
+        let mut reader = FrameReader::new(client);
+        let mut results = Vec::new();
+        loop {
+            let f = reader.next_blocking().expect("the daemon answers");
+            match f.expect("a Goodbye before close") {
+                f if f.ftype == FrameType::Result => results.push((f.seq, f.payload)),
+                f if f.ftype == FrameType::Goodbye => break,
+                _ => {}
+            }
+        }
+        let want: Vec<_> = (1..=8).map(|seq| (seq, b"echo me".to_vec())).collect();
+        assert_eq!(results, want);
+        // The blocking read that takes the batch in, and at most one
+        // drain should the batch outlast `LONG_TASK` on a busy host.
+        assert!(conn.reader.reads <= 2, "{} reads", conn.reader.reads);
+    }
+
+    #[test]
+    fn a_heartbeat_behind_long_tasks_is_answered_before_the_batch_ends() {
+        let tasks: Vec<(FrameType, u64, &[u8])> = (1..=4)
+            .map(|seq| (FrameType::Task, seq, &b"slow"[..]))
+            .collect();
+        let (ack, mut reader) = pipelined_hello(false, "sleep:1000", &tasks);
+        assert!(ack.ok, "{ack:?}");
+        let mut heartbeat = FrameWriter::new(reader.stream().try_clone().expect("clone"));
+        let mut order = Vec::new();
+        while !order.contains(&(FrameType::Result, 4)) {
+            let f = reader
+                .next_blocking()
+                .expect("the daemon answers")
+                .expect("a frame before close");
+            if f.ftype == FrameType::Result && f.seq == 1 {
+                // About 1 ms in: the heartbeat lands while task 2 runs.
+                heartbeat
+                    .send(FrameType::Heartbeat, 99, &[])
+                    .expect("the daemon is open");
+            }
+            order.push((f.ftype, f.seq));
+        }
+        let acked = order
+            .iter()
+            .position(|&f| f == (FrameType::HeartbeatAck, 99));
+        assert!(
+            acked.is_some_and(|i| i < order.len() - 1),
+            "the ack must precede the 4th result: {order:?}"
+        );
+    }
+
+    #[test]
+    fn only_failures_other_than_a_disconnect_are_reported() {
+        use std::io::{Error, ErrorKind};
+
+        assert_eq!(slot_failure("p", Ok(())), None);
+        for kind in [
+            ErrorKind::UnexpectedEof,
+            ErrorKind::ConnectionReset,
+            ErrorKind::ConnectionAborted,
+            ErrorKind::BrokenPipe,
+        ] {
+            assert_eq!(slot_failure("p", Err(Error::from(kind))), None, "{kind:?}");
+        }
+        assert_eq!(
+            slot_failure(
+                "127.0.0.1:9",
+                Err(Error::other("the busy-pulse thread panicked"))
+            ),
+            Some("bskel-workerd: slot 127.0.0.1:9: the busy-pulse thread panicked".into())
+        );
+        assert!(slot_failure("p", Err(Error::from(ErrorKind::InvalidData))).is_some());
+        assert!(slot_failure("p", Err(Error::from(ErrorKind::WouldBlock))).is_some());
     }
 }

@@ -684,8 +684,8 @@ impl<Out: Send + 'static> PoolShared<Out> {
         let id = self.next_slot_id.fetch_add(1, Ordering::Relaxed);
         let stream = TcpStream::connect(&endpoint.addr)
             .map_err(|e| format!("connect {}: {e}", endpoint.addr))?;
-        stream.set_nodelay(true).ok();
         let err = |e: &dyn std::fmt::Display| format!("handshake {}: {e}", endpoint.addr);
+        stream.set_nodelay(true).map_err(|e| err(&e))?;
 
         // Not a secret — see crate::secure. Only varies keys per slot.
         let client_nonce = std::time::SystemTime::now()

@@ -1,12 +1,20 @@
 //! Dependency-free Linux readiness polling: `epoll` + `eventfd` via raw
-//! syscalls.
+//! syscalls, plus the daemon's non-blocking receive.
 //!
 //! The reactor in [`crate::pool`] multiplexes every remote slot on one
 //! thread, which needs OS readiness notification — and this workspace
-//! vendors no `libc`. The syscall surface required is tiny (five calls),
+//! vendors no `libc`. The syscall surface required is tiny (six calls),
 //! so this module invokes them directly with inline assembly on the two
 //! architectures the project targets (x86_64, aarch64) and wraps the raw
 //! file descriptors in [`std::os::fd::OwnedFd`] so std's Drop closes them.
+//!
+//! The sixth call, `recv_nowait`, is a `recvfrom` with `MSG_DONTWAIT`:
+//! one read that cannot block, on a socket that stays blocking. The
+//! alternative, toggling `O_NONBLOCK` around a read, costs two more
+//! syscalls, and it flips a flag of the *open file description*, which
+//! every `try_clone`d fd of the socket shares: a writer thread flushing
+//! on another clone meanwhile would see `WouldBlock` on a full send
+//! buffer. `MSG_DONTWAIT` applies to the one call only.
 //!
 //! Everything here is *level-triggered*: a socket with unread bytes (or
 //! writable space) keeps reporting ready, so a reactor tick that stops
@@ -32,6 +40,7 @@ mod nr {
     pub(crate) const EVENTFD2: usize = 290;
     pub(crate) const EPOLL_CREATE1: usize = 291;
     pub(crate) const PRLIMIT64: usize = 302;
+    pub(crate) const RECVFROM: usize = 45;
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -43,6 +52,7 @@ mod nr {
     pub(crate) const EPOLL_WAIT: usize = 22;
     pub(crate) const EVENTFD2: usize = 19;
     pub(crate) const PRLIMIT64: usize = 261;
+    pub(crate) const RECVFROM: usize = 207;
 }
 
 /// One raw syscall with up to six arguments. Unused trailing arguments
@@ -366,6 +376,37 @@ impl Waker {
     }
 }
 
+// -- non-blocking receive ---------------------------------------------
+
+const MSG_DONTWAIT: usize = 0x40;
+
+/// One read of whatever `fd` (a connected socket) holds, up to
+/// `buf.len()` bytes, that never blocks, whatever the fd's own mode:
+/// `WouldBlock` when nothing is there, `Ok(0)` when the peer has closed.
+/// `EINTR` retries.
+pub(crate) fn recv_nowait(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        // SAFETY: `buf` is a live, exclusively-borrowed slice the kernel
+        // writes at most `buf.len()` bytes into; the null address and
+        // address-length pointers mean "do not report the source".
+        let ret = unsafe {
+            syscall6(
+                nr::RECVFROM,
+                fd as usize,
+                buf.as_mut_ptr() as usize,
+                buf.len(),
+                MSG_DONTWAIT,
+                0,
+                0,
+            )
+        };
+        match check(ret) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            done => return done,
+        }
+    }
+}
+
 // -- rlimit ------------------------------------------------------------
 
 const RLIMIT_NOFILE: usize = 7;
@@ -516,6 +557,56 @@ mod tests {
         p.wait(&mut evs, Some(Duration::from_secs(2))).unwrap();
         assert!(!evs.is_empty());
         t.join().unwrap();
+    }
+
+    #[test]
+    fn recv_nowait_returns_at_once_on_an_empty_socket() {
+        let (_a, b) = pair();
+        // Were the call to block, this timeout would end it as EAGAIN
+        // too, so the elapsed time is what tells.
+        b.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let t0 = std::time::Instant::now();
+        let err = recv_nowait(b.as_raw_fd(), &mut [0u8; 16]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn recv_nowait_returns_buffered_bytes_exactly() {
+        let (mut a, b) = pair();
+        a.write_all(b"twelve bytes").unwrap();
+        // A blocking peek waits until the bytes have landed.
+        b.peek(&mut [0u8; 1]).unwrap();
+        let mut buf = [0u8; 64];
+        let n = recv_nowait(b.as_raw_fd(), &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"twelve bytes");
+    }
+
+    #[test]
+    fn recv_nowait_reads_a_closed_peer_as_zero() {
+        let (a, b) = pair();
+        drop(a);
+        assert_eq!(b.peek(&mut [0u8; 1]).unwrap(), 0, "the FIN has landed");
+        assert_eq!(recv_nowait(b.as_raw_fd(), &mut [0u8; 16]).unwrap(), 0);
+    }
+
+    #[test]
+    fn recv_nowait_leaves_the_socket_blocking() {
+        let (_a, mut b) = pair();
+        let err = recv_nowait(b.as_raw_fd(), &mut [0u8; 16]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        b.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let t0 = std::time::Instant::now();
+        assert!(b.read(&mut [0u8; 16]).is_err(), "nothing was sent");
+        let waited = t0.elapsed();
+        assert!(
+            waited >= Duration::from_millis(40),
+            "read returned after {waited:?}"
+        );
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! place. A connection carrying small frames so holds a few KiB of read
 //! buffer, and one carrying large frames grows it to the frame size.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::proto::{encode_frame, Decoder, Frame, FrameType, ProtoError};
 use crate::secure::{CostMeter, StreamCipher};
+use crate::sys;
 
 /// Buffered frame encoder for one direction of a connection.
 #[derive(Debug)]
@@ -94,6 +96,15 @@ pub enum FillStatus {
     Eof,
 }
 
+/// A socket read through [`FrameReader::fill_nowait`].
+struct NoWait<'a>(&'a TcpStream);
+
+impl Read for NoWait<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        sys::recv_nowait(self.0.as_raw_fd(), buf)
+    }
+}
+
 /// Decoding reader for one direction of a connection: reads go straight
 /// into the decode buffer, 4–64 KiB at a time, and are deciphered there.
 #[derive(Debug)]
@@ -102,6 +113,9 @@ pub struct FrameReader {
     cipher: Option<StreamCipher>,
     meter: Option<Arc<CostMeter>>,
     decoder: Decoder,
+    /// Read syscalls made on the socket so far, including those that
+    /// found nothing.
+    pub(crate) reads: u64,
 }
 
 impl FrameReader {
@@ -112,6 +126,7 @@ impl FrameReader {
             cipher: None,
             meter: None,
             decoder: Decoder::new(),
+            reads: 0,
         }
     }
 
@@ -143,7 +158,24 @@ impl FrameReader {
     /// sizes it (see `Decoder::read_from`); a secure reader deciphers
     /// exactly the bytes just read, in place.
     pub fn fill_once(&mut self) -> std::io::Result<FillStatus> {
-        match self.decoder.read_from(&self.stream) {
+        self.fill(false)
+    }
+
+    /// [`FrameReader::fill_once`] through one `recv` with `MSG_DONTWAIT`
+    /// (`sys::recv_nowait`): it never blocks, and the socket, whose
+    /// other clones may be writing, stays in blocking mode.
+    pub(crate) fn fill_nowait(&mut self) -> std::io::Result<FillStatus> {
+        self.fill(true)
+    }
+
+    fn fill(&mut self, nowait: bool) -> std::io::Result<FillStatus> {
+        self.reads += 1;
+        let read = if nowait {
+            self.decoder.read_from(NoWait(&self.stream))
+        } else {
+            self.decoder.read_from(&self.stream)
+        };
+        match read {
             Ok([]) => Ok(FillStatus::Eof),
             Ok(read) => {
                 if let Some(cipher) = &mut self.cipher {
@@ -190,7 +222,7 @@ impl FrameReader {
         self.decoder.garbage_bytes()
     }
 
-    /// The underlying socket (for `set_nonblocking` toggles).
+    /// The underlying socket (for `shutdown`).
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }
