@@ -57,6 +57,8 @@ struct ClassRun {
     dups_dropped: u64,
     workers_lost: u64,
     recovery_ms: Option<f64>,
+    /// No worker panicked and every loss notification was delivered.
+    loss_free: bool,
 }
 
 impl ClassRun {
@@ -164,7 +166,7 @@ fn run_class(name: &'static str, policy: ChaosPolicy, tasks: u64) -> ClassRun {
     stop.store(true, Ordering::SeqCst);
     let recovery_ms = restorer.join().expect("restorer");
 
-    let run = ClassRun {
+    let mut run = ClassRun {
         name,
         elapsed_s,
         delivered,
@@ -175,8 +177,10 @@ fn run_class(name: &'static str, policy: ChaosPolicy, tasks: u64) -> ClassRun {
         dups_dropped: pool.duplicates_dropped(),
         workers_lost: pool.workers_lost(),
         recovery_ms,
+        loss_free: false,
     };
-    let _ = pool.shutdown();
+    let report = pool.shutdown();
+    run.loss_free = report.worker_panics.is_empty() && report.lost_undelivered.is_empty();
     run
 }
 
@@ -250,7 +254,9 @@ fn main() {
         .map(|(name, policy)| run_class(name, policy, tasks))
         .collect();
     let base_tp = runs[0].throughput();
-    let pass = runs.iter().all(|r| r.delivered == tasks && r.ordered);
+    let pass = runs
+        .iter()
+        .all(|r| r.delivered == tasks && r.ordered && r.loss_free);
 
     let mut rows: Vec<(String, String)> = Vec::new();
     for r in &runs {
@@ -292,7 +298,7 @@ fn main() {
             "    {{\"class\": \"{}\", \"elapsed_s\": {:.4}, \"throughput\": {:.1}, \
              \"retention\": {:.4}, \"faults_injected\": {}, \"tasks_retried\": {}, \
              \"speculative_wins\": {}, \"duplicates_dropped\": {}, \"workers_lost\": {}, \
-             \"recovery_ms\": {}}}{}\n",
+             \"recovery_ms\": {}, \"loss_free\": {}}}{}\n",
             r.name,
             r.elapsed_s,
             r.throughput(),
@@ -304,6 +310,7 @@ fn main() {
             r.workers_lost,
             r.recovery_ms
                 .map_or("null".to_string(), |ms| format!("{ms:.1}")),
+            r.loss_free,
             if i + 1 < runs.len() { "," } else { "" },
         ));
     }
@@ -326,4 +333,8 @@ fn main() {
         journal.len(),
         journal.dropped()
     );
+
+    if !pass {
+        std::process::exit(1);
+    }
 }

@@ -4,23 +4,25 @@
 //!
 //! * **scenario sweep** — every shipped scenario config
 //!   (`scenarios/*.json`: fig3, fig4, fault_recovery, secure_mixed_pool,
-//!   multi_tenant) is run once per [`ControllerKind`] (rules, aimd,
-//!   retry_budget, hedge), collecting contract violations, settle time
-//!   (first time the contract floor is reached), delivered throughput
-//!   and resource cost in worker-seconds;
+//!   multi_tenant) is run once per [`ControllerKind`] (rules, aimd),
+//!   collecting contract violations, settle time (first time the
+//!   contract floor is reached), delivered throughput and resource cost
+//!   in worker-seconds;
 //! * **chaos soak** — a wall-clock distributed pool whose four endpoints
 //!   *all* sit behind seeded delay-only [`ChaosProxy`](bskel_net::ChaosProxy)s,
-//!   with an aggressive soft task deadline. Without a brake, every delayed
-//!   task is speculatively re-dispatched each sweep and the duplicate
-//!   traffic slows the proxies further — the classic self-amplifying retry
-//!   storm. The soak measures re-dispatch amplification
-//!   `(dispatches / tasks)` per controller.
+//!   with an aggressive re-dispatch trigger. Without a brake, every
+//!   delayed task is speculatively re-dispatched each sweep and the
+//!   duplicate traffic slows the proxies further — the classic
+//!   self-amplifying retry storm. The soak measures re-dispatch
+//!   amplification `(dispatches / tasks)` per [`Redispatch`] policy of
+//!   the pool: retry budgets and hedging gate traffic inside the plant,
+//!   so they are pool policies, not control laws.
 //!
 //! PASS requires: fig3 and fig4 settle (reach their contract floors)
 //! under **every** controller; every soak delivers its full doubled
-//! stream in order with loss-free accounting; the uncapped baseline's
-//! amplification exceeds 2× while `retry_budget` and `hedge` (both
-//! budget-braked) stay under 2×.
+//! stream in order with loss-free accounting; the uncapped `deadline`
+//! policy's amplification exceeds 2× while `deadline_budget` and
+//! `hedge_budget` (both budget-braked) stay under 2×.
 //!
 //! Results go to `BENCH_controller_compare.json` at the workspace root,
 //! with per-run notes flushed to `JOURNAL_controller_compare.jsonl`.
@@ -57,9 +59,59 @@ struct SimRow {
     security_violations: u64,
 }
 
+/// The pool's re-dispatch policy under soak.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Redispatch {
+    /// Speculative re-dispatch after a 15 ms soft deadline, uncapped:
+    /// the seed of the storm.
+    Deadline,
+    /// The same deadline, braked by a retry budget.
+    DeadlineBudget,
+    /// Quantile-triggered hedging, braked by a retry budget.
+    HedgeBudget,
+}
+
+impl Redispatch {
+    const ALL: [Redispatch; 3] = [
+        Redispatch::Deadline,
+        Redispatch::DeadlineBudget,
+        Redispatch::HedgeBudget,
+    ];
+
+    /// The chaos seed. The offsets are the ones these runs have always
+    /// used, so each row stays comparable with earlier records.
+    fn seed(self) -> u64 {
+        0xC0117
+            + match self {
+                Redispatch::Deadline => 0,
+                Redispatch::DeadlineBudget => 2,
+                Redispatch::HedgeBudget => 3,
+            }
+    }
+
+    fn apply(self, b: RemotePoolBuilder<u64, u64>) -> RemotePoolBuilder<u64, u64> {
+        let deadline = Duration::from_millis(15);
+        match self {
+            Redispatch::Deadline => b.task_deadline(deadline),
+            Redispatch::DeadlineBudget => b.task_deadline(deadline).retry_budget(0.2, 5.0),
+            Redispatch::HedgeBudget => b.hedge_quantile(0.5).retry_budget(0.2, 5.0),
+        }
+    }
+}
+
+impl std::fmt::Display for Redispatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Redispatch::Deadline => "deadline",
+            Redispatch::DeadlineBudget => "deadline_budget",
+            Redispatch::HedgeBudget => "hedge_budget",
+        })
+    }
+}
+
 /// One chaos-soak result row.
 struct SoakRow {
-    controller: ControllerKind,
+    policy: Redispatch,
     tasks: u64,
     retried: u64,
     hedges: u64,
@@ -148,33 +200,21 @@ fn dec(b: &[u8]) -> u64 {
 }
 
 /// Four delay-only chaos proxies (one per slot — there is no clean
-/// escape hatch) with per-endpoint seeds derived from `seed`. Delay-only
-/// is deliberate: every frame arrives eventually, so even a zero-token
-/// budget cannot wedge the stream, and any amplification measured is
-/// pure re-dispatch policy, not loss recovery.
-fn soak_pool(
-    controller: ControllerKind,
-    seed: u64,
-    delay_ms: (u64, u64),
-) -> RemoteWorkerPool<u64, u64> {
-    let mut b = RemotePoolBuilder::new("double", enc, dec)
-        .name(format!("soak-{controller}"))
+/// escape hatch) with per-endpoint seeds derived from the policy's seed.
+/// Delay-only is deliberate: every frame arrives eventually, so even a
+/// zero-token budget cannot wedge the stream, and any amplification
+/// measured is pure re-dispatch policy, not loss recovery.
+fn soak_pool(policy: Redispatch, delay_ms: (u64, u64)) -> RemoteWorkerPool<u64, u64> {
+    let seed = policy.seed();
+    let builder = RemotePoolBuilder::new("double", enc, dec)
+        .name(format!("soak-{policy}"))
         .initial_workers(4)
         .max_workers(4)
         .gather(GatherPolicy::Ordered)
         .heartbeat_period(Duration::from_millis(250))
         .failure_timeout(Duration::from_secs(60))
         .resilience_seed(seed);
-    // The re-dispatch discipline under test. `rules` and `aimd` manage
-    // par-degree only — their pools re-dispatch uncapped, the seed of
-    // the storm. The budget laws brake the same deadline/hedge triggers.
-    b = match controller {
-        ControllerKind::Rules | ControllerKind::Aimd => b.task_deadline(Duration::from_millis(15)),
-        ControllerKind::RetryBudget => b
-            .task_deadline(Duration::from_millis(15))
-            .retry_budget(0.2, 5.0),
-        ControllerKind::Hedge => b.hedge_quantile(0.5).retry_budget(0.2, 5.0),
-    };
+    let mut b = policy.apply(builder);
     for i in 0..4u64 {
         let plan = ChaosPlan {
             seed: seed ^ (0x9E37_79B9 * (i + 1)),
@@ -190,8 +230,8 @@ fn soak_pool(
     b.build().expect("all four chaos endpoints reachable")
 }
 
-fn run_soak(controller: ControllerKind, n: u64, delay_ms: (u64, u64)) -> SoakRow {
-    let pool = soak_pool(controller, 0xC0117 + controller as u64, delay_ms);
+fn run_soak(policy: Redispatch, n: u64, delay_ms: (u64, u64)) -> SoakRow {
+    let pool = soak_pool(policy, delay_ms);
     let started = Instant::now();
     let tx = pool.input();
     let producer = std::thread::spawn(move || {
@@ -209,10 +249,7 @@ fn run_soak(controller: ControllerKind, n: u64, delay_ms: (u64, u64)) -> SoakRow
     }
     producer.join().unwrap();
     let want: Vec<u64> = (0..n).map(|x| x * 2).collect();
-    assert_eq!(
-        got, want,
-        "{controller}: soak lost, reordered or duplicated"
-    );
+    assert_eq!(got, want, "{policy}: soak lost, reordered or duplicated");
 
     let retried = pool.tasks_retried();
     let hedges = pool.hedges_launched();
@@ -220,7 +257,7 @@ fn run_soak(controller: ControllerKind, n: u64, delay_ms: (u64, u64)) -> SoakRow
     let budget_tokens = pool.retry_budget_tokens();
     let report = pool.shutdown();
     SoakRow {
-        controller,
+        policy,
         tasks: n,
         retried,
         hedges,
@@ -238,15 +275,15 @@ fn run_soaks(quick: bool, journal: &Journal) -> Vec<SoakRow> {
     } else {
         (240, (150, 300))
     };
-    ControllerKind::all()
+    Redispatch::ALL
         .into_iter()
-        .map(|controller| {
-            let row = run_soak(controller, n, delay_ms);
+        .map(|policy| {
+            let row = run_soak(policy, n, delay_ms);
             journal.note(
                 0.0,
                 "ctrl1-soak",
                 &format!(
-                    "{controller}: amp {:.2}x ({} retried, {} hedges/{} wins), \
+                    "{policy}: amp {:.2}x ({} retried, {} hedges/{} wins), \
                      tokens {:?}, {:.1}s wall",
                     row.amplification,
                     row.retried,
@@ -270,9 +307,11 @@ fn fmt_settle(s: Option<f64>) -> String {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     println!(
-        "CTRL1: control-law diversity — {} scenarios x {} controllers + chaos soak{}\n",
+        "CTRL1: control-law diversity — {} scenarios x {} controllers \
+         + chaos soak x {} re-dispatch policies{}\n",
         SCENARIOS.len(),
         ControllerKind::all().len(),
+        Redispatch::ALL.len(),
         if quick { " (--quick)" } else { "" },
     );
 
@@ -302,7 +341,7 @@ fn main() {
         .iter()
         .map(|r| {
             (
-                format!("soak/{}", r.controller),
+                format!("soak/{}", r.policy),
                 format!(
                     "amp {:.2}x  retried {:>4}  hedges {:>3} ({} wins)  tokens {}  \
                      loss-free {}  {:.1}s",
@@ -330,16 +369,16 @@ fn main() {
         .filter(|r| matches!(r.scenario, "fig3" | "fig4"))
         .all(|r| r.settle.is_some());
     let secure_ok = sims.iter().all(|r| r.security_violations == 0);
-    let amp_of = |k: ControllerKind| {
+    let amp_of = |p: Redispatch| {
         soaks
             .iter()
-            .find(|r| r.controller == k)
-            .expect("all controllers soaked")
+            .find(|r| r.policy == p)
+            .expect("every policy soaked")
             .amplification
     };
-    let storm_ok = amp_of(ControllerKind::Rules) > 2.0
-        && amp_of(ControllerKind::RetryBudget) < 2.0
-        && amp_of(ControllerKind::Hedge) < 2.0;
+    let storm_ok = amp_of(Redispatch::Deadline) > 2.0
+        && amp_of(Redispatch::DeadlineBudget) < 2.0
+        && amp_of(Redispatch::HedgeBudget) < 2.0;
     let loss_ok = soaks.iter().all(|r| r.loss_free);
     let pass = settles_ok && secure_ok && storm_ok && loss_ok;
 
@@ -354,7 +393,7 @@ fn main() {
                 ),
                 ("no security violations".into(), secure_ok.to_string()),
                 (
-                    "storm braking (uncapped >2x, budget/hedge <2x)".into(),
+                    "storm braking (uncapped >2x, budgeted <2x)".into(),
                     storm_ok.to_string(),
                 ),
                 ("loss-free soaks".into(), loss_ok.to_string()),
@@ -390,10 +429,10 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"controller\": \"{}\", \"tasks\": {}, \"retried\": {}, \
+                "    {{\"policy\": \"{}\", \"tasks\": {}, \"retried\": {}, \
                  \"hedges\": {}, \"hedge_wins\": {}, \"amplification\": {:.4}, \
                  \"budget_tokens\": {}, \"loss_free\": {}, \"wall_s\": {:.2}}}",
-                r.controller.as_str(),
+                r.policy,
                 r.tasks,
                 r.retried,
                 r.hedges,

@@ -233,4 +233,8 @@ fn main() {
     );
     std::fs::write(path, &json).expect("write BENCH_fault_recovery.json");
     println!("wrote {path}");
+
+    if !pass {
+        std::process::exit(1);
+    }
 }

@@ -115,7 +115,9 @@ fn spin() {
     }
 }
 
-fn run_local(tasks: u64) -> Run {
+/// The local run, and whether its farm shut down loss-free (no worker
+/// panicked, every loss notification delivered).
+fn run_local(tasks: u64) -> (Run, bool) {
     let farm = FarmBuilder::from_fn(|x: u64| {
         spin();
         x
@@ -137,8 +139,9 @@ fn run_local(tasks: u64) -> Run {
     });
     let run = drain(&farm.output(), &ts_rx, t0);
     producer.join().expect("producer");
-    let _ = farm.shutdown();
-    run
+    let report = farm.shutdown();
+    let loss_free = report.worker_panics.is_empty() && report.lost_undelivered.is_empty();
+    (run, loss_free)
 }
 
 fn run_remote(tasks: u64, secure: bool) -> (Run, CostReport) {
@@ -225,7 +228,7 @@ fn main() {
         "NET1: local vs loopback farm ({tasks} tasks, {WORKERS} workers, {SPIN_US} µs spin)\n"
     );
 
-    let local = run_local(tasks);
+    let (local, local_loss_free) = run_local(tasks);
     let (plain, _) = run_remote(tasks, false);
     let (secure, cost) = run_remote(tasks, true);
 
@@ -235,7 +238,10 @@ fn main() {
     // seconds for this workload's wire footprint.
     let secure_per_task_s = per_byte_s * TASK_BYTES;
 
-    let pass = local.delivered == tasks && plain.delivered == tasks && secure.delivered == tasks;
+    let pass = local.delivered == tasks
+        && local_loss_free
+        && plain.delivered == tasks
+        && secure.delivered == tasks;
     let mut rows = Vec::new();
     rows.extend(run_row("local", &local));
     rows.extend(run_row("loopback plain", &plain));
@@ -265,7 +271,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"net_farm\",\n  \"tasks\": {tasks},\n  \"quick\": {quick},\n  \
          \"workers\": {WORKERS},\n  \"spin_us\": {SPIN_US},\n  \
-         \"local\": {{{}}},\n  \
+         \"local\": {{{}, \"loss_free\": {local_loss_free}}},\n  \
          \"loopback_plain\": {{{}}},\n  \
          \"loopback_secure\": {{{}, \
          \"handshakes\": {}, \"handshake_ms\": {:.4}, \"cipher_bytes\": {}, \
@@ -292,4 +298,8 @@ fn main() {
         journal.len(),
         journal.dropped()
     );
+
+    if !pass {
+        std::process::exit(1);
+    }
 }

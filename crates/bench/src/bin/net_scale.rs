@@ -273,4 +273,8 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net_scale.json");
     std::fs::write(path, &json).expect("write BENCH_net_scale.json");
     println!("wrote {path}");
+
+    if !pass {
+        std::process::exit(1);
+    }
 }

@@ -149,7 +149,7 @@ pub enum ScenarioConfig {
         #[serde(default)]
         model_initial_setup: bool,
         /// Control law for the farm manager
-        /// (`"rules" | "aimd" | "retry_budget" | "hedge"`; default rules).
+        /// (`"rules" | "aimd"`; default rules).
         #[serde(default)]
         controller: Option<String>,
         /// RNG seed.

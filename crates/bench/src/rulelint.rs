@@ -140,8 +140,7 @@ pub(crate) fn tenant_params(contract: &Contract, max_workers: u32) -> ParamTable
 /// Controller-aware: a manager whose configured control law runs **no**
 /// rule program (`aimd`) contributes nothing to lint — there is no
 /// program to analyze, and findings against a program that never loads
-/// would be noise. The budget laws (`retry_budget`, `hedge`)
-/// wrap the standard programs and are linted exactly like `rules`.
+/// would be noise. An unknown law name fails [`ScenarioConfig::from_json`].
 pub(crate) fn lint_scenario_config(cfg: &ScenarioConfig) -> Vec<Diagnostic> {
     let analyzer = Analyzer::new(sim_bean_schema());
     let mut out = Vec::new();
@@ -364,8 +363,8 @@ mod tests {
 
     #[test]
     fn controller_state_beans_are_in_the_lint_schema() {
-        // The controller seam's published state beans — the retry-budget
-        // token level, hedge counters and AIMD ceiling — must be legal
+        // The published state beans — the pool's retry-budget token
+        // level and hedge counters, and the AIMD ceiling — must be legal
         // sensors for operator rule programs.
         let report = lint_rules_text(
             "controllers.rules",
@@ -419,22 +418,26 @@ mod tests {
 
     #[test]
     fn unknown_controller_name_is_a_config_error() {
-        let report = lint_scenario(
-            "bad_controller.json",
-            r#"{
-                "kind": "farm",
-                "service_time": 1.0,
-                "arrival_rate": 1.0,
-                "contract": { "MinThroughput": 0.5 },
-                "controller": "pid"
-            }"#,
-        );
-        assert_eq!(report.error_count(), 1);
-        assert!(
-            report.render().contains("unknown controller"),
-            "{}",
-            report.render()
-        );
+        // `retry_budget` and `hedge` name pool policies, not laws, so
+        // they fail like any other unknown law.
+        for law in ["pid", "retry_budget", "hedge"] {
+            let report = lint_scenario(
+                "bad_controller.json",
+                &format!(
+                    r#"{{
+                        "kind": "farm",
+                        "service_time": 1.0,
+                        "arrival_rate": 1.0,
+                        "contract": {{ "MinThroughput": 0.5 }},
+                        "controller": "{law}"
+                    }}"#
+                ),
+            );
+            assert_eq!(report.error_count(), 1, "{law}");
+            let rendered = report.render();
+            assert!(rendered.contains("unknown controller"), "{rendered}");
+            assert!(rendered.contains("rules|aimd"), "{rendered}");
+        }
     }
 
     #[test]

@@ -333,9 +333,7 @@ pub(crate) fn check_scenario(path: &str, json: &str) -> FileReport {
 ///
 /// Controller-aware: a manager handed to the `aimd` law runs no rule
 /// program, so there is no rule × effect-table loop to model — its
-/// checks are skipped. The budget laws (`retry_budget`,
-/// `hedge`) execute the standard programs unchanged and are checked
-/// exactly like `rules`.
+/// checks are skipped. An unknown law name fails [`ScenarioConfig::from_json`].
 pub(crate) fn check_scenario_config(cfg: &ScenarioConfig) -> Vec<CheckOutcome> {
     let checker = ModelChecker::new(sim_bean_schema());
     let mut out = Vec::new();
@@ -680,17 +678,20 @@ mod tests {
         assert!(report.parse_error.is_none(), "{:?}", report.parse_error);
         let labels: Vec<&str> = report.checks.iter().map(|c| c.program.as_str()).collect();
         assert_eq!(labels, vec!["producer"]);
-        // A pure AIMD farm scenario has no checkable loop at all, while
-        // the budget laws keep the full rule surface.
+        // A pure AIMD farm scenario has no checkable loop at all.
         let fig3 = std::fs::read_to_string("../../scenarios/fig3.json").expect("fig3");
-        for (law, programs) in [("aimd", 0), ("retry_budget", 1), ("hedge", 1)] {
-            let cfg = fig3.replacen('{', &format!("{{\n  \"controller\": \"{law}\","), 1);
-            let report = check_content("fig3.json", &cfg);
-            assert_eq!(report.checks.len(), programs, "{law}");
+        let cfg = fig3.replacen('{', "{\n  \"controller\": \"aimd\",", 1);
+        assert_eq!(check_content("fig3.json", &cfg).checks.len(), 0);
+        // And an unknown law, pool-policy names included, is a
+        // configuration error, not a panic and not a fallback to rules.
+        for law in ["pid", "retry_budget", "hedge"] {
+            let bad = fig3.replacen('{', &format!("{{\n  \"controller\": \"{law}\","), 1);
+            let err = check_content("fig3.json", &bad).parse_error;
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("rules|aimd")),
+                "{law}: {err:?}"
+            );
         }
-        // And an unknown law is a configuration error, not a panic.
-        let bad = fig3.replacen('{', "{\n  \"controller\": \"pid\",", 1);
-        assert!(check_content("fig3.json", &bad).parse_error.is_some());
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! the controller as a swappable policy instead. `Controller` is that
 //! seam: the manager's MAPE loop senses and hands the snapshot, with the
 //! hierarchy beans it derives, to whatever law is plugged in — the rule
-//! engine, an AIMD congestion-control law, or a budget-mirroring wrapper
-//! — then interprets the returned [`OpCall`]s exactly as it always has.
-//! Working memory is the rule laws' own state: they refill it from the
-//! snapshot every cycle, and AIMD, which reads the snapshot's fields,
-//! keeps none. Policies stay substrate-agnostic: a controller only ever
-//! sees sensed beans and emits symbolic operations.
+//! engine or an AIMD congestion-control law — then interprets the
+//! returned [`OpCall`]s exactly as it always has. Working memory is the
+//! rule law's own state: it refills it from the snapshot every cycle,
+//! and AIMD, which reads the snapshot's fields, keeps none. Policies stay
+//! substrate-agnostic: a controller only ever sees sensed beans and emits
+//! symbolic operations.
 //!
-//! Three non-rule laws ship beside `RuleController`:
+//! One non-rule law ships beside `RuleController`:
 //!
 //! * `AimdController` — additive-increase/multiplicative-decrease of the
 //!   par-degree ceiling: contract pressure (backlogged delivery below the
@@ -21,15 +21,11 @@
 //!   (×0.75). The asymmetry is the classic congestion-control argument:
 //!   probing up is cheap, overshoot is expensive, and the multiplicative
 //!   backoff is what prevents synchronized grow/shrink oscillation.
-//! * `BudgetedRuleController` — the rule program for the manager's kind,
-//!   plus a mirror of the plant-side retry-budget token bucket
-//!   (`bskel_net`'s pool `RetryBudget`; ratio-of-successful-work deposits, a
-//!   min-tokens floor). The mirror exists for observability and replay: it
-//!   publishes `retryBudgetTokens` when the plant doesn't, and journals
-//!   `PAUSE_REDISPATCH`/`RESUME_REDISPATCH` transitions bracketing every
-//!   window in which re-dispatch was suppressed. Enforcement lives in the
-//!   plant (the reactor pool), never here — a controller that merely
-//!   *advises* cannot be bypassed by a stale snapshot.
+//!
+//! Retry budgets and hedged requests are not laws: they gate re-dispatch
+//! inside the plant (`bskel_net`'s pool `RetryBudget`, configured with
+//! `RemotePoolBuilder::retry_budget` / `hedge_quantile`), which publishes
+//! its bucket as the `retryBudgetTokens` bean.
 
 use bskel_monitor::snapshot::BEAN_NAMES;
 use bskel_monitor::SensorSnapshot;
@@ -37,7 +33,7 @@ use bskel_rules::stdlib::{hier_beans, params, viol};
 use bskel_rules::{op, OpCall, ParamTable, RuleEngine, RuleSet, WorkingMemory};
 
 /// Which control law a manager runs (wired through `ManagerConfig` and
-/// scenario JSON as `"rules" | "aimd" | "retry_budget" | "hedge"`).
+/// scenario JSON as `"rules" | "aimd"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControllerKind {
     /// The rule engine over the kind's standard (or custom) program.
@@ -45,11 +41,6 @@ pub enum ControllerKind {
     Rules,
     /// AIMD par-degree control; no rule program.
     Aimd,
-    /// Rule program plus a retry-budget mirror (plant gates re-dispatch).
-    RetryBudget,
-    /// Rule program plus the budget mirror, with plant-side hedging
-    /// enabled (quantile-triggered duplicate dispatch).
-    Hedge,
 }
 
 impl ControllerKind {
@@ -58,19 +49,12 @@ impl ControllerKind {
         match self {
             ControllerKind::Rules => "rules",
             ControllerKind::Aimd => "aimd",
-            ControllerKind::RetryBudget => "retry_budget",
-            ControllerKind::Hedge => "hedge",
         }
     }
 
     /// Every shipped kind, in bench/table order.
-    pub fn all() -> [ControllerKind; 4] {
-        [
-            ControllerKind::Rules,
-            ControllerKind::Aimd,
-            ControllerKind::RetryBudget,
-            ControllerKind::Hedge,
-        ]
+    pub fn all() -> [ControllerKind; 2] {
+        [ControllerKind::Rules, ControllerKind::Aimd]
     }
 }
 
@@ -81,10 +65,8 @@ impl std::str::FromStr for ControllerKind {
         match s {
             "rules" => Ok(ControllerKind::Rules),
             "aimd" => Ok(ControllerKind::Aimd),
-            "retry_budget" | "retry-budget" | "budget" => Ok(ControllerKind::RetryBudget),
-            "hedge" | "hedged" => Ok(ControllerKind::Hedge),
             other => Err(format!(
-                "unknown controller {other:?} (expected rules|aimd|retry_budget|hedge)"
+                "unknown controller {other:?} (expected rules|aimd)"
             )),
         }
     }
@@ -133,7 +115,7 @@ fn fill(wm: &mut WorkingMemory, snap: &SensorSnapshot, hier: Hierarchy) {
 /// [`Controller::rules`], which disables rule linting for
 /// that manager — there is nothing to lint.
 pub(crate) trait Controller: Send {
-    /// Law name as journaled on every actuation (`rules`, `aimd`, …).
+    /// Law name as journaled on every actuation (`rules` or `aimd`).
     fn name(&self) -> &'static str;
 
     /// The rule program, when this law has one (lint/mc target).
@@ -161,13 +143,11 @@ pub(crate) trait Controller: Send {
 }
 
 /// Constructs the controller for a kind, over the given rule program
-/// (used by the rule-based laws; AIMD ignores it).
+/// (used by the rule law; AIMD ignores it).
 pub(crate) fn build_controller(kind: ControllerKind, rules: RuleSet) -> Box<dyn Controller> {
     match kind {
         ControllerKind::Rules => Box::new(RuleController::new(rules)),
         ControllerKind::Aimd => Box::new(AimdController::new()),
-        ControllerKind::RetryBudget => Box::new(BudgetedRuleController::new(rules, "retry_budget")),
-        ControllerKind::Hedge => Box::new(BudgetedRuleController::new(rules, "hedge")),
     }
 }
 
@@ -325,108 +305,6 @@ impl Controller for AimdController {
     }
 }
 
-/// Default deposit ratio of the manager-side budget mirror (tokens per
-/// unit of successful work) when the plant publishes no budget of its own.
-const MIRROR_RATIO: f64 = 0.2;
-/// Default floor of the mirror bucket (tokens held while idle).
-const MIRROR_MIN_TOKENS: f64 = 5.0;
-
-/// A rule program plus a mirror of the plant-side retry budget.
-///
-/// Scaling decisions come from the wrapped rule engine (so in scenarios
-/// without re-dispatch this law is benchmark-identical to `rules`, which
-/// the CTRL1 table makes explicit); the added value is the budget window:
-/// the mirror deposits `ratio × delivered work` per cycle, drains one
-/// token per observed re-dispatch (`Δ tasksRetried + Δ hedgesLaunched`),
-/// and fires a transition-only `PAUSE_REDISPATCH`/`RESUME_REDISPATCH`
-/// pair around every exhaustion window. Substrates treat the pair as a
-/// no-op (the plant bucket is authoritative); the journal gains an
-/// explicit, replayable record of *when* the storm brake held.
-pub(crate) struct BudgetedRuleController {
-    engine: RuleEngine,
-    /// Refilled every cycle rather than rebuilt.
-    wm: WorkingMemory,
-    law: &'static str,
-    tokens: f64,
-    last_at: Option<f64>,
-    last_redispatched: f64,
-    paused: bool,
-}
-
-impl BudgetedRuleController {
-    /// Wraps the rule program; `law` is the journaled name
-    /// (`retry_budget` or `hedge`).
-    pub fn new(rules: RuleSet, law: &'static str) -> Self {
-        Self {
-            engine: RuleEngine::new(rules),
-            wm: WorkingMemory::new(),
-            law,
-            tokens: MIRROR_MIN_TOKENS,
-            last_at: None,
-            last_redispatched: 0.0,
-            paused: false,
-        }
-    }
-}
-
-impl Controller for BudgetedRuleController {
-    fn name(&self) -> &'static str {
-        self.law
-    }
-
-    fn rules(&self) -> Option<&RuleSet> {
-        Some(self.engine.rules())
-    }
-
-    fn set_rules(&mut self, rules: RuleSet) {
-        self.engine = RuleEngine::new(rules);
-    }
-
-    fn decide(
-        &mut self,
-        snap: &SensorSnapshot,
-        hier: Hierarchy,
-        params: &ParamTable,
-    ) -> Result<Vec<OpCall>, String> {
-        fill(&mut self.wm, snap, hier);
-        let mut ops = self
-            .engine
-            .cycle_ops(&self.wm, params)
-            .map_err(|e| e.to_string())?;
-
-        if snap.retry_budget_tokens > 0.0 {
-            // Plant-published truth wins over the mirror.
-            self.tokens = snap.retry_budget_tokens;
-        } else {
-            let dt = self.last_at.map_or(0.0, |prev| (snap.at - prev).max(0.0));
-            let cap = (MIRROR_MIN_TOKENS * 10.0).max(10.0);
-            let deposit = MIRROR_RATIO * snap.departure_rate * dt;
-            let redispatched = snap.tasks_retried as f64 + snap.hedges_launched as f64;
-            let drain = (redispatched - self.last_redispatched).max(0.0);
-            self.last_redispatched = redispatched;
-            self.tokens = (self.tokens + deposit - drain).clamp(0.0, cap);
-        }
-        self.last_at = Some(snap.at);
-
-        if self.tokens < 1.0 && !self.paused {
-            self.paused = true;
-            ops.push(OpCall::new(op::PAUSE_REDISPATCH));
-        } else if self.tokens >= 1.0 && self.paused {
-            self.paused = false;
-            ops.push(OpCall::new(op::RESUME_REDISPATCH));
-        }
-        Ok(ops)
-    }
-
-    /// Plant-published tokens stay authoritative: the mirror fills in
-    /// `retryBudgetTokens` only when the plant published none.
-    fn publish(&self, snap: &mut SensorSnapshot) {
-        if snap.retry_budget_tokens == 0.0 {
-            snap.retry_budget_tokens = self.tokens;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,12 +313,6 @@ mod tests {
     impl AimdController {
         fn ceiling(&self) -> f64 {
             self.ceiling
-        }
-    }
-
-    impl BudgetedRuleController {
-        fn tokens(&self) -> f64 {
-            self.tokens
         }
     }
 
@@ -457,7 +329,10 @@ mod tests {
         for kind in ControllerKind::all() {
             assert_eq!(kind.as_str().parse::<ControllerKind>().unwrap(), kind);
         }
-        assert!("nonsense".parse::<ControllerKind>().is_err());
+        for removed in ["nonsense", "retry_budget", "hedge"] {
+            let err = removed.parse::<ControllerKind>().unwrap_err();
+            assert!(err.contains("rules|aimd"), "{err}");
+        }
     }
 
     #[test]
@@ -519,48 +394,5 @@ mod tests {
         snap.departure_rate = 6.0; // in contract: no AIMD move
         let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
         assert!(ops.iter().any(|o| o.operation == op::ADD_EXECUTOR));
-    }
-
-    #[test]
-    fn budget_mirror_pauses_and_resumes_once_per_window() {
-        let mut c = BudgetedRuleController::new(RuleSet::new(), "retry_budget");
-        let params = ParamTable::new();
-        // Drain the bucket: a retry storm with no successful work.
-        let mut snap = snap_at(1.0);
-        snap.tasks_retried = 50;
-        let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].operation, op::PAUSE_REDISPATCH);
-        // Still exhausted: no duplicate PAUSE.
-        let mut snap = snap_at(2.0);
-        snap.tasks_retried = 55;
-        assert!(c
-            .decide(&snap, Hierarchy::default(), &params)
-            .unwrap()
-            .is_empty());
-        // Successful work refills past one token → RESUME, exactly once.
-        let mut snap = snap_at(12.0);
-        snap.tasks_retried = 55;
-        snap.departure_rate = 2.0;
-        let ops = c.decide(&snap, Hierarchy::default(), &params).unwrap();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].operation, op::RESUME_REDISPATCH);
-    }
-
-    #[test]
-    fn budget_mirror_defers_to_plant_published_tokens() {
-        let mut c = BudgetedRuleController::new(RuleSet::new(), "hedge");
-        let params = ParamTable::new();
-        let mut snap = snap_at(1.0);
-        snap.retry_budget_tokens = 7.5;
-        c.decide(&snap, Hierarchy::default(), &params).unwrap();
-        assert!((c.tokens() - 7.5).abs() < 1e-9);
-        let mut unpublished = snap_at(2.0);
-        c.publish(&mut unpublished);
-        assert_eq!(unpublished.retry_budget_tokens, 7.5);
-        let mut plant = snap_at(2.0);
-        plant.retry_budget_tokens = 3.0;
-        c.publish(&mut plant);
-        assert_eq!(plant.retry_budget_tokens, 3.0, "the plant's tokens win");
     }
 }

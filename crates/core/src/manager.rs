@@ -278,8 +278,8 @@ pub struct ManagerConfig {
     /// The control law this manager runs (see
     /// [`crate::controller::ControllerKind`]). Defaults to the rule
     /// engine; `Aimd` replaces the scaling rules with a congestion-control
-    /// law, `RetryBudget`/`Hedge` wrap the rule program with a
-    /// retry-budget mirror (plant-side enforcement in `bskel_net`).
+    /// law. Retry budgets and hedging are pool policies of `bskel_net`,
+    /// not laws.
     pub controller: ControllerKind,
 }
 
@@ -666,9 +666,8 @@ impl AutonomicManager {
         }
 
         let mut snap = self.abc.sense(now);
-        // Controller-internal state (AIMD ceiling, budget-mirror tokens)
-        // rides the snapshot so both the journal and the law's next
-        // decision see it.
+        // Controller-internal state (the AIMD ceiling) rides the
+        // snapshot so both the journal and the law's next decision see it.
         self.controller.publish(&mut snap);
         // Ops plane: every sensed snapshot is journaled (when a journal
         // is attached to the log), making the control loop's full input

@@ -195,9 +195,10 @@ pub enum JournalEntry {
         /// The plant's response: `applied`, `noop`, `refused:<reason>`
         /// or `error:<message>`.
         outcome: String,
-        /// The control law that ordered the op (`rules`, `aimd`,
-        /// `retry_budget`, `hedge`). Journals written before this field
-        /// existed parse as `rules`.
+        /// The control law that ordered the op (`rules` or `aimd`; older
+        /// journals may hold the retired `retry_budget` and `hedge`, which
+        /// parse like any other string). Journals written before this
+        /// field existed parse as `rules`.
         controller: String,
     },
 }

@@ -183,16 +183,6 @@ op_table! {
     SHED_LOAD => ShedLoad = "custom(SHED_LOAD)" {
         "tenantQueueDepth" Down, "tasksShed" Up,
     }
-
-    /// Advisory: the retry budget is exhausted. The plant-side token
-    /// bucket is authoritative, so substrates treat it as a no-op; it
-    /// exists so the transition is journaled and replayable.
-    PAUSE_REDISPATCH => PauseRedispatch = "custom(PAUSE_REDISPATCH)" { inert }
-
-    /// Advisory: the retry budget refilled past one token after a
-    /// [`PAUSE_REDISPATCH`]; paired transitions bracket the window in
-    /// which speculation and hedging were suppressed.
-    RESUME_REDISPATCH => ResumeRedispatch = "custom(RESUME_REDISPATCH)" { inert }
 }
 
 #[cfg(test)]
@@ -263,8 +253,6 @@ mod tests {
             (GROW_SHARE, "custom(GROW_SHARE)"),
             (SHRINK_SHARE, "custom(SHRINK_SHARE)"),
             (SHED_LOAD, "custom(SHED_LOAD)"),
-            (PAUSE_REDISPATCH, "custom(PAUSE_REDISPATCH)"),
-            (RESUME_REDISPATCH, "custom(RESUME_REDISPATCH)"),
         ];
         for (name, form) in forms {
             assert_eq!(ManagerOp::from_rule(name, &ARGS).to_string(), form);

@@ -472,8 +472,7 @@ pub struct PipelineScenario {
     /// Emitter dispatch policy.
     pub dispatch: Dispatch,
     /// The control law run by the farm-stage manager (the hierarchy's
-    /// other managers always run rules — AIMD and budget mirroring are
-    /// worker-pool laws).
+    /// other managers always run rules — AIMD is a worker-pool law).
     pub controller: ControllerKind,
 }
 

@@ -151,8 +151,7 @@ pub fn build_managers<In: Send + 'static, Out: Send + 'static>(
 /// Under [`ControllerKind::Aimd`] the arbiter sizes the pool by AIMD
 /// over aggregate targets: the contract floor/ceiling parameters are the
 /// sums of the tenants' own floors/ceilings, so the pool grows while
-/// total delivery misses total promises. The budget-mirroring laws wrap
-/// the same `tenancy.rules` program the default runs.
+/// total delivery misses total promises.
 pub fn build_managers_with<In: Send + 'static, Out: Send + 'static>(
     front: &TenantFrontEnd<In, Out>,
     handles: &[&TenantHandle<In, Out>],
