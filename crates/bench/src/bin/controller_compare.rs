@@ -14,7 +14,7 @@
 //!   delayed task is speculatively re-dispatched each sweep and the
 //!   duplicate traffic slows the proxies further — the classic
 //!   self-amplifying retry storm. The soak measures re-dispatch
-//!   amplification `(dispatches / tasks)` per [`Redispatch`] policy of
+//!   amplification `(dispatches / tasks)` per `Redispatch` policy of
 //!   the pool: retry budgets and hedging gate traffic inside the plant,
 //!   so they are pool policies, not control laws.
 //!

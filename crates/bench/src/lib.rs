@@ -18,9 +18,9 @@
 //! | `power_tradeoff` | POW1 — perf/power linear-combination arbitration |
 //! | `run_scenario` | JSON-config scenario runner (see [`config`]) |
 //!
-//! plus Criterion microbenchmarks (`cargo bench -p bskel-bench`) for the
-//! engineering-side costs: rule-engine cycles, estimator updates, DES
-//! kernel, farm overhead and reconfiguration latency.
+//! The engineering-side costs (rule-engine cycles, rate estimators, farm
+//! overhead, reconfiguration latency) are per-layer metrics of the
+//! `bskel-perf` benchmark under `perf/`.
 //!
 //! This library holds the shared text-rendering helpers: every binary
 //! prints the same kind of series/tables the paper's figures plot.
@@ -32,19 +32,6 @@ pub mod rulemc;
 
 use bskel_core::events::EventRecord;
 use bskel_sim::Trace;
-
-/// Linear-interpolated quantile of an ascending-sorted slice (`q` in
-/// `0.0..=1.0`). Returns 0.0 for an empty slice.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
 
 /// Renders a series as an ASCII strip chart: one row of `#`-height buckets
 /// per `step` seconds. Good enough to eyeball the Fig. 3 ramp in a
@@ -122,16 +109,6 @@ mod tests {
         );
         assert!(t.contains("== demo =="));
         assert!(t.contains("longer-key  2"));
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 1.0), 4.0);
-        assert_eq!(quantile(&xs, 0.5), 2.5);
-        assert_eq!(quantile(&[], 0.5), 0.0);
-        assert_eq!(quantile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

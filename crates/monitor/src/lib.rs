@@ -46,7 +46,7 @@ pub use clock::{Clock, ManualClock, RealClock, Time};
 pub use counter::Counter;
 pub use expo::ScrapeSeries;
 pub use journal::{Journal, JournalEntry, JournalRecord};
-pub use rate::{Ewma, RateEstimator};
+pub use rate::RateEstimator;
 pub use snapshot::{beans, SensorSnapshot};
 pub use stats::{queue_variance, LocalStats, Welford, WelfordCell};
 

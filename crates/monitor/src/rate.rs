@@ -3,15 +3,12 @@
 //! The autonomic managers of the paper reason almost exclusively about
 //! *rates*: the `arrivalRate` (input pressure) and `departureRate`
 //! (delivered throughput) beans tested by every rule in Fig. 5, and the SLA
-//! contracts themselves ("0.6 tasks/s", "0.3–0.7 tasks/s"). Two estimators
-//! are provided:
+//! contracts themselves ("0.6 tasks/s", "0.3–0.7 tasks/s").
 //!
-//! * [`RateEstimator`] — an exact sliding-window estimator over event
-//!   timestamps. Matches how the GCM prototype's ABC computed inter-arrival
-//!   rates; robust for the low rates (≪ 1 kHz) of the paper's experiments.
-//! * [`Ewma`] — an exponentially-weighted moving average over arbitrary
-//!   samples, used to smooth noisy sensors before they reach the rule
-//!   engine (avoiding rule flapping around thresholds).
+//! [`RateEstimator`] is an exact sliding-window estimator over event
+//! timestamps. It matches how the GCM prototype's ABC computed
+//! inter-arrival rates, and is robust for the low rates (≪ 1 kHz) of the
+//! paper's experiments.
 
 use crate::clock::Time;
 use std::collections::VecDeque;
@@ -115,49 +112,6 @@ impl RateEstimator {
     }
 }
 
-/// Exponentially-weighted moving average.
-///
-/// `alpha` is the weight of a *new* sample: `ewma' = alpha*x + (1-alpha)*ewma`.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0,1], got {alpha}"
-        );
-        Self { alpha, value: None }
-    }
-
-    /// Feeds a sample and returns the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => self.alpha * x + (1.0 - self.alpha) * prev,
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, or `None` before the first sample.
-    pub fn get(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Clears the average.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,36 +178,5 @@ mod tests {
     #[should_panic(expected = "rate window must be positive")]
     fn zero_window_rejected() {
         RateEstimator::new(0.0);
-    }
-
-    #[test]
-    fn ewma_first_sample_passes_through() {
-        let mut e = Ewma::new(0.3);
-        assert_eq!(e.get(), None);
-        assert_eq!(e.update(4.0), 4.0);
-        assert_eq!(e.get(), Some(4.0));
-    }
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut e = Ewma::new(0.5);
-        for _ in 0..50 {
-            e.update(2.0);
-        }
-        assert!((e.get().unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_smooths_step() {
-        let mut e = Ewma::new(0.25);
-        e.update(0.0);
-        let v = e.update(1.0);
-        assert!((v - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn ewma_rejects_bad_alpha() {
-        Ewma::new(0.0);
     }
 }

@@ -97,7 +97,7 @@ use crate::proto::{
     ProtoError,
 };
 use crate::reactor::{BufferPool, SendQueue, TimerWheel, WriteOutcome};
-use crate::secure::{derive_session_keys, CostMeter, CostReport, StreamCipher};
+use crate::secure::{derive_session_keys, CostMeter, CostReport, MeteredCipher, StreamCipher};
 use crate::sys::{Event, Interest, Poller, Waker};
 
 /// Most tasks the reactor encodes per slot per fill (one send-queue chunk
@@ -588,9 +588,9 @@ struct ConnSeed {
     /// Decoder that already absorbed any post-handshake bytes.
     decoder: Decoder,
     /// Daemon→pool keystream (secure endpoints only).
-    cipher_in: Option<StreamCipher>,
+    cipher_in: Option<MeteredCipher>,
     /// Pool→daemon keystream.
-    cipher_out: Option<StreamCipher>,
+    cipher_out: Option<MeteredCipher>,
 }
 
 /// Control messages into the reactor thread (paired with a waker kick).
@@ -746,7 +746,11 @@ impl<Out: Send + 'static> PoolShared<Out> {
             let (c2s, s2c) = self
                 .meter
                 .time_handshake(|| derive_session_keys(client_nonce, ack.nonce));
-            (Some(StreamCipher::new(s2c)), Some(StreamCipher::new(c2s)))
+            let metered = |key| MeteredCipher {
+                cipher: StreamCipher::new(key),
+                meter: Arc::clone(&self.meter),
+            };
+            (Some(metered(s2c)), Some(metered(c2s)))
         } else {
             (None, None)
         };
@@ -1402,13 +1406,25 @@ struct Conn {
     /// be locked briefly during I/O; interest toggles must not wait).
     fd: RawFd,
     decoder: Decoder,
-    cipher_in: Option<StreamCipher>,
-    cipher_out: Option<StreamCipher>,
+    cipher_in: Option<MeteredCipher>,
+    cipher_out: Option<MeteredCipher>,
     sendq: SendQueue,
     /// Whether `EPOLLOUT` interest is currently registered.
     want_write: bool,
     /// The retirement Goodbye has been queued (at most once).
     goodbye_queued: bool,
+}
+
+impl Conn {
+    /// Queues one payload-less control frame, ciphered on a secure channel.
+    fn push_control(&mut self, buffers: &mut BufferPool, ftype: FrameType, seq: u64) {
+        let mut buf = buffers.get();
+        encode_frame(&mut buf, ftype, seq, &[]);
+        if let Some(c) = self.cipher_out.as_mut() {
+            c.apply(&mut buf);
+        }
+        self.sendq.push(buf, 1);
+    }
 }
 
 /// Drains a readable socket through the decoder and resolves frames.
@@ -1433,11 +1449,7 @@ fn service_readable<Out: Send + 'static>(
             Ok(0) => return Some("connection closed".to_owned()),
             Ok(n) => {
                 if let Some(c) = conn.cipher_in.as_mut() {
-                    let t0 = Instant::now();
                     c.apply(&mut scratch[..n]);
-                    shared
-                        .meter
-                        .record_cipher(n as u64, t0.elapsed().as_nanos() as u64);
                 }
                 conn.decoder.extend(&scratch[..n]);
                 loop {
@@ -1526,11 +1538,7 @@ fn pump_conn<Out: Send + 'static>(
                 drop(inflight);
                 slot.inflight_count.fetch_add(fresh, Ordering::SeqCst);
                 if let Some(c) = conn.cipher_out.as_mut() {
-                    let t0 = Instant::now();
                     c.apply(&mut buf);
-                    shared
-                        .meter
-                        .record_cipher(buf.len() as u64, t0.elapsed().as_nanos() as u64);
                 }
                 conn.sendq.push(buf, frames);
             }
@@ -1541,16 +1549,7 @@ fn pump_conn<Out: Send + 'static>(
                 if !conn.goodbye_queued {
                     conn.goodbye_queued = true;
                     if !slot.dead.load(Ordering::SeqCst) {
-                        let mut buf = buffers.get();
-                        encode_frame(&mut buf, FrameType::Goodbye, 0, &[]);
-                        if let Some(c) = conn.cipher_out.as_mut() {
-                            let t0 = Instant::now();
-                            c.apply(&mut buf);
-                            shared
-                                .meter
-                                .record_cipher(buf.len() as u64, t0.elapsed().as_nanos() as u64);
-                        }
-                        conn.sendq.push(buf, 1);
+                        conn.push_control(buffers, FrameType::Goodbye, 0);
                     }
                 }
                 break;
@@ -1558,6 +1557,7 @@ fn pump_conn<Out: Send + 'static>(
         }
     }
     // Flush: one vectored write per call services many wire batches.
+    let slot = &conn.slot;
     let mut death = None;
     let want_write = if conn.sendq.is_empty() {
         false
@@ -1824,16 +1824,7 @@ impl<Out: Send + 'static> Reactor<Out> {
             }
             let ping = self.shared.next_ping.fetch_add(1, Ordering::Relaxed);
             slot.pings.lock().insert(ping, Instant::now());
-            let mut buf = self.buffers.get();
-            encode_frame(&mut buf, FrameType::Heartbeat, ping, &[]);
-            if let Some(c) = conn.cipher_out.as_mut() {
-                let t0 = Instant::now();
-                c.apply(&mut buf);
-                self.shared
-                    .meter
-                    .record_cipher(buf.len() as u64, t0.elapsed().as_nanos() as u64);
-            }
-            conn.sendq.push(buf, 1);
+            conn.push_control(&mut self.buffers, FrameType::Heartbeat, ping);
         }
     }
 
@@ -1911,19 +1902,10 @@ impl<Out: Send + 'static> Reactor<Out> {
             let Some(mut conn) = self.conns.remove(&token) else {
                 continue;
             };
-            let slot = &conn.slot;
-            if !conn.goodbye_queued && !slot.dead.load(Ordering::SeqCst) {
-                let mut buf = self.buffers.get();
-                encode_frame(&mut buf, FrameType::Goodbye, 0, &[]);
-                if let Some(c) = conn.cipher_out.as_mut() {
-                    let t0 = Instant::now();
-                    c.apply(&mut buf);
-                    self.shared
-                        .meter
-                        .record_cipher(buf.len() as u64, t0.elapsed().as_nanos() as u64);
-                }
-                conn.sendq.push(buf, 1);
+            if !conn.goodbye_queued && !conn.slot.dead.load(Ordering::SeqCst) {
+                conn.push_control(&mut self.buffers, FrameType::Goodbye, 0);
             }
+            let slot = &conn.slot;
             if let Some(stream) = slot.stream.lock().take() {
                 let _ = self.poller.delete(stream.as_raw_fd());
                 if !conn.sendq.is_empty() {

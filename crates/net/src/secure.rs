@@ -42,6 +42,7 @@
 //! lane and block boundary, and at random lengths and split points.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// splitmix64 mixing step — used to scramble seeds and stretch keys.
@@ -56,7 +57,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Iterations of the deliberate key-stretch loop. Tuned so a handshake
 /// costs a measurable fraction of a millisecond — big enough to show up
-/// in the `net_farm` bench, small enough not to slow tests.
+/// in the benchmark's `net.handshake_ms`, small enough not to slow tests.
 const KEY_STRETCH_ROUNDS: u64 = 250_000;
 
 /// Derives the two directional session keys from the handshake nonces.
@@ -218,7 +219,7 @@ impl CostMeter {
     }
 
     /// Records one cipher pass over `n` bytes taking `nanos`.
-    pub(crate) fn record_cipher(&self, n: u64, nanos: u64) {
+    fn record_cipher(&self, n: u64, nanos: u64) {
         self.bytes.fetch_add(n, Ordering::Relaxed);
         self.cipher_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -245,6 +246,23 @@ impl CostMeter {
             handshakes: self.handshakes.load(Ordering::Relaxed),
             handshake_nanos: self.handshake_nanos.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One direction's keystream, charging every pass to a shared meter.
+#[derive(Debug)]
+pub(crate) struct MeteredCipher {
+    pub(crate) cipher: StreamCipher,
+    pub(crate) meter: Arc<CostMeter>,
+}
+
+impl MeteredCipher {
+    /// Ciphers `buf` in place and records the pass's bytes and time.
+    pub(crate) fn apply(&mut self, buf: &mut [u8]) {
+        let t0 = Instant::now();
+        self.cipher.apply(buf);
+        self.meter
+            .record_cipher(buf.len() as u64, t0.elapsed().as_nanos() as u64);
     }
 }
 

@@ -18,18 +18,16 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::proto::{encode_frame, Decoder, Frame, FrameType, ProtoError};
-use crate::secure::{CostMeter, StreamCipher};
+use crate::secure::{CostMeter, MeteredCipher, StreamCipher};
 use crate::sys;
 
 /// Buffered frame encoder for one direction of a connection.
 #[derive(Debug)]
 pub struct FrameWriter {
     stream: TcpStream,
-    cipher: Option<StreamCipher>,
-    meter: Option<Arc<CostMeter>>,
+    cipher: Option<MeteredCipher>,
     buf: Vec<u8>,
 }
 
@@ -39,7 +37,6 @@ impl FrameWriter {
         Self {
             stream,
             cipher: None,
-            meter: None,
             buf: Vec::with_capacity(4096),
         }
     }
@@ -51,8 +48,7 @@ impl FrameWriter {
     /// bytes would be ciphered.
     pub(crate) fn secure(&mut self, cipher: StreamCipher, meter: Arc<CostMeter>) {
         debug_assert!(self.buf.is_empty(), "secure() mid-frame");
-        self.cipher = Some(cipher);
-        self.meter = Some(meter);
+        self.cipher = Some(MeteredCipher { cipher, meter });
     }
 
     /// Appends one frame to the outgoing buffer (no I/O yet).
@@ -66,11 +62,7 @@ impl FrameWriter {
             return Ok(());
         }
         if let Some(cipher) = &mut self.cipher {
-            let t0 = Instant::now();
             cipher.apply(&mut self.buf);
-            if let Some(m) = &self.meter {
-                m.record_cipher(self.buf.len() as u64, t0.elapsed().as_nanos() as u64);
-            }
         }
         let res = self.stream.write_all(&self.buf);
         self.buf.clear();
@@ -110,8 +102,7 @@ impl Read for NoWait<'_> {
 #[derive(Debug)]
 pub struct FrameReader {
     stream: TcpStream,
-    cipher: Option<StreamCipher>,
-    meter: Option<Arc<CostMeter>>,
+    cipher: Option<MeteredCipher>,
     decoder: Decoder,
     /// Read syscalls made on the socket so far, including those that
     /// found nothing.
@@ -124,7 +115,6 @@ impl FrameReader {
         Self {
             stream,
             cipher: None,
-            meter: None,
             decoder: Decoder::new(),
             reads: 0,
         }
@@ -139,8 +129,7 @@ impl FrameReader {
     /// [`FrameReader::buffered`] first and refuse the connection.
     pub(crate) fn secure(&mut self, cipher: StreamCipher, meter: Arc<CostMeter>) {
         debug_assert_eq!(self.decoder.buffered(), 0, "secure() with clear residue");
-        self.cipher = Some(cipher);
-        self.meter = Some(meter);
+        self.cipher = Some(MeteredCipher { cipher, meter });
     }
 
     /// Bytes read from the socket but not yet decoded into frames.
@@ -179,11 +168,7 @@ impl FrameReader {
             Ok([]) => Ok(FillStatus::Eof),
             Ok(read) => {
                 if let Some(cipher) = &mut self.cipher {
-                    let t0 = Instant::now();
                     cipher.apply(read);
-                    if let Some(m) = &self.meter {
-                        m.record_cipher(read.len() as u64, t0.elapsed().as_nanos() as u64);
-                    }
                 }
                 Ok(FillStatus::Bytes)
             }

@@ -1667,6 +1667,7 @@ mod tests {
         assert_eq!(ctl.workers_lost(), 2);
         tx.send(StreamMsg::End).unwrap();
         assert_eq!(drain(&farm.output()).len(), 200, "no task lost");
+        assert_eq!(farm.num_workers(), 2, "no manager, so nothing respawns");
         let lost = ctl
             .events()
             .iter()
