@@ -516,6 +516,7 @@ fn run_multi_tenant(
     }
     let report_mt = front.shutdown();
     let tasks_done: u64 = report_mt.tenants.iter().map(|t| t.completed).sum();
+    assert_eq!(log.dropped(), 0, "a report counts every event");
     let report = RunReport {
         throughput: tasks_done as f64 / duration,
         workers,

@@ -258,12 +258,7 @@ impl GeneralManager {
     /// protocol guarantees the configuration was finalised "before it is
     /// actually used".
     pub fn propose(&mut self, intent: &Intent, env: &mut EnvView, now: f64) -> Decision {
-        self.log.push(
-            now,
-            "GM",
-            EventKind::Other(format!("intent:{intent}")),
-            None,
-        );
+        self.note(now, format!("intent:{intent}"), None);
 
         // Phase 1: collect reviews in priority order.
         let mut pending: Vec<(usize, Obligation)> = Vec::new();
@@ -275,12 +270,7 @@ impl GeneralManager {
                 }
                 Review::Veto { reason } => {
                     let concern = cm.concern();
-                    self.log.push(
-                        now,
-                        "GM",
-                        EventKind::Other(format!("veto:{concern}")),
-                        Some(reason.clone()),
-                    );
+                    self.note(now, format!("veto:{concern}"), Some(&reason));
                     return Decision {
                         committed: false,
                         obligations: Vec::new(),
@@ -298,21 +288,15 @@ impl GeneralManager {
             let concern = self.concerns[i].concern();
             match self.concerns[i].prepare(intent, &obligation, env) {
                 Ok(()) => {
-                    self.log.push(
+                    self.note(
                         now,
-                        "GM",
-                        EventKind::Other(format!("prepared:{concern}")),
-                        Some(format!("{obligation:?}")),
+                        format!("prepared:{concern}"),
+                        Some(&format!("{obligation:?}")),
                     );
                     applied.push((concern, obligation));
                 }
                 Err(reason) => {
-                    self.log.push(
-                        now,
-                        "GM",
-                        EventKind::Other(format!("prepareFailed:{concern}")),
-                        Some(reason.clone()),
-                    );
+                    self.note(now, format!("prepareFailed:{concern}"), Some(&reason));
                     return Decision {
                         committed: false,
                         obligations: applied,
@@ -323,18 +307,18 @@ impl GeneralManager {
             }
         }
 
-        self.log.push(
-            now,
-            "GM",
-            EventKind::Other(format!("commit:{intent}")),
-            None,
-        );
+        self.note(now, format!("commit:{intent}"), None);
         Decision {
             committed: true,
             obligations: applied,
             vetoed_by: None,
             reason: None,
         }
+    }
+
+    /// Logs one step of the protocol as a `GM` event.
+    fn note(&self, now: f64, step: String, detail: Option<&str>) {
+        self.log.push(now, "GM", EventKind::Other(step), detail);
     }
 }
 

@@ -4,15 +4,17 @@
 //! per manager, the timestamped events its control loop emitted —
 //! `contrLow`, `contrHigh`, `notEnough`, `raiseViol`, `incRate`, `decRate`,
 //! `addWorker`, `removeWorker`, `rebalance`, `endStream` — alongside the
-//! measured throughput and resource series. [`EventLog`] is a shared,
-//! append-only record of such events; the experiment harness renders it as
-//! the same series the paper plots.
+//! measured throughput and resource series. [`EventLog`] is a shared
+//! handle onto the manager records of one [`Journal`], the run's only
+//! trace; the experiment harness renders it as the same series the paper
+//! plots.
 
 use bskel_monitor::journal::Text;
-use bskel_monitor::{Journal, Time};
+use bskel_monitor::{Journal, JournalEntry, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The kinds of events a manager can emit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,39 +63,48 @@ pub enum EventKind {
     Other(String),
 }
 
+/// Every kind but [`EventKind::Other`], with its label.
+const PAPER_KINDS: [(EventKind, &str); 18] = [
+    (EventKind::ContrLow, "contrLow"),
+    (EventKind::ContrHigh, "contrHigh"),
+    (EventKind::NotEnough, "notEnough"),
+    (EventKind::TooMuch, "tooMuch"),
+    (EventKind::RaiseViol, "raiseViol"),
+    (EventKind::IncRate, "incRate"),
+    (EventKind::DecRate, "decRate"),
+    (EventKind::AddWorker, "addWorker"),
+    (EventKind::RemoveWorker, "removeWorker"),
+    (EventKind::Rebalance, "rebalance"),
+    (EventKind::EndStream, "endStream"),
+    (EventKind::NewContract, "newContract"),
+    (EventKind::EnterActive, "enterActive"),
+    (EventKind::EnterPassive, "enterPassive"),
+    (EventKind::WorkerLost, "workerLost"),
+    (EventKind::GrowShare, "growShare"),
+    (EventKind::ShrinkShare, "shrinkShare"),
+    (EventKind::ShedLoad, "shedLoad"),
+];
+
 impl EventKind {
+    /// The kind labelled `label`: a paper kind, else [`EventKind::Other`].
+    fn from_label(label: &str) -> Self {
+        let paper = PAPER_KINDS.iter().find(|(_, l)| *l == label);
+        paper.map_or_else(|| EventKind::Other(label.to_owned()), |(k, _)| k.clone())
+    }
+
     /// The paper's event-line label.
     pub fn label(&self) -> &str {
-        match self.static_label() {
-            Ok(label) => label,
-            Err(other) => other,
-        }
+        self.static_label().unwrap_or_else(|other| other)
     }
 
     /// The label: `Ok` with static lifetime for the paper's kinds, `Err`
     /// borrowing an [`EventKind::Other`]'s own.
     fn static_label(&self) -> Result<&'static str, &str> {
-        Ok(match self {
-            EventKind::ContrLow => "contrLow",
-            EventKind::ContrHigh => "contrHigh",
-            EventKind::NotEnough => "notEnough",
-            EventKind::TooMuch => "tooMuch",
-            EventKind::RaiseViol => "raiseViol",
-            EventKind::IncRate => "incRate",
-            EventKind::DecRate => "decRate",
-            EventKind::AddWorker => "addWorker",
-            EventKind::RemoveWorker => "removeWorker",
-            EventKind::Rebalance => "rebalance",
-            EventKind::EndStream => "endStream",
-            EventKind::NewContract => "newContract",
-            EventKind::EnterActive => "enterActive",
-            EventKind::EnterPassive => "enterPassive",
-            EventKind::WorkerLost => "workerLost",
-            EventKind::GrowShare => "growShare",
-            EventKind::ShrinkShare => "shrinkShare",
-            EventKind::ShedLoad => "shedLoad",
-            EventKind::Other(s) => return Err(s),
-        })
+        let paper = PAPER_KINDS.iter().find(|(k, _)| k == self);
+        match self {
+            EventKind::Other(s) => Err(s),
+            _ => Ok(paper.expect("every paper kind is listed").1),
+        }
     }
 }
 
@@ -128,24 +139,23 @@ impl fmt::Display for EventRecord {
     }
 }
 
-/// Shared state behind an [`EventLog`] handle: the event vector plus an
-/// optional journal sink every event is mirrored into.
+/// Shared state behind an [`EventLog`] handle.
 #[derive(Debug, Default)]
 struct LogShared {
-    events: Mutex<Vec<EventRecord>>,
-    /// Set once, then read without a lock on every push.
-    journal: OnceLock<Arc<Journal>>,
+    /// The journal, and whether it was attached rather than created by
+    /// the first push: set once, then read without a lock on every push.
+    sink: OnceLock<(Arc<Journal>, bool)>,
+    /// Reads skip the journal records below this sequence number.
+    cleared: AtomicU64,
 }
 
-/// A shared, append-only event log. Cloning yields a handle onto the same
-/// log, so every manager in a hierarchy writes into one merged trace.
-///
-/// A [`Journal`] can be attached with [`EventLog::attach_journal`]; from
-/// then on every pushed event is also recorded as a structured journal
-/// entry (the ops plane's durable, replayable trace). The attachment is
-/// shared log state, so attaching through any clone takes effect for all
-/// handles, including managers constructed earlier. A log mirrors into
-/// one journal for its whole life.
+/// A handle onto the manager events of one [`Journal`]: the ops journal
+/// attached with [`EventLog::attach_journal`], else one the log creates on
+/// its first push. Events live only there, so a log holds at most the
+/// ring's capacity of them, and reads see every manager event of that
+/// journal, from any log. Clones share the journal, so every manager in a
+/// hierarchy writes into one merged trace, and attaching through any clone
+/// takes effect for all, including managers constructed earlier.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     inner: Arc<LogShared>,
@@ -157,86 +167,79 @@ impl EventLog {
         Self::default()
     }
 
-    /// Mirrors all events (past none, future all) into `journal`.
+    /// Records all future events into `journal`.
     ///
     /// # Panics
     ///
-    /// If a different journal is already attached.
+    /// If a different journal is already attached, or the log already
+    /// created its own.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
-        let held = self.inner.journal.get_or_init(|| Arc::clone(&journal));
+        let (held, attached) = self.inner.sink.get_or_init(|| (Arc::clone(&journal), true));
         assert!(
-            Arc::ptr_eq(held, &journal),
-            "an event log mirrors into one journal for its whole life"
+            *attached && Arc::ptr_eq(held, &journal),
+            "an event log records into one journal for its whole life"
         );
     }
 
-    /// The attached journal, if any.
+    /// The attached journal, if any (not one the log created itself).
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.inner.journal.get()
+        self.inner.sink.get().filter(|(_, a)| *a).map(|(j, _)| j)
     }
 
-    /// Appends an event. A manager passes its shared name, so the record
-    /// shares it; its journal line copies a short name in and shares a
-    /// long one.
-    pub fn push(
-        &self,
-        at: Time,
-        manager: impl Into<Arc<str>>,
-        kind: EventKind,
-        detail: Option<String>,
-    ) {
-        let manager = manager.into();
-        if let Some(journal) = self.journal() {
-            let label = match kind.static_label() {
-                Ok(label) => Text::Static(label),
-                Err(other) => Text::Shared(other.into()),
-            };
-            journal.manager_event(at, &manager, label, detail.as_deref());
-        }
-        self.inner
-            .events
-            .lock()
-            .expect("event log lock poisoned")
-            .push(EventRecord {
-                at,
-                manager,
-                kind,
-                detail,
-            });
+    /// Records an event. A short name or detail is copied into the record
+    /// and a paper kind's label is static, so none of them allocates.
+    pub fn push(&self, at: Time, manager: impl Into<Text>, kind: EventKind, detail: Option<&str>) {
+        let label = match kind.static_label() {
+            Ok(label) => Text::Static(label),
+            Err(other) => Text::Shared(other.into()),
+        };
+        let (journal, _) = self.inner.sink.get_or_init(|| (Journal::shared(), false));
+        journal.manager_event(at, manager, label, detail);
     }
 
-    /// A snapshot of all events so far, in append order.
+    /// A snapshot of the events since the last [`EventLog::clear`] that
+    /// the journal still holds, in append order.
     pub fn snapshot(&self) -> Vec<EventRecord> {
-        self.inner
-            .events
-            .lock()
-            .expect("event log lock poisoned")
-            .clone()
+        let Some((journal, _)) = self.inner.sink.get() else {
+            return Vec::new();
+        };
+        let from = self.inner.cleared.load(Ordering::Relaxed);
+        let records = journal.entries().into_iter().filter(|r| r.seq >= from);
+        records
+            .filter_map(|r| match r.entry {
+                JournalEntry::Manager {
+                    at,
+                    manager,
+                    kind,
+                    detail,
+                } => Some(EventRecord {
+                    at,
+                    manager: manager.into(),
+                    kind: EventKind::from_label(&kind),
+                    detail,
+                }),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Events emitted by one manager.
     pub fn by_manager(&self, manager: &str) -> Vec<EventRecord> {
-        self.snapshot()
-            .into_iter()
-            .filter(|e| *e.manager == *manager)
-            .collect()
+        let mut events = self.snapshot();
+        events.retain(|e| *e.manager == *manager);
+        events
     }
 
     /// Events of one kind.
     pub fn of_kind(&self, kind: &EventKind) -> Vec<EventRecord> {
-        self.snapshot()
-            .into_iter()
-            .filter(|e| &e.kind == kind)
-            .collect()
+        let mut events = self.snapshot();
+        events.retain(|e| &e.kind == kind);
+        events
     }
 
     /// Number of events logged.
     pub fn len(&self) -> usize {
-        self.inner
-            .events
-            .lock()
-            .expect("event log lock poisoned")
-            .len()
+        self.snapshot().len()
     }
 
     /// True when no events have been logged.
@@ -244,13 +247,20 @@ impl EventLog {
         self.len() == 0
     }
 
-    /// Clears the log (between experiment repetitions).
+    /// Journal records of any kind overwritten to keep the ring within
+    /// its capacity: 0 while the log still holds every event.
+    pub fn dropped(&self) -> u64 {
+        self.inner.sink.get().map_or(0, |(j, _)| j.dropped())
+    }
+
+    /// Hides the events logged so far from the reads (between experiment
+    /// repetitions). The journal itself, which others may share, is left
+    /// as it is.
     pub fn clear(&self) {
-        self.inner
-            .events
-            .lock()
-            .expect("event log lock poisoned")
-            .clear();
+        if let Some((journal, _)) = self.inner.sink.get() {
+            let recorded = journal.recorded();
+            self.inner.cleared.store(recorded, Ordering::Relaxed);
+        }
     }
 
     /// Renders the log as the paper's event-line text, one event per line.
@@ -272,7 +282,7 @@ mod tests {
         let log = EventLog::new();
         assert!(log.is_empty());
         log.push(1.0, "AM_F", EventKind::ContrLow, None);
-        log.push(2.0, "AM_F", EventKind::AddWorker, Some("2".into()));
+        log.push(2.0, "AM_F", EventKind::AddWorker, Some("2"));
         log.push(3.0, "AM_A", EventKind::IncRate, None);
         assert_eq!(log.len(), 3);
         let all = log.snapshot();
@@ -325,21 +335,69 @@ mod tests {
     }
 
     #[test]
+    fn from_label_inverts_label() {
+        for (kind, _) in PAPER_KINDS {
+            assert_eq!(EventKind::from_label(kind.label()), kind);
+        }
+        let other = EventKind::Other("x".into());
+        assert_eq!(EventKind::from_label(other.label()), other);
+    }
+
+    #[test]
     fn clear_resets() {
         let log = EventLog::new();
         log.push(0.0, "m", EventKind::EndStream, None);
         log.clear();
         assert!(log.is_empty());
+        log.push(1.0, "m", EventKind::ContrLow, None);
+        assert_eq!(log.snapshot()[0].kind, EventKind::ContrLow);
     }
 
     #[test]
-    fn attached_journal_mirrors_events_across_clones() {
-        use bskel_monitor::{Journal, JournalEntry};
+    fn clear_leaves_an_attached_journal_as_it_is() {
+        let journal = Arc::new(Journal::new(2));
+        let log = EventLog::new();
+        log.attach_journal(Arc::clone(&journal));
+        for i in 0..3 {
+            log.push(f64::from(i), "m", EventKind::AddWorker, Some("1"));
+        }
+        let before = (journal.recorded(), journal.dropped(), journal.len());
+        assert_eq!(before, (3, 1, 2));
+        assert_eq!(log.dropped(), 1);
+        log.clear();
+        assert!(log.is_empty());
+        assert_eq!(
+            (journal.recorded(), journal.dropped(), journal.len()),
+            before
+        );
+    }
+
+    #[test]
+    fn an_unattached_log_records_into_its_own_journal() {
+        let log = EventLog::new();
+        log.push(0.0, "m", EventKind::EndStream, None);
+        assert!(
+            log.journal().is_none(),
+            "only an attached journal is exposed"
+        );
+        assert_eq!(log.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one journal for its whole life")]
+    fn attaching_after_the_first_push_panics() {
+        let log = EventLog::new();
+        log.push(0.0, "m", EventKind::EndStream, None);
+        log.attach_journal(Journal::shared());
+    }
+
+    #[test]
+    fn attached_journal_holds_events_across_clones() {
         let log = EventLog::new();
         let handle = log.clone(); // cloned BEFORE the journal is attached
         let journal = Journal::shared();
         log.attach_journal(Arc::clone(&journal));
-        handle.push(1.0, "AM_F", EventKind::AddWorker, Some("2".into()));
+        handle.push(1.0, "AM_F", EventKind::AddWorker, Some("2"));
         let entries = journal.entries();
         assert_eq!(entries.len(), 1);
         assert_eq!(

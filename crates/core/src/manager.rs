@@ -38,6 +38,7 @@ use bskel_monitor::{SensorSnapshot, Time};
 use bskel_rules::stdlib::{self, viol};
 use bskel_rules::{op, Analyzer, OpArgs, OpCall, ParamTable, RuleSet};
 use std::fmt;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -504,7 +505,7 @@ impl AutonomicManager {
             self.emit(
                 now,
                 EventKind::Other(format!("rulelint:{}", d.code)),
-                Some(d.to_string()),
+                Some(&d.to_string()),
             );
         }
         if let Some(errors) = errors {
@@ -572,15 +573,25 @@ impl AutonomicManager {
         self.abc.as_mut()
     }
 
-    fn emit(&self, at: Time, kind: EventKind, detail: Option<String>) {
-        self.log.push(at, Arc::clone(&self.name), kind, detail);
+    fn emit(&self, at: Time, kind: EventKind, detail: Option<&str>) {
+        self.log.push(at, &self.name, kind, detail);
+    }
+
+    /// Emits `kind` with a count as its detail, formatted on the stack.
+    fn emit_count(&self, at: Time, kind: EventKind, count: u64) {
+        let mut buf = [0; 20];
+        let mut rest = &mut buf[..];
+        write!(rest, "{count}").expect("a u64 has at most 20 digits");
+        let len = 20 - rest.len();
+        let digits = std::str::from_utf8(&buf[..len]).expect("ASCII");
+        self.emit(at, kind, Some(digits));
     }
 
     /// Adopts a new contract: recomputes rule parameters, propagates
     /// sub-contracts to children, (re-)enters active mode.
     fn adopt_contract(&mut self, contract: Contract, now: Time) {
         self.params = self.cfg.params(&contract);
-        self.emit(now, EventKind::NewContract, Some(contract.to_string()));
+        self.emit(now, EventKind::NewContract, Some(&contract.to_string()));
         self.contract = contract;
         // Binding the contract's parameters makes cross-rule reasoning
         // decidable; re-lint against the adopted contract so dormant rules and parameter-induced
@@ -683,11 +694,7 @@ impl AutonomicManager {
             .as_ref()
             .map_or(0, |prev| prev.workers_lost);
         if snap.workers_lost > prev_lost {
-            self.emit(
-                now,
-                EventKind::WorkerLost,
-                Some(format!("{}", snap.workers_lost - prev_lost)),
-            );
+            self.emit_count(now, EventKind::WorkerLost, snap.workers_lost - prev_lost);
         }
         // Sensor blackout during reconfiguration (paper: "No sensor data is
         // available for AM_F during the reconfiguration").
@@ -724,7 +731,7 @@ impl AutonomicManager {
                             self.emit(
                                 now,
                                 EventKind::AddWorker,
-                                Some(format!("{add} (model-init)")),
+                                Some(&format!("{add} (model-init)")),
                             );
                             // Reconfiguration in flight; resume next cycle.
                             return Vec::new();
@@ -744,7 +751,7 @@ impl AutonomicManager {
                 ViolationKind::EndOfStream => {
                     if !self.end_stream_seen {
                         self.end_stream_seen = true;
-                        self.emit(now, EventKind::EndStream, Some(report.from.clone()));
+                        self.emit(now, EventKind::EndStream, Some(&report.from));
                     }
                 }
                 ViolationKind::Unsatisfiable(reason) => {
@@ -847,7 +854,7 @@ impl AutonomicManager {
                     }
                     acted = true;
                     let (kind, _) = applied_event(&op_, &call.operation);
-                    self.emit(now, kind, Some(format!("{:.3}", self.source_rate)));
+                    self.emit(now, kind, Some(&format!("{:.3}", self.source_rate)));
                 }
                 _ => match self.actuate(&op_, now) {
                     Ok(ActuationOutcome::Applied) => {
@@ -857,8 +864,10 @@ impl AutonomicManager {
                             ManagerOp::RemoveWorkers(n) => planned = planned.saturating_sub(n),
                             _ => {}
                         }
-                        let (kind, detail) = applied_event(&op_, &call.operation);
-                        self.emit(now, kind, detail);
+                        match applied_event(&op_, &call.operation) {
+                            (kind, Some(n)) => self.emit_count(now, kind, n.into()),
+                            (kind, None) => self.emit(now, kind, None),
+                        }
                     }
                     Ok(ActuationOutcome::NoOp) => {}
                     // A refused recruitment leaves no local plan: escalate.
@@ -912,7 +921,7 @@ impl AutonomicManager {
     }
 
     fn raise(&self, now: Time, kind: ViolationKind) {
-        self.emit(now, EventKind::RaiseViol, Some(format!("{kind:?}")));
+        self.emit(now, EventKind::RaiseViol, Some(&format!("{kind:?}")));
         if let Some(parent) = &self.parent {
             parent.push(ViolationReport {
                 from: self.cfg.name.clone(),
@@ -943,12 +952,13 @@ fn op_form(forms: &mut Vec<(ManagerOp, Text)>, op: &ManagerOp) -> Text {
     form
 }
 
-/// The event an applied operation emits: the paper's event lines for the
-/// operations that have one, the rule name for the rest.
-fn applied_event(op: &ManagerOp, rule_name: &str) -> (EventKind, Option<String>) {
+/// The event an applied operation emits, with the worker count its
+/// detail carries: the paper's event lines for the operations that have
+/// one, the rule name for the rest.
+fn applied_event(op: &ManagerOp, rule_name: &str) -> (EventKind, Option<u32>) {
     match op {
-        ManagerOp::AddWorkers(n) => (EventKind::AddWorker, Some(n.to_string())),
-        ManagerOp::RemoveWorkers(n) => (EventKind::RemoveWorker, Some(n.to_string())),
+        ManagerOp::AddWorkers(n) => (EventKind::AddWorker, Some(*n)),
+        ManagerOp::RemoveWorkers(n) => (EventKind::RemoveWorker, Some(*n)),
         ManagerOp::BalanceLoad => (EventKind::Rebalance, None),
         ManagerOp::IncRate(_) => (EventKind::IncRate, None),
         ManagerOp::DecRate(_) => (EventKind::DecRate, None),

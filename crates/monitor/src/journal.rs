@@ -3,10 +3,11 @@
 //! The paper's evaluation is read off event lines; a production system
 //! additionally needs those lines to be *durable* and *replayable*. A
 //! [`Journal`] is a fixed-capacity, lock-light ring that every layer of
-//! the stack records into — manager events (mirrored from the core
-//! `EventLog`), farm substrate fault events, per-control-cycle sensor
-//! snapshots and free-form operational notes — and that can be flushed
-//! to JSON-lines text and parsed back bit-exactly. A recorded journal is
+//! the stack records into — manager events (the only store of the core
+//! `EventLog`, which reads them back), farm substrate fault events,
+//! per-control-cycle sensor snapshots and free-form operational notes —
+//! and that can be flushed to JSON-lines text and parsed back
+//! bit-exactly. A recorded journal is
 //! the input of the simulator's deterministic replay path
 //! (`bskel_sim::replay`): a chaos soak or a production incident becomes
 //! a file that re-runs step-for-step against the production manager.
@@ -138,7 +139,8 @@ fn text(s: &str) -> Text {
 /// One structured record in the journal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEntry {
-    /// A manager (MAPE control loop) event, mirrored from the event log.
+    /// A manager (MAPE control loop) event: the event log records its
+    /// events here and nowhere else.
     Manager {
         /// Event time (seconds since run origin).
         at: Time,

@@ -258,6 +258,7 @@ impl FarmScenario {
         let mut st = state.lock().expect("sim state");
         let final_snapshot = st.farm_snapshot(self.horizon);
         let time_to_contract = trace.first_reaching("throughput", lo);
+        assert_eq!(log.dropped(), 0, "an outcome reports every event");
         FarmOutcome {
             final_snapshot,
             trace,
@@ -588,6 +589,7 @@ impl PipelineScenario {
 
         let mut st = state.lock().expect("sim state");
         let final_farm = st.farm_snapshot(self.horizon);
+        assert_eq!(log.dropped(), 0, "an outcome reports every event");
         PipelineOutcome {
             final_farm,
             consumed: st.consumer.consumed,

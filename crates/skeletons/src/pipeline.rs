@@ -180,15 +180,28 @@ impl Pipeline {
 
     /// Waits for the stream to drain end-to-end; returns the number of
     /// items the sink consumed.
+    ///
+    /// # Panics
+    ///
+    /// With the first stage's panic (source and farm pumps included), once
+    /// every thread is joined and every farm shut down: a panicking stage
+    /// ends the stream early, so its count would be short. Then, if the
+    /// sink panicked.
     pub fn wait(self) -> u64 {
-        let consumed = self.sink.join().expect("sink thread panicked");
+        let consumed = self.sink.join();
+        let mut panic = None;
         for j in self.joins {
-            let _ = j.join();
+            if let Err(payload) = j.join() {
+                panic.get_or_insert(payload);
+            }
         }
         for s in self.shutdowns {
             s();
         }
-        consumed
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        consumed.expect("sink thread panicked")
     }
 }
 
@@ -218,6 +231,18 @@ mod tests {
         assert_eq!(consumed, 50);
         let got = results.lock().clone();
         assert_eq!(got, (0..50).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "stage failed on item 10")]
+    fn a_panicking_stage_fails_wait() {
+        let pipe = PipelineBuilder::source("producer", 5000.0, 50, |seq| seq)
+            .stage("fragile", |x| {
+                assert!(x != 10, "stage failed on item {x}");
+                x
+            })
+            .sink("consumer", |_| {});
+        pipe.wait();
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Allocation budget of a control cycle. After warm-up, an in-contract
 //! `AutonomicManager::control_cycle` allocates nothing, with or without a
 //! journal. A cycle that acts allocates exactly the operation vector it
-//! returns and its `addWorker` event's detail text, with or without a
-//! journal: the journal keeps its copy of that short text inside the
-//! record. A bean appearing costs allocations in its own cycle only. The count comes from a
-//! global allocator that tallies per thread, so tests running in parallel
-//! cannot pollute each other's count.
+//! returns, with or without a journal: its events live only in a journal
+//! ring, and their short details (an `addWorker`'s count) are formatted on
+//! the stack and copied inside the record. A bean appearing costs
+//! allocations in its own cycle only. The count comes from a global
+//! allocator that tallies per thread, so tests running in parallel cannot
+//! pollute each other's count.
 
 use bskel_core::contract::Contract;
 use bskel_core::events::{EventKind, EventLog};
@@ -169,15 +170,38 @@ fn quiet_aimd_cycle_allocates_nothing() {
 }
 
 #[test]
-fn acting_rules_cycle_allocates_only_its_ops_and_event_detail() {
-    assert_eq!(worst_acting_cycle(ControllerKind::Rules, false), 2);
-    assert_eq!(worst_acting_cycle(ControllerKind::Rules, true), 2);
+fn acting_rules_cycle_allocates_only_its_ops() {
+    assert_eq!(worst_acting_cycle(ControllerKind::Rules, false), 1);
+    assert_eq!(worst_acting_cycle(ControllerKind::Rules, true), 1);
 }
 
 #[test]
-fn acting_aimd_cycle_allocates_only_its_ops_and_event_detail() {
-    assert_eq!(worst_acting_cycle(ControllerKind::Aimd, false), 2);
-    assert_eq!(worst_acting_cycle(ControllerKind::Aimd, true), 2);
+fn acting_aimd_cycle_allocates_only_its_ops() {
+    assert_eq!(worst_acting_cycle(ControllerKind::Aimd, false), 1);
+    assert_eq!(worst_acting_cycle(ControllerKind::Aimd, true), 1);
+}
+
+/// A log holds no more events than its journal's ring: a long-lived
+/// manager's event memory is flat in its cycles, and what the ring
+/// overwrote is counted.
+#[test]
+fn a_long_lived_managers_events_stay_within_its_ring() {
+    let journal = Arc::new(Journal::new(64));
+    let log = EventLog::new();
+    log.attach_journal(Arc::clone(&journal));
+    let mut m = manager(ControllerKind::Rules, vec![acting_snapshot()], log.clone());
+    for i in 0..10_000 {
+        m.control_cycle(f64::from(i));
+    }
+    let events = log.snapshot();
+    assert!(!events.is_empty() && events.len() <= 64, "{}", events.len());
+    assert_eq!(
+        events.last().map(|e| (e.at, &e.kind)),
+        Some((9_999.0, &EventKind::Rebalance))
+    );
+    assert_eq!(journal.len(), 64);
+    assert_eq!(log.dropped(), journal.recorded() - 64);
+    assert!(log.dropped() > 10_000, "{}", log.dropped());
 }
 
 /// A layout change allocates on its own cycle only. An extra bean that
