@@ -20,13 +20,17 @@
 //!
 //! The engineering-side costs (rule-engine cycles, rate estimators, farm
 //! overhead, reconfiguration latency) are per-layer metrics of the
-//! `bskel-perf` benchmark under `perf/`.
+//! `bskel-perf` benchmark under `perf/`. So are the network experiments'
+//! rates, while their gates are tests of `bskel-net`: CHAOS1's
+//! loss-freedom per fault class in `tests/chaos.rs` (recovery time is
+//! `core.restore_ms @ elastic_heal`), NET2's constant client threads and
+//! flat per-slot fds in `tests/fan_out.rs` (footprint is
+//! `net.threads_peak` and `net.fds_peak @ pool_echo_wide`).
 //!
 //! This library holds the shared text-rendering helpers: every binary
 //! prints the same kind of series/tables the paper's figures plot.
 
 pub mod config;
-pub mod procfs;
 pub mod rulelint;
 pub mod rulemc;
 

@@ -204,7 +204,7 @@ impl EventLog {
             return Vec::new();
         };
         let from = self.inner.cleared.load(Ordering::Relaxed);
-        let records = journal.entries().into_iter().filter(|r| r.seq >= from);
+        let records = journal.manager_events(from).into_iter();
         records
             .filter_map(|r| match r.entry {
                 JournalEntry::Manager {
@@ -237,9 +237,11 @@ impl EventLog {
         events
     }
 
-    /// Number of events logged.
+    /// Number of events logged, counted without copying any.
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.inner.sink.get().map_or(0, |(journal, _)| {
+            journal.manager_event_count(self.inner.cleared.load(Ordering::Relaxed))
+        })
     }
 
     /// True when no events have been logged.

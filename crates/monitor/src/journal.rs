@@ -22,7 +22,8 @@
 //! once per record: into the record itself when short (a manager's name,
 //! an `addWorker`'s `"3"`), into a shared string otherwise.
 //! [`JournalEntry`] is the read side, built from the compact records by
-//! [`Journal::entries`] and [`parse_jsonl`].
+//! [`Journal::entries`] and [`parse_jsonl`], or from the manager records
+//! alone by [`Journal::manager_events`].
 //!
 //! The encoding is a deliberately tiny hand-rolled JSON subset (the
 //! monitor crate stays dependency-light), with one extension: non-finite
@@ -366,6 +367,14 @@ struct Ring {
     next_seq: u64,
 }
 
+/// The manager-event slots of `ring` from sequence number `from` on.
+fn manager_slots(ring: &Ring, from: u64) -> impl Iterator<Item = &Slot> {
+    // `seq` increases along the ring, so the older slots are a prefix.
+    let start = ring.slots.partition_point(|slot| slot.seq < from);
+    let slots = ring.slots.range(start..);
+    slots.filter(|slot| matches!(slot.rec, Compact::Manager { .. }))
+}
+
 /// A fixed-capacity, shared, append-only-until-full event ring.
 ///
 /// Recording is one short mutex hold (the ring); when the ring is full the
@@ -590,6 +599,20 @@ impl Journal {
                 .then(|| rows.next().expect("every table snapshot has a row"));
             f(slot, row);
         }
+    }
+
+    /// The manager events the ring holds from sequence number `from` on,
+    /// oldest first. Only they are copied: every other record, snapshots
+    /// included, is skipped under the lock.
+    pub fn manager_events(&self, from: u64) -> Vec<JournalRecord> {
+        let slots: Vec<Slot> = manager_slots(&self.ring.lock(), from).cloned().collect();
+        slots.iter().map(|slot| slot.materialise(None)).collect()
+    }
+
+    /// How many manager events the ring holds from sequence number `from`
+    /// on, counted under the lock without a copy.
+    pub fn manager_event_count(&self, from: u64) -> usize {
+        manager_slots(&self.ring.lock(), from).count()
     }
 
     /// A copy of the current contents, oldest first.
@@ -1106,6 +1129,22 @@ mod tests {
         let entries = j.entries();
         assert_eq!(entries.first().unwrap().seq, 2, "oldest two dropped");
         assert_eq!(entries.last().unwrap().seq, 4);
+    }
+
+    #[test]
+    fn manager_reads_skip_other_records_and_earlier_seqs() {
+        let j = Journal::new(8);
+        j.note(0.0, "s", "x");
+        j.manager_event(1.0, "AM_F", "contrLow", None);
+        j.snapshot(2.0, "AM_F", &SensorSnapshot::empty(2.0));
+        j.manager_event(3.0, "AM_F", "addWorker", Some("2"));
+        let all = j.manager_events(0);
+        assert_eq!(all.iter().map(|r| r.seq).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(all[1].entry, j.entries()[3].entry);
+        assert_eq!(j.manager_event_count(0), 2);
+        assert_eq!(j.manager_event_count(2), 1);
+        assert_eq!(j.manager_events(2)[0].seq, 3);
+        assert_eq!(j.manager_event_count(4), 0);
     }
 
     #[test]

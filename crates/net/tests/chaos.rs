@@ -95,10 +95,10 @@ fn run_stream(pool: &RemoteWorkerPool<u64, u64>, n: u64) -> Vec<u64> {
 
 /// A shutdown under chaos is acceptable when it is clean, or when every
 /// blemish is an *explained* consequence of injected faults: no worker
-/// panics ever (the soak workloads cannot panic), and every lost slot
-/// has a matching `worker:lost` event naming why. Goodbye failures on
-/// severed sockets land in `disconnects`, which is exactly what that
-/// field is for.
+/// panics ever (the soak workloads cannot panic), no loss notification
+/// left undelivered, and every lost slot has a matching `worker:lost`
+/// event naming why. Goodbye failures on severed sockets land in
+/// `disconnects`, which is exactly what that field is for.
 fn assert_clean_or_explained(report: &ShutdownReport) {
     if report.is_clean() {
         return;
@@ -106,6 +106,10 @@ fn assert_clean_or_explained(report: &ShutdownReport) {
     assert!(
         report.worker_panics.is_empty(),
         "chaos must not manufacture panics: {report:?}"
+    );
+    assert!(
+        report.lost_undelivered.is_empty(),
+        "every loss notification must be delivered: {report:?}"
     );
     let lost_events = report
         .events
@@ -134,6 +138,18 @@ fn soak(plan: ChaosPlan, n: u64, deadline: Duration) -> (ShutdownReport, Vec<Inj
 }
 
 // -- seeded soak schedules ----------------------------------------------
+
+#[test]
+fn soak_inert_plan_is_clean() {
+    // The baseline: the relay forwards every frame untouched, so the
+    // run must shut down clean with nothing in the fault log.
+    let (report, log) = soak(ChaosPlan::inert(0xC4A05), 800, Duration::from_millis(150));
+    assert!(
+        report.is_clean(),
+        "an inert relay must leave the shutdown clean: {report:?}"
+    );
+    assert!(log.is_empty(), "an inert plan injects nothing: {log:?}");
+}
 
 #[test]
 fn soak_drop_heavy() {

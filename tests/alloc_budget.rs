@@ -204,6 +204,28 @@ fn a_long_lived_managers_events_stay_within_its_ring() {
     assert!(log.dropped() > 10_000, "{}", log.dropped());
 }
 
+/// Counting a log's events copies none of the journal: the snapshots the
+/// manager records beside its events cost `len` nothing.
+#[test]
+fn counting_events_allocates_the_same_beside_any_number_of_snapshots() {
+    fn len_allocations(snapshots: u32) -> u64 {
+        let journal = Arc::new(Journal::new(2_048));
+        let log = EventLog::new();
+        log.attach_journal(Arc::clone(&journal));
+        let snap = quiet_snapshot();
+        for i in 0..snapshots {
+            journal.snapshot(f64::from(i), "AM_Q", &snap);
+        }
+        log.push(0.0, "AM_Q", EventKind::AddWorker, Some("1"));
+        let before = allocations();
+        let events = log.len();
+        let n = allocations() - before;
+        assert_eq!(events, 1);
+        n
+    }
+    assert_eq!(len_allocations(1_000), len_allocations(0));
+}
+
 /// A layout change allocates on its own cycle only. An extra bean that
 /// appears mid-list in cycle `K` relays the working memory out and
 /// rebinds the engine in that cycle; from the next cycle on, refill plus
