@@ -25,7 +25,10 @@
 //! loss-freedom per fault class in `tests/chaos.rs` (recovery time is
 //! `core.restore_ms @ elastic_heal`), NET2's constant client threads and
 //! flat per-slot fds in `tests/fan_out.rs` (footprint is
-//! `net.threads_peak` and `net.fds_peak @ pool_echo_wide`).
+//! `net.threads_peak` and `net.fds_peak @ pool_echo_wide`). CTRL1's
+//! control-law comparison is this crate's `tests/scenario_sweep.rs`
+//! (every scenario under every law; the discrete-event rows pinned), and
+//! its retry-storm soak is `bskel-net`'s `tests/hedging.rs`.
 //!
 //! This library holds the shared text-rendering helpers: every binary
 //! prints the same kind of series/tables the paper's figures plot.

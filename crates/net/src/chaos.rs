@@ -360,7 +360,13 @@ pub fn spawn_chaos_local(plan: ChaosPlan) -> std::io::Result<ChaosProxy> {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
     for stream in listener.incoming() {
-        let Ok(client) = stream else { continue };
+        let client = match stream {
+            Ok(client) => client,
+            Err(e) => {
+                eprintln!("chaos proxy: {}: accept: {e}", shared.upstream);
+                continue;
+            }
+        };
         let attempt = shared.connect_attempts.fetch_add(1, Ordering::SeqCst);
         let p = &shared.plan.policy;
         let scheduled = attempt >= u64::from(p.healthy_connects)
@@ -378,12 +384,28 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
             let _ = client.shutdown(Shutdown::Both);
             continue;
         }
-        let Ok(upstream) = TcpStream::connect(&shared.upstream) else {
-            let _ = client.shutdown(Shutdown::Both);
-            continue;
+        let upstream = match TcpStream::connect(&shared.upstream) {
+            Ok(upstream) => upstream,
+            Err(e) => {
+                eprintln!("chaos proxy: {}: connect upstream: {e}", shared.upstream);
+                let _ = client.shutdown(Shutdown::Both);
+                continue;
+            }
         };
-        client.set_nodelay(true).ok();
-        upstream.set_nodelay(true).ok();
+        // Closing both sockets makes a relay that already runs see EOF,
+        // so a half-set-up connection fails loudly at the pool instead of
+        // relaying one way only.
+        let sever = |why: &str| {
+            eprintln!("chaos proxy: {}: {why}", shared.upstream);
+            let _ = client.shutdown(Shutdown::Both);
+            let _ = upstream.shutdown(Shutdown::Both);
+        };
+        // With Nagle's algorithm left on, unplanned delay would stack on
+        // top of the planned ones.
+        if let Err(e) = client.set_nodelay(true).and(upstream.set_nodelay(true)) {
+            sever(&format!("cannot set TCP_NODELAY: {e}"));
+            continue;
+        }
         let conn = shared.conns.fetch_add(1, Ordering::SeqCst);
         let pairs = [
             (
@@ -394,15 +416,21 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
             (Direction::ToPool, upstream.try_clone(), client.try_clone()),
         ];
         for (dir, from, to) in pairs {
-            let (Ok(from), Ok(to)) = (from, to) else {
-                let _ = client.shutdown(Shutdown::Both);
-                let _ = upstream.shutdown(Shutdown::Both);
-                break;
+            let (from, to) = match (from, to) {
+                (Ok(from), Ok(to)) => (from, to),
+                (Err(e), _) | (_, Err(e)) => {
+                    sever(&format!("conn {conn}: cannot clone a socket: {e}"));
+                    break;
+                }
             };
             let shared = Arc::clone(shared);
-            let _ = std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name(format!("chaos-relay-c{conn}"))
                 .spawn(move || relay(from, to, dir, conn, &shared));
+            if let Err(e) = spawned {
+                sever(&format!("conn {conn}: cannot spawn its {dir:?} relay: {e}"));
+                break;
+            }
         }
     }
 }

@@ -12,7 +12,10 @@
 //!   rolling latency quantile;
 //! * **an exhausted retry budget suppresses hedging entirely** (the
 //!   always-empty `ratio: 0, min_tokens: 0` bucket) while the stream
-//!   still completes via the delayed originals.
+//!   still completes via the delayed originals;
+//! * **a retry budget brakes the retry storm**: with every endpoint
+//!   delayed, an uncapped re-dispatch deadline amplifies load more than
+//!   2×, while the same deadline or hedging under a budget stays below.
 
 use std::time::Duration;
 
@@ -149,4 +152,112 @@ fn exhausted_budget_suppresses_hedging() {
         "the zero budget must stay empty"
     );
     pool.shutdown();
+}
+
+/// A pool re-dispatch policy under the retry-storm soak.
+#[derive(Debug, Clone, Copy)]
+enum Redispatch {
+    /// Speculative re-dispatch after a 15 ms soft deadline, uncapped:
+    /// the seed of the storm.
+    Deadline,
+    /// The same deadline, braked by a retry budget.
+    DeadlineBudget,
+    /// Quantile-triggered hedging, braked by a retry budget.
+    HedgeBudget,
+}
+
+impl Redispatch {
+    /// The chaos seed; each endpoint derives its own from it.
+    fn seed(self) -> u64 {
+        0xC0117
+            + match self {
+                Redispatch::Deadline => 0,
+                Redispatch::DeadlineBudget => 2,
+                Redispatch::HedgeBudget => 3,
+            }
+    }
+
+    fn apply(self, b: RemotePoolBuilder<u64, u64>) -> RemotePoolBuilder<u64, u64> {
+        let deadline = Duration::from_millis(15);
+        match self {
+            Redispatch::Deadline => b.task_deadline(deadline),
+            Redispatch::DeadlineBudget => b.task_deadline(deadline).retry_budget(0.2, 5.0),
+            Redispatch::HedgeBudget => b.hedge_quantile(0.5).retry_budget(0.2, 5.0),
+        }
+    }
+}
+
+/// Streams `n` tasks through four endpoints that all sit behind
+/// delay-only chaos proxies (no clean escape hatch) and returns the
+/// load amplification `(n + retried + hedges) / n`. Delay-only keeps
+/// every frame arriving eventually, so a budget with no tokens left
+/// cannot wedge the stream and the amplification is pure re-dispatch
+/// policy. Without a brake, each delayed task is re-dispatched every
+/// sweep and the duplicates slow the proxies further.
+fn storm_amplification(policy: Redispatch, n: u64, (lo, hi): (u64, u64)) -> f64 {
+    let seed = policy.seed();
+    let mut b = policy.apply(
+        RemotePoolBuilder::new("double", enc, dec)
+            .name(format!("storm-{policy:?}"))
+            .initial_workers(4)
+            .max_workers(4)
+            .gather(GatherPolicy::Ordered)
+            .heartbeat_period(Duration::from_millis(250))
+            .failure_timeout(Duration::from_secs(60))
+            .resilience_seed(seed),
+    );
+    for i in 0..4u64 {
+        let plan = slow_plan(seed ^ (0x9E37_79B9 * (i + 1)), 0.45, lo, hi);
+        let proxy = spawn_chaos_local(plan).expect("spawn chaos proxy + daemon");
+        b = b.endpoint(Endpoint::plain(proxy.addr().to_string()));
+    }
+    let pool = b.build().expect("all four chaos endpoints reachable");
+    let got = run_stream(&pool, n);
+    let want: Vec<u64> = (0..n).map(|x| x * 2).collect();
+    assert_eq!(got, want, "{policy:?}: lost, reordered or duplicated");
+    let (retried, hedges) = (pool.tasks_retried(), pool.hedges_launched());
+    assert!(
+        pool.hedge_wins() <= hedges,
+        "{policy:?}: more wins than hedges"
+    );
+    assert_eq!(
+        pool.retry_budget_tokens().is_some(),
+        !matches!(policy, Redispatch::Deadline),
+        "{policy:?}: retry budget present iff configured"
+    );
+    let report = pool.shutdown();
+    assert!(
+        report.worker_panics.is_empty() && report.lost_undelivered.is_empty(),
+        "{policy:?}: delay-only chaos must not lose anything: {report:?}"
+    );
+    (n + retried + hedges) as f64 / n as f64
+}
+
+/// The storm gate: the uncapped deadline amplifies load more than 2×,
+/// and a retry budget holds both the deadline and hedging under 2×.
+fn assert_storm_braked(n: u64, delay_ms: (u64, u64)) {
+    for policy in [
+        Redispatch::Deadline,
+        Redispatch::DeadlineBudget,
+        Redispatch::HedgeBudget,
+    ] {
+        let amp = storm_amplification(policy, n, delay_ms);
+        eprintln!("{policy:?}, {n} tasks: amplification {amp:.2}x");
+        if matches!(policy, Redispatch::Deadline) {
+            assert!(amp > 2.0, "uncapped deadline did not storm: {amp:.2}x");
+        } else {
+            assert!(amp < 2.0, "{policy:?}: budget did not brake: {amp:.2}x");
+        }
+    }
+}
+
+#[test]
+fn retry_budget_brakes_the_retry_storm() {
+    assert_storm_braked(80, (80, 160));
+}
+
+#[test]
+#[ignore = "full-size retry-storm soak: 3 x 240 tasks behind 150-300 ms delays, about 32 s"]
+fn retry_budget_brakes_the_retry_storm_full() {
+    assert_storm_braked(240, (150, 300));
 }
