@@ -8,8 +8,9 @@
 use bskel_core::contract::Contract;
 use bskel_core::ControllerKind;
 use bskel_sim::models::SecureMode;
-use bskel_sim::{FarmScenario, PipelineScenario, SslCostModel};
-use serde::{Deserialize, Serialize};
+use bskel_sim::{FarmOutcome, FarmScenario, PipelineScenario, SslCostModel};
+use bskel_workloads::ServiceDist;
+use serde::{Deserialize, Serialize, Value};
 
 fn default_seed() -> u64 {
     42
@@ -148,6 +149,17 @@ pub enum ScenarioConfig {
         /// Model-based initial setup.
         #[serde(default)]
         model_initial_setup: bool,
+        /// Node recruitment latency, seconds (simulator default: 10 s).
+        #[serde(default)]
+        recruit_latency: Option<f64>,
+        /// External load `(nodes, start, end, extra)`: the first `nodes`
+        /// trusted nodes run at `1 / (1 + extra)` speed in `[start, end)`.
+        #[serde(default)]
+        load_window: Option<(usize, f64, f64, f64)>,
+        /// Processing hot spot `(factor, start, end)`: a task started in
+        /// `[start, end)` costs `factor × service_time`.
+        #[serde(default)]
+        hot_spot: Option<(f64, f64, f64)>,
         /// Control law for the farm manager
         /// (`"rules" | "aimd"`; default rules).
         #[serde(default)]
@@ -222,7 +234,8 @@ pub struct RunReport {
     pub workers: u32,
     /// Tasks completed.
     pub tasks_done: u64,
-    /// First time the contract floor was reached, if ever.
+    /// First time the contract floor was reached, if ever (multi-tenant:
+    /// the first control cycle at which every tenant's floor held).
     pub time_to_contract: Option<f64>,
     /// c_sec violations (plaintext tasks to untrusted nodes).
     pub security_violations: u64,
@@ -258,11 +271,32 @@ fn count_violations(events: &[bskel_core::EventRecord]) -> u64 {
         .count() as u64
 }
 
+/// The first key of `given` that `known`, the parsed config serialised
+/// back, does not carry: at the top level, then in each `tenants` entry.
+fn unknown_key(given: &Value, known: &Value) -> Option<String> {
+    let (Value::Object(given), Value::Object(known)) = (given, known) else {
+        return None;
+    };
+    given.iter().find_map(
+        |(key, value)| match (known.iter().find(|(k, _)| k == key), value) {
+            (None, _) => Some(key.clone()),
+            (Some((_, Value::Array(known))), Value::Array(given)) if key == "tenants" => {
+                given.iter().zip(known).find_map(|(g, k)| unknown_key(g, k))
+            }
+            _ => None,
+        },
+    )
+}
+
 impl ScenarioConfig {
-    /// Parses a config from JSON text, rejecting an unknown controller
-    /// name.
+    /// Parses a config from JSON text, rejecting an unknown key (a misspelt
+    /// field would silently run its default) and an unknown controller name.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let cfg: Self = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let given: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        if let Some(key) = unknown_key(&given, &cfg.to_value()) {
+            return Err(format!("unknown key {key:?}"));
+        }
         cfg.controller()?;
         Ok(cfg)
     }
@@ -278,6 +312,71 @@ impl ScenarioConfig {
             .map_or(Ok(ControllerKind::Rules), str::parse)
     }
 
+    /// Runs a `farm` config on the simulator and returns the whole outcome
+    /// that [`ScenarioConfig::run`] summarises (`None` for the other kinds).
+    /// Each field sets the [`FarmScenario`] builder method of its name
+    /// (`hot_spot` wraps the service time). Panics like `run`.
+    pub fn run_farm(&self) -> Option<FarmOutcome> {
+        let ScenarioConfig::Farm {
+            service_time,
+            arrival_rate,
+            initial_workers,
+            contract,
+            horizon,
+            nodes,
+            secure,
+            ssl,
+            failures,
+            ft_min_workers,
+            migrate_min_gain,
+            model_initial_setup,
+            recruit_latency,
+            load_window,
+            hot_spot,
+            seed,
+            ..
+        } = self.clone()
+        else {
+            return None;
+        };
+        let mut b = FarmScenario::builder()
+            .service_time(service_time)
+            .arrival_rate(arrival_rate)
+            .initial_workers(initial_workers)
+            .contract(contract)
+            .horizon(horizon)
+            .controller(self.controller().expect("known controller name"))
+            .model_initial_setup(model_initial_setup);
+        if let Some((trusted, untrusted)) = nodes {
+            b = b.nodes(trusted, untrusted);
+        }
+        if let Some(policy) = secure {
+            b = b.secure_mode(policy.into());
+        }
+        if let Some(ssl) = ssl {
+            b = b.ssl(ssl);
+        }
+        for (at, count) in failures {
+            b = b.inject_failure(at, count);
+        }
+        if let Some(ft) = ft_min_workers {
+            b = b.ft_min_workers(ft);
+        }
+        if let Some(gain) = migrate_min_gain {
+            b = b.migrate_min_gain(gain);
+        }
+        if let Some(latency) = recruit_latency {
+            b = b.recruit_latency(latency);
+        }
+        if let Some((n, start, end, extra)) = load_window {
+            b = b.load_window(n, start, end, extra);
+        }
+        if let Some((factor, start, end)) = hot_spot {
+            b = b.service(ServiceDist::det(service_time).with_hot_spot(factor, start, end));
+        }
+        Some(b.build().run(seed))
+    }
+
     /// Runs the scenario; returns the report and the trace CSV.
     ///
     /// # Panics
@@ -287,49 +386,8 @@ impl ScenarioConfig {
     pub fn run(&self) -> (RunReport, String) {
         let law = self.controller().expect("known controller name");
         match self.clone() {
-            ScenarioConfig::Farm {
-                service_time,
-                arrival_rate,
-                initial_workers,
-                contract,
-                horizon,
-                nodes,
-                secure,
-                ssl,
-                failures,
-                ft_min_workers,
-                migrate_min_gain,
-                model_initial_setup,
-                seed,
-                ..
-            } => {
-                let mut b = FarmScenario::builder()
-                    .service_time(service_time)
-                    .arrival_rate(arrival_rate)
-                    .initial_workers(initial_workers)
-                    .contract(contract)
-                    .horizon(horizon)
-                    .controller(law)
-                    .model_initial_setup(model_initial_setup);
-                if let Some((trusted, untrusted)) = nodes {
-                    b = b.nodes(trusted, untrusted);
-                }
-                if let Some(policy) = secure {
-                    b = b.secure_mode(policy.into());
-                }
-                if let Some(ssl) = ssl {
-                    b = b.ssl(ssl);
-                }
-                for (at, count) in failures {
-                    b = b.inject_failure(at, count);
-                }
-                if let Some(ft) = ft_min_workers {
-                    b = b.ft_min_workers(ft);
-                }
-                if let Some(gain) = migrate_min_gain {
-                    b = b.migrate_min_gain(gain);
-                }
-                let outcome = b.build().run(seed);
+            ScenarioConfig::Farm { horizon, .. } => {
+                let outcome = self.run_farm().expect("a farm config");
                 let report = RunReport {
                     throughput: outcome.final_snapshot.departure_rate,
                     workers: outcome.final_snapshot.num_workers,
@@ -469,6 +527,7 @@ fn run_multi_tenant(
     let mut payload = 0_u64;
     let mut last_step = 0.0_f64;
     let mut next_cycle = control_period;
+    let mut time_to_contract = None;
     while start.elapsed().as_secs_f64() < duration {
         let now = start.elapsed().as_secs_f64();
         let dt = now - last_step;
@@ -490,6 +549,16 @@ fn run_multi_tenant(
         if now >= next_cycle {
             managers.run_cycle(now);
             next_cycle += control_period;
+            // Settled once every tenant with a throughput floor meets it.
+            if time_to_contract.is_none()
+                && tenants.iter().zip(&handles).all(|(t, h)| {
+                    t.contract
+                        .throughput_bounds()
+                        .is_none_or(|(lo, _)| h.stats().throughput >= lo)
+                })
+            {
+                time_to_contract = Some(now);
+            }
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -521,7 +590,7 @@ fn run_multi_tenant(
         throughput: tasks_done as f64 / duration,
         workers,
         tasks_done,
-        time_to_contract: None,
+        time_to_contract,
         security_violations: 0,
         events: log.len(),
         violations: count_violations(&log.snapshot()),
@@ -623,8 +692,33 @@ mod tests {
     }
 
     #[test]
+    fn multi_tenant_reports_when_every_floor_is_met() {
+        let json = r#"{
+            "kind": "multi_tenant",
+            "service_time": 0.0005,
+            "initial_workers": 2,
+            "duration": 0.6,
+            "control_period": 0.1,
+            "tenants": [
+                { "name": "floored", "contract": { "MinThroughput": 1.0 },
+                  "arrival_rate": 200.0 },
+                { "name": "free", "contract": "BestEffort", "arrival_rate": 50.0 }
+            ]
+        }"#;
+        let (report, _) = ScenarioConfig::from_json(json).unwrap().run();
+        assert!(report.time_to_contract.is_some(), "{report:?}");
+    }
+
+    #[test]
     fn bad_json_reports_error() {
         assert!(ScenarioConfig::from_json("{").is_err());
         assert!(ScenarioConfig::from_json(r#"{"kind": "nope"}"#).is_err());
+        // A misspelt key in a `tenants` entry is named, not read as absent.
+        let tenant = r#"{ "kind": "multi_tenant", "service_time": 0.001, "tenants": [
+            { "name": "a", "contract": "BestEffort", "arrival_rate": 1.0, "burst": 2.0 } ] }"#;
+        assert_eq!(
+            ScenarioConfig::from_json(tenant),
+            Err(r#"unknown key "burst""#.into())
+        );
     }
 }

@@ -1,22 +1,22 @@
 //! # bskel-bench — the experiment harness
 //!
-//! One binary per paper artefact (see DESIGN.md §3 for the index):
+//! One scenario file or binary per paper artefact (DESIGN.md §3 indexes them):
 //!
-//! | binary | artefact |
+//! | artefact | run by |
 //! |---|---|
-//! | `fig3_single_farm` | Fig. 3 — single farm AM ensuring a 0.6 task/s SLA |
-//! | `fig4_hierarchical` | Fig. 4 — hierarchical management of the 3-stage pipeline |
-//! | `fig5_rules` | Fig. 5 — the AM_F rule program, parsed and exercised |
-//! | `security_cost` | SEC1 — SSL policy cost/violation table (refs \[20\],\[31\]) |
-//! | `ablation_hierarchy` | ABL1 — hierarchy vs a single non-cooperating manager |
-//! | `ablation_two_phase` | ABL2 — two-phase commit vs naive multi-concern commit |
-//! | `ablation_split` | ABL3 — identical vs weighted contract splitting |
-//! | `ablation_model_init` | ABL4 — model-based initial setup vs reactive ramp |
-//! | `hotspot_adaptation` | HOT1 — re-adaptation under processing hot spots |
-//! | `fault_tolerance` | FT1 — recovery from worker/node failures |
-//! | `migration` | MIG1 — migration off loaded nodes |
-//! | `power_tradeoff` | POW1 — perf/power linear-combination arbitration |
-//! | `run_scenario` | JSON-config scenario runner (see [`config`]) |
+//! | Fig. 3 — single farm AM ensuring a 0.6 task/s SLA | `scenarios/fig3.json`, checked by `tests/experiments.rs` |
+//! | Fig. 4 — hierarchical management of the 3-stage pipeline | `fig4_hierarchical` |
+//! | Fig. 5 — the AM_F rule program, parsed and exercised | `fig5_rules` |
+//! | SEC1 — SSL policy cost/violation table (refs \[20\],\[31\]) | `scenarios/experiments/security_cost.json`, checked by `tests/experiments.rs` |
+//! | ABL1 — hierarchy vs a single non-cooperating manager | `ablation_hierarchy` |
+//! | ABL2 — two-phase commit vs naive multi-concern commit | `ablation_two_phase` |
+//! | ABL3 — identical vs weighted contract splitting | `ablation_split` |
+//! | ABL4 — model-based initial setup vs reactive ramp | `scenarios/experiments/ablation_model_init.json`, checked by `tests/experiments.rs` |
+//! | HOT1 — re-adaptation under processing hot spots | `scenarios/experiments/hotspot_adaptation.json`, checked by `tests/experiments.rs` |
+//! | FT1 — recovery from worker/node failures | `scenarios/fault_recovery.json`, checked by `tests/experiments.rs` |
+//! | MIG1 — migration off loaded nodes | `scenarios/experiments/migration.json`, checked by `tests/experiments.rs` |
+//! | POW1 — perf/power linear-combination arbitration | `power_tradeoff` |
+//! | any scenario file (see [`config`]): its JSON summary and series | `run_scenario` |
 //!
 //! The engineering-side costs (rule-engine cycles, rate estimators, farm
 //! overhead, reconfiguration latency) are per-layer metrics of the
@@ -30,19 +30,18 @@
 //! (every scenario under every law; the discrete-event rows pinned), and
 //! its retry-storm soak is `bskel-net`'s `tests/hedging.rs`.
 //!
-//! This library holds the shared text-rendering helpers: every binary
-//! prints the same kind of series/tables the paper's figures plot.
+//! This library holds the scenario runner and the shared text-rendering
+//! helpers the remaining figure binaries print with.
 
 pub mod config;
 pub mod rulelint;
 pub mod rulemc;
 
-use bskel_core::events::EventRecord;
 use bskel_sim::Trace;
 
 /// Renders a series as an ASCII strip chart: one row of `#`-height buckets
-/// per `step` seconds. Good enough to eyeball the Fig. 3 ramp in a
-/// terminal; the CSV output is the real artefact.
+/// per `step` seconds. Good enough to eyeball a ramp in a terminal; the
+/// CSV output is the real artefact.
 pub fn ascii_series(trace: &Trace, series: &str, step: f64, max_value: f64) -> String {
     let samples = trace.get(series);
     if samples.is_empty() {
@@ -75,16 +74,6 @@ pub fn table(title: &str, rows: &[(String, String)]) -> String {
         out.push_str(&format!("  {k:<width$}  {v}\n"));
     }
     out
-}
-
-/// Renders the first `limit` manager events as the paper's event lines.
-pub fn event_lines(events: &[EventRecord], limit: usize) -> String {
-    events
-        .iter()
-        .take(limit)
-        .map(|e| e.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Formats seconds as the paper's `mm:ss` axis labels.

@@ -351,6 +351,9 @@ mod tests {
             ft_min_workers: None,
             migrate_min_gain: None,
             model_initial_setup: false,
+            recruit_latency: None,
+            load_window: None,
+            hot_spot: None,
             controller: None,
             seed: 1,
         };
@@ -410,6 +413,9 @@ mod tests {
             ft_min_workers: None,
             migrate_min_gain: None,
             model_initial_setup: false,
+            recruit_latency: None,
+            load_window: None,
+            hot_spot: None,
             controller: Some("aimd".into()),
             seed: 1,
         };
@@ -458,6 +464,9 @@ mod tests {
             ft_min_workers: Some(6),
             migrate_min_gain: None,
             model_initial_setup: false,
+            recruit_latency: None,
+            load_window: None,
+            hot_spot: None,
             controller: None,
             seed: 1,
         };

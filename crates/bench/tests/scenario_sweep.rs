@@ -10,6 +10,9 @@
 //! * no scenario sends a plaintext task to an untrusted node;
 //! * the four discrete-event scenarios reproduce exactly: each row is
 //!   pinned to the numbers EXPERIMENTS.md CTRL1 tabulates.
+//! * fig3 over-provisioned (8 workers, a 0.3–0.5 task/s range) sheds
+//!   workers under AIMD, and its two rows are pinned too: it is the one
+//!   run that depends on AIMD's multiplicative-decrease factor.
 //!
 //! `multi_tenant` runs on the threaded substrate in wall-clock seconds,
 //! so its rates do not reproduce and are not asserted here (the rate is
@@ -19,6 +22,7 @@
 use std::path::PathBuf;
 
 use bskel_bench::config::{RunReport, ScenarioConfig};
+use bskel_core::contract::Contract;
 use bskel_core::ControllerKind;
 
 /// The discrete-event scenarios, in table order.
@@ -35,6 +39,14 @@ const CTRL1_SIM_ROWS: [&str; 8] = [
     "fault_recovery/aimd: thr 0.600, viol 0, settle 1.00, 697.0 w-s, 3 workers",
     "secure_mixed_pool/rules: thr 3.300, viol 42, settle 75.00, 690.0 w-s, 8 workers",
     "secure_mixed_pool/aimd: thr 3.300, viol 80, settle 75.00, 690.0 w-s, 8 workers",
+];
+
+/// fig3 over-provisioned, 8 workers under a 0.3–0.5 task/s range: the one
+/// row where a law must shed workers, so the one that drives AIMD's
+/// multiplicative decrease.
+const OVER_PROVISIONED_ROWS: [&str; 2] = [
+    "fig3 over-provisioned/rules: thr 0.400, viol 196, settle 7.00, 590.0 w-s, 1 workers",
+    "fig3 over-provisioned/aimd: thr 0.400, viol 196, settle 7.00, 596.0 w-s, 1 workers",
 ];
 
 fn scenarios_dir() -> PathBuf {
@@ -130,4 +142,28 @@ fn multi_tenant_completes_tasks_under_every_law() {
             "multi_tenant/{law} completed nothing: {r:?}"
         );
     }
+}
+
+#[test]
+fn over_provisioned_fig3_sheds_workers() {
+    let mut rows = Vec::new();
+    for law in ControllerKind::all() {
+        let mut cfg = load("fig3", law);
+        let ScenarioConfig::Farm {
+            initial_workers,
+            contract,
+            ..
+        } = &mut cfg
+        else {
+            panic!("fig3 is a farm scenario");
+        };
+        *initial_workers = 8;
+        *contract = Contract::throughput_range(0.3, 0.5);
+        let r = cfg.run().0;
+        if law == ControllerKind::Aimd {
+            assert!(r.workers < 8, "AIMD kept every worker: {r:?}");
+        }
+        rows.push(row("fig3 over-provisioned", law, &r));
+    }
+    assert_eq!(rows, OVER_PROVISIONED_ROWS);
 }
